@@ -542,14 +542,12 @@ def _periodicity_rows(n: int, t_q_max: int) -> list[dict]:
     g = cycles.cycle_graph(n)
     fam = family_mod.build_family(g, 1, t_q_max)
     mats = [np.eye(n)] + [m.g for m in fam.members]  # index = t_q; 0 is the identity convention
-    u = SzegedyOperator(g).dense()
-    powers = [np.eye(n * n, dtype=complex)]
-    for _ in range(t_q_max):
-        powers.append(powers[-1] @ u)
+    # U^j = U^t for j < t exactly when U^(t-j) = 1, so the first equal power is t mod the period
+    period = family_mod.unitary_period(g, t_q_max)
     rows = []
     for t in range(t_q_max + 1):
         mat_first = next(j for j in range(t + 1) if np.abs(mats[j] - mats[t]).max() <= 1e-9)
-        uni_first = next(j for j in range(t + 1) if np.abs(powers[j] - powers[t]).max() <= 1e-9)
+        uni_first = t % period if period else t
         rows.append({"t_q": t, "matrix_first_equal": mat_first, "unitary_first_equal": uni_first})
     return rows
 

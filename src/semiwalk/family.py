@@ -5,6 +5,10 @@ one register of ``U^t_q |psi_i>`` yields a column-stochastic matrix; the
 ordered collection over ``t_q = 1..t_q_max`` is the walk family of the input
 matrix. Class 1 measures the first register, class 2 the second. ``t_q = 0``
 (the identity, no evolution at all) is not a walk and is never a member.
+
+Two periods are computed. ``family_period`` compares the measured members;
+``unitary_period`` asks when the walk operator itself returns to the
+identity, read off U's eigenphases rather than dense powers of U.
 """
 
 from __future__ import annotations
@@ -61,15 +65,10 @@ def _measure_columns(states: list[EdgeState], class_tag: int) -> TransitionMatri
 def semiclassical_matrix(g: TransitionMatrix, t_q: int, class_tag: int) -> TransitionMatrix:
     """Measurement statistics of t_q walk steps from every proxy state.
 
-    Column i is the distribution of the measured register of U^t_q |psi_i>.
+    Column i is the distribution of the measured register of U^t_q |psi_i>;
+    this is member t_q of :func:`build_family`.
     """
-    if t_q < 1:
-        raise ValueError("t_q must be >= 1")
-    if class_tag not in (1, 2):
-        raise ValueError("class_tag must be 1 or 2")
-    op = SzegedyOperator(g)
-    states = [op.apply(op.proxy_state(i), steps=t_q) for i in range(g.n)]
-    return _measure_columns(states, class_tag)
+    return build_family(g, class_tag, t_q).member(t_q)
 
 
 def build_family(g: TransitionMatrix, class_tag: int, t_q_max: int) -> SemiclassicalFamily:
@@ -101,19 +100,14 @@ def family_period(f: SemiclassicalFamily, tol: float = MATRIX_TOL) -> int | None
     """
     mats = [m.g for m in f.members]
     length = len(mats)
-    candidates = [
-        p
-        for p in range(1, length)
-        if all(np.abs(mats[t] - mats[t + p]).max() <= tol for t in range(length - p))
-    ]
-    if not candidates:
-        return None
-    best = candidates[0]
-    if length >= 2 * best:
-        return best
-    raise InsufficientRangeError(
-        f"candidate period {best} needs t_q_max >= {2 * best}, have {length}"
-    )
+    for p in range(1, length):
+        if all(np.abs(mats[t] - mats[t + p]).max() <= tol for t in range(length - p)):
+            if length >= 2 * p:
+                return p
+            raise InsufficientRangeError(
+                f"candidate period {p} needs t_q_max >= {2 * p}, have {length}"
+            )
+    return None
 
 
 def distinct_matrices(f: SemiclassicalFamily, tol: float = MATRIX_TOL) -> int:
@@ -134,21 +128,17 @@ def distinct_matrices(f: SemiclassicalFamily, tol: float = MATRIX_TOL) -> int:
     return len(reps)
 
 
-def unitary_period(
-    g: TransitionMatrix,
-    t_max: int,
-    tol: float = MATRIX_TOL,
-    max_n: int = 32,
-) -> int | None:
+def unitary_period(g: TransitionMatrix, t_max: int, tol: float = MATRIX_TOL) -> int | None:
     """Smallest p <= t_max with U^p equal to the identity, or None.
 
-    Uses the dense operator, so the node count must be within the dense cap.
+    Reads U's eigenphases theta off the N x N matrix sqrt(G o G^T), one O(N^3)
+    eigendecomposition, and returns the first p with max |e^{i p theta} - 1|
+    <= tol. For the unitary U that maximum is the spectral norm of U^p - 1,
+    which bounds every entry, so the test implies max |U^p - 1| <= tol
+    entrywise. No dense operator is built, so there is no size cap.
     """
-    u = SzegedyOperator(g).dense(max_n=max_n)
-    eye = np.eye(u.shape[0])
-    power = np.eye(u.shape[0], dtype=complex)
+    theta = SzegedyOperator(g)._eigenphases()
     for p in range(1, t_max + 1):
-        power = power @ u
-        if np.abs(power - eye).max() <= tol:
+        if np.abs(np.exp(1j * p * theta) - 1.0).max() <= tol:
             return p
     return None

@@ -138,8 +138,15 @@ def from_weights(w: WeightedGraph | np.ndarray, patch_dangling: bool = False) ->
 
 
 def validate(m: TransitionMatrix | np.ndarray) -> None:
-    """Check column-stochasticity within ``STOCHASTIC_TOL``; raise otherwise."""
+    """Check column-stochasticity within ``STOCHASTIC_TOL``; raise otherwise.
+
+    A NaN or infinite entry makes its column non-stochastic. It is tested for
+    explicitly because every comparison with NaN is false.
+    """
     g = m.g if isinstance(m, TransitionMatrix) else np.asarray(m, dtype=float)
+    finite = np.isfinite(g).all(axis=0)
+    if not finite.all():
+        raise NotStochasticError(int(np.argmin(finite)), float("nan"))
     if (g < -1e-12).any():
         raise NegativeWeightError("transition probabilities must be nonnegative")
     sums = g.sum(axis=0)

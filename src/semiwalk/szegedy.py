@@ -141,6 +141,28 @@ class SzegedyOperator:
         swap_index = np.arange(d).reshape(n, n).T.reshape(-1)
         return refl[swap_index, :]
 
+    def _eigenphases(self) -> np.ndarray:
+        """Eigenphases of U in [0, pi], each standing for the pair e^{+-i phase}.
+
+        Szegedy's spectral lemma: with A x = sum_i x_i |psi_i>, each eigenpair
+        (lam_k, x_k) of D = A^T S A = sqrt(G o G^T) spans a plane
+        {A x_k, S A x_k} that U rotates by theta_k = arccos(lam_k), and the
+        planes of orthonormal x_k are mutually orthogonal. theta_k is read as
+        2 atan2(|b - b^T|, |b + b^T|) on the amplitude grid b = A x_k, which
+        keeps full accuracy near lam = +-1 where arccos loses half the digits.
+        Off the planes Pi = 0 and U = -S: phase pi on the swap-symmetric part,
+        of dimension N(N-1)/2 + #{lam = -1}, so present for every N >= 2, and
+        phase 0 on the antisymmetric part, which never affects a period and is
+        left out.
+        """
+        g = self.source.g
+        _, x = np.linalg.eigh(np.sqrt(g * g.T))
+        b = x.T[:, :, None] * self._sqrt_g.T[None, :, :]  # b[k] = A x_k as an N x N grid
+        bt = b.transpose(0, 2, 1)
+        theta = 2.0 * np.arctan2(np.linalg.norm(b - bt, axis=(1, 2)),
+                                 np.linalg.norm(b + bt, axis=(1, 2)))
+        return np.append(theta, np.pi) if self.n >= 2 else theta
+
     def uniform_superposition(self) -> EdgeState:
         """Equal-amplitude combination of all proxy states, (1/sqrt(N)) sum_i |psi_i>.
 

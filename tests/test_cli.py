@@ -170,6 +170,15 @@ def test_bad_input_gives_json_error_and_exit_2(tmp_path, capsys):
     assert err["error"] == "ParseError"
 
 
+def test_nan_input_gives_exit_2(tmp_path, capsys):
+    bad = tmp_path / "nan.csv"
+    bad.write_text("n=2;orientation=column-stochastic\nnan,0.5\n0.5,0.5\n")
+    out = tmp_path / "out"
+    assert main(["family", "--input", str(bad), "--out", str(out)]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "NotStochasticError"
+    assert not (out / "family.json").exists()
+
+
 def test_missing_input_gives_exit_2(tmp_path, capsys):
     assert main(["rank", "--out", str(tmp_path / "out")]) == 2
     err = json.loads(capsys.readouterr().err)

@@ -4,8 +4,14 @@ import numpy as np
 import pytest
 
 import semiwalk as sw
-from semiwalk.corpus import random_circulant_symmetric, random_stochastic, rng_from_seed
-from semiwalk.errors import InsufficientRangeError, TooLargeError
+from semiwalk.corpus import (
+    random_circulant_symmetric,
+    random_stochastic,
+    random_symmetric_stochastic,
+    rng_from_seed,
+)
+from semiwalk.errors import InsufficientRangeError
+from semiwalk.szegedy import SzegedyOperator
 
 # two-node family members frozen from an independent dense-operator computation
 TWO_NODE_MEMBER_2 = np.array([[0.388, 0.584], [0.612, 0.416]])
@@ -104,9 +110,53 @@ def test_unitary_period_two_node_none(two_node):
     assert sw.unitary_period(two_node, 100) is None
 
 
-def test_unitary_period_respects_dense_cap():
-    with pytest.raises(TooLargeError):
-        sw.unitary_period(sw.cycle_graph(6), 6, max_n=4)
+def _dense_unitary_period(g, t_max, tol=1e-9):
+    """Reference: multiply the dense N^2 x N^2 operator up to t_max times."""
+    u = SzegedyOperator(g).dense()
+    power = np.eye(u.shape[0], dtype=complex)
+    for p in range(1, t_max + 1):
+        power = power @ u
+        if np.abs(power - np.eye(u.shape[0])).max() <= tol:
+            return p
+    return None
+
+
+def _oracle_graphs():
+    rng = rng_from_seed(61)
+    graphs = [sw.two_node_chain()] + [sw.cycle_graph(n) for n in range(3, 17)]
+    for n in range(2, 9):
+        graphs += [random_stochastic(n, rng), random_symmetric_stochastic(n, rng)]
+        if n >= 3:
+            graphs.append(random_circulant_symmetric(n, rng))
+    return graphs
+
+
+def test_unitary_period_matches_dense_oracle():
+    for g in _oracle_graphs():
+        t_max = 2 * g.n * g.n
+        assert sw.unitary_period(g, t_max) == _dense_unitary_period(g, t_max)
+
+
+def test_eigenphases_cover_dense_spectrum():
+    for g in _oracle_graphs():
+        op = SzegedyOperator(g)
+        dense = np.abs(np.angle(np.linalg.eigvals(op.dense())))
+        phases = op._eigenphases()
+        # the antisymmetric phase 0 is left out of the helper's set
+        assert all(np.abs(np.append(phases, 0.0) - d).min() <= 1e-9 for d in dense)
+        assert all(np.abs(dense - p).min() <= 1e-9 for p in phases)
+
+
+def test_unitary_period_near_unit_eigenvalues():
+    # arccos of eigh's eigenvalues misreads the phases near lam = +-1 by ~1e-8
+    # and finds no period here; the half-angle form keeps them exact
+    assert sw.unitary_period(sw.cycle_graph(6), 12) == 6
+    assert sw.unitary_period(sw.cycle_graph(48), 96) == 48
+
+
+def test_unitary_period_beyond_old_dense_cap():
+    assert sw.unitary_period(sw.cycle_graph(40), 80) == 40
+    assert sw.unitary_period(sw.cycle_graph(41), 82) == 82
 
 
 def test_class_equivalence_shifted_by_one():

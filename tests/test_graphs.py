@@ -70,6 +70,15 @@ def test_transition_matrix_constructor_validates():
         sw.TransitionMatrix(np.array([[0.5, 0.2], [0.47, 0.8]]))
 
 
+def test_validate_rejects_non_finite_entries():
+    with pytest.raises(NotStochasticError) as err:
+        sw.TransitionMatrix(np.array([[np.nan, 0.5], [0.5, 0.5]]))
+    assert err.value.column == 0
+    with pytest.raises(NotStochasticError) as err:
+        sw.validate(np.array([[0.5, 0.5], [0.5, np.inf]]))
+    assert err.value.column == 1
+
+
 def test_classify_cycle_symmetric_homogeneous():
     for n in (3, 5, 6, 8):
         c = sw.classify(sw.cycle_graph(n))
