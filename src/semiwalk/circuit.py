@@ -92,10 +92,15 @@ def prep_angles(g: TransitionMatrix, p0: ProbabilityVector) -> tuple[float, floa
         raise UnsupportedSizeError(f"circuit construction needs n=2, got n={g.n}")
     if p0.n != 2:
         raise UnsupportedSizeError("p0 must have two entries")
-    theta0 = 2.0 * math.acos(math.sqrt(float(g.g[0, 0])))
-    theta1 = 2.0 * math.acos(math.sqrt(float(g.g[0, 1])))
+    theta0, theta1 = _proxy_angles(g)
     alpha = 2.0 * math.acos(math.sqrt(min(float(p0.p[0]), 1.0)))
     return alpha, theta0, theta1
+
+
+def _proxy_angles(g: TransitionMatrix) -> tuple[float, float]:
+    # theta_i = 2 arccos(sqrt(g[0, i])); callers have checked n == 2
+    return (2.0 * math.acos(math.sqrt(float(g.g[0, 0]))),
+            2.0 * math.acos(math.sqrt(float(g.g[0, 1]))))
 
 
 def _proxy_reflection(i: int, theta: float) -> list[GateOp]:
@@ -242,9 +247,7 @@ def verify_block(g: TransitionMatrix, t_q: int) -> float:
         raise UnsupportedSizeError(f"circuit verification needs n=2, got n={g.n}")
     if t_q < 0:
         raise ValueError("t_q must be nonnegative")
-    theta0 = 2.0 * math.acos(math.sqrt(float(g.g[0, 0])))
-    theta1 = 2.0 * math.acos(math.sqrt(float(g.g[0, 1])))
-    block = compose_gates(walk_block_gates(theta0, theta1))
+    block = compose_gates(walk_block_gates(*_proxy_angles(g)))
     dense = SzegedyOperator(g).dense()
     return deviation_up_to_phase(
         np.linalg.matrix_power(block, t_q),
@@ -264,46 +267,45 @@ def simulate_circuit(c: CircuitDescription) -> list[ProbabilityVector]:
     outcomes: list[ProbabilityVector] = []
     for gate in c.gates:
         if gate.kind == "measure":
+            wire = _WIRE_OF_REGISTER[gate.register]
             dist = np.zeros(2)
-            new_branches: list[tuple[float, np.ndarray]] = []
-            for weight, vec in branches:
-                vv = vec.reshape(2, 2)
-                wire = _WIRE_OF_REGISTER[gate.register]
-                for outcome in (0, 1):
-                    part = vv[outcome] if wire == 0 else vv[:, outcome]
-                    prob = float(np.vdot(part, part).real)
-                    if prob <= 1e-15:
-                        continue
-                    collapsed = np.zeros((2, 2), dtype=complex)
-                    if wire == 0:
-                        collapsed[outcome] = part / math.sqrt(prob)
-                    else:
-                        collapsed[:, outcome] = part / math.sqrt(prob)
-                    new_branches.append((weight * prob, collapsed.reshape(4)))
-                    dist[outcome] += weight * prob
+            new_branches = []
+            for outcome, weight, part in _collapse(branches, wire):
+                new_branches.append((weight, _embed(part, wire, outcome)))
+                dist[outcome] += weight
             branches = _merge(new_branches)
             outcomes.append(ProbabilityVector(dist))
         elif gate.kind == "reset":
+            # collapse, then move the collapsed part to |0> on the reset wire
             wire = _WIRE_OF_REGISTER[gate.register]
-            new_branches = []
-            for weight, vec in branches:
-                vv = vec.reshape(2, 2)
-                for outcome in (0, 1):
-                    part = vv[outcome] if wire == 0 else vv[:, outcome]
-                    prob = float(np.vdot(part, part).real)
-                    if prob <= 1e-15:
-                        continue
-                    reset_vv = np.zeros((2, 2), dtype=complex)
-                    if wire == 0:
-                        reset_vv[0] = part / math.sqrt(prob)
-                    else:
-                        reset_vv[:, 0] = part / math.sqrt(prob)
-                    new_branches.append((weight * prob, reset_vv.reshape(4)))
-            branches = _merge(new_branches)
+            branches = _merge([(weight, _embed(part, wire, 0))
+                               for _, weight, part in _collapse(branches, wire)])
         else:
             mat = gate_matrix(gate)
             branches = [(w, mat @ v) for w, v in branches]
     return outcomes
+
+
+def _collapse(branches: list[tuple[float, np.ndarray]], wire: int):
+    # per branch and outcome of ``wire``: (outcome, weight * prob, normalised
+    # state of the other wire); outcomes with probability <= 1e-15 are dropped
+    for weight, vec in branches:
+        vv = vec.reshape(2, 2)
+        for outcome in (0, 1):
+            part = vv[outcome] if wire == 0 else vv[:, outcome]
+            prob = float(np.vdot(part, part).real)
+            if prob > 1e-15:
+                yield outcome, weight * prob, part / math.sqrt(prob)
+
+
+def _embed(part: np.ndarray, wire: int, value: int) -> np.ndarray:
+    # the state with ``wire`` in basis state |value> and the other wire in ``part``
+    vv = np.zeros((2, 2), dtype=complex)
+    if wire == 0:
+        vv[value] = part
+    else:
+        vv[:, value] = part
+    return vv.reshape(4)
 
 
 def _basis_vec(i: int, j: int) -> np.ndarray:

@@ -4,6 +4,10 @@ Every subcommand writes its artifacts plus a manifest (config echo and
 sha256 checksums) into the output directory, so a run can be reproduced and
 compared byte for byte. Exit codes: 0 success, 1 a requested check failed,
 2 usage or input errors (with a JSON error object on stderr).
+
+Each option is declared once, in ``_COMMANDS``. Its flag, its config-file
+key and its manifest key all come from that one entry, so the manifest's
+``config`` object, passed back as ``--config``, replays the run.
 """
 
 from __future__ import annotations
@@ -11,7 +15,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import os
 import sys
 from pathlib import Path
@@ -32,15 +35,18 @@ _TWO_NODE_LIMITS = {1: 9 / 11, 2: 153 / 299, 3: 8 / 9}
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if not hasattr(args, "handler"):
+    if args.subcommand is None:
         parser.print_help()
         return 2
+    handler, _, options = _COMMANDS[args.subcommand]
     try:
-        return args.handler(args)
-    except SemiwalkError as exc:
-        _error_json(exc)
-        return 2
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
+        opts = _resolve(options, vars(args))
+        outdir = Path(opts.pop("out") or os.environ.get(ENV_OUT, "semiwalk-out"))
+        code, artifacts = handler(opts)
+        outdir.mkdir(parents=True, exist_ok=True)
+        _emit(outdir, args.subcommand, opts, artifacts)
+        return code
+    except (SemiwalkError, OSError, ValueError) as exc:
         _error_json(exc)
         return 2
 
@@ -58,121 +64,82 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Szegedy walk families: build, analyze, rank, sample, synthesize.",
     )
     sub = parser.add_subparsers(dest="subcommand")
-
-    def common(p):
-        p.add_argument("--out", help=f"output directory (default ${ENV_OUT} or ./semiwalk-out)")
+    for name, (_, help_text, options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="JSON config file; explicit flags override it")
-
-    p = sub.add_parser("family", help="walk family of an input graph")
-    common(p)
-    p.add_argument("--input", help="graph file")
-    p.add_argument("--format", choices=["csv", "json"])
-    p.add_argument("--class", dest="class_tag", type=int, choices=[1, 2])
-    p.add_argument("--tq-max", type=int)
-    p.set_defaults(handler=_cmd_family)
-
-    p = sub.add_parser("cycle", help="closed-form predictions vs the pipeline on the n-cycle")
-    common(p)
-    p.add_argument("--n", type=int)
-    p.add_argument("--tq-max", type=int)
-    p.add_argument("--tol", type=float)
-    p.set_defaults(handler=_cmd_cycle)
-
-    p = sub.add_parser("evolve", help="classical time series under one family member")
-    common(p)
-    p.add_argument("--input", help="graph file")
-    p.add_argument("--format", choices=["csv", "json"])
-    p.add_argument("--class", dest="class_tag", type=int, choices=[1, 2])
-    p.add_argument("--tq", type=int)
-    p.add_argument("--steps", type=int)
-    p.add_argument("--p0", help="comma-separated start distribution (default uniform)")
-    p.set_defaults(handler=_cmd_evolve)
-
-    p = sub.add_parser("rank", help="averaged-limit node ranking over the family")
-    common(p)
-    p.add_argument("--input", help="graph file")
-    p.add_argument("--format", choices=["csv", "json"])
-    p.add_argument("--class", dest="class_tag", type=int, choices=[1, 2])
-    p.add_argument("--tq-max", type=int)
-    p.add_argument("--tol", type=float)
-    p.add_argument("--max-iter", type=int)
-    p.set_defaults(handler=_cmd_rank)
-
-    p = sub.add_parser("sample", help="seeded stochastic trajectories of one member")
-    common(p)
-    p.add_argument("--input", help="graph file")
-    p.add_argument("--format", choices=["csv", "json"])
-    p.add_argument("--class", dest="class_tag", type=int, choices=[1, 2])
-    p.add_argument("--tq", type=int)
-    p.add_argument("--x0", type=int)
-    p.add_argument("--steps", type=int)
-    p.add_argument("--count", type=int)
-    p.add_argument("--seed", type=int)
-    p.set_defaults(handler=_cmd_sample)
-
-    p = sub.add_parser("circuit", help="two-node walk circuit: OpenQASM plus verification")
-    common(p)
-    p.add_argument("--input", help="2-node graph file (default: built-in two-node chain)")
-    p.add_argument("--format", choices=["csv", "json"])
-    p.add_argument("--tq", type=int)
-    p.add_argument("--tc", type=int)
-    p.add_argument("--p0", help="comma-separated start distribution")
-    p.add_argument("--classical-control", action="store_true", default=None)
-    p.set_defaults(handler=_cmd_circuit)
-
-    p = sub.add_parser("verify", help="full theorem/property suite with pass/fail summary")
-    common(p)
-    p.add_argument("--corpus", choices=["random"])
-    p.add_argument("--count", type=int)
-    p.add_argument("--seed", type=int)
-    p.set_defaults(handler=_cmd_verify)
-
-    p = sub.add_parser("preset", help="named data reproductions (fig3..fig10)")
-    common(p)
-    p.add_argument("name", choices=sorted(_PRESETS))
-    p.set_defaults(handler=_cmd_preset)
-
+        for key, typ, _default, choices in [*options, _OUT]:
+            if key == "name":  # the preset name is the one positional option
+                p.add_argument(key, nargs="?", choices=choices)
+            elif typ is bool:
+                p.add_argument("--" + key.replace("_", "-"), action="store_true", default=None)
+            else:
+                p.add_argument("--" + key.replace("_", "-"), choices=choices,
+                               type=typ if typ in (int, float) else None)
     return parser
 
 
-def _load_config(path: str | None) -> dict:
-    if not path:
-        return {}
-    doc = json.loads(Path(path).read_text())
-    if not isinstance(doc, dict):
+def _resolve(options: list[tuple], args: dict) -> dict:
+    """Each option's value: its flag, else the config file, else its default."""
+    cfg = json.loads(Path(args["config"]).read_text()) if args["config"] else {}
+    if not isinstance(cfg, dict):
         raise ValueError("config file must hold a JSON object")
-    return doc
+    options = [*options, _OUT]
+    unknown = sorted(set(cfg) - {key for key, *_ in options})
+    if unknown:
+        raise ValueError(f"unknown config keys {unknown}")
+    opts = {}
+    for key, typ, default, choices in options:
+        if args[key] is not None:
+            value = [float(tok) for tok in args[key].split(",")] if typ is list else args[key]
+        elif key in cfg:
+            value = _config_value(key, typ, cfg[key], default)
+        else:
+            value = default
+        if value is _REQUIRED:
+            raise ValueError(f"{key} is required")
+        if choices is not None and value not in choices:
+            raise ValueError(f"{key} must be one of {list(choices)}, got {value!r}")
+        opts[key] = value
+    return opts
 
 
-def _opt(args, cfg: dict, name: str, default):
-    value = getattr(args, name, None)
-    if value is not None:
-        return value
-    if name in cfg:
-        return cfg[name]
-    return default
+# What a config-file value of each option type must be. ``type(v) is int``
+# keeps JSON true/false out of int options; ``list`` is a list of floats,
+# spelled comma-separated on the command line.
+_JSON_TYPES = {
+    int: ("an integer", lambda v: type(v) is int),
+    float: ("a number", lambda v: type(v) in (int, float)),
+    str: ("a string", lambda v: type(v) is str),
+    bool: ("true or false", lambda v: type(v) is bool),
+    list: ("a list of numbers", lambda v: type(v) is list and all(type(x) in (int, float) for x in v)),
+}
 
 
-def _outdir(args, cfg: dict) -> Path:
-    out = _opt(args, cfg, "out", None) or os.environ.get(ENV_OUT, "semiwalk-out")
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+def _config_value(key: str, typ: type, value, default):
+    # null stands for a default the handler derives, and is accepted only there
+    if value is None and default is None:
+        return None
+    what, ok = _JSON_TYPES[typ]
+    try:
+        if ok(value):
+            return [float(x) for x in value] if typ is list else typ(value)
+    except OverflowError:  # an int beyond float range for a float option
+        pass
+    raise ValueError(f"config key {key!r} must be {what}, got {json.dumps(value)}")
 
 
-def _load_matrix(args, cfg: dict) -> TransitionMatrix:
-    path = _opt(args, cfg, "input", None)
-    if path is None:
-        raise ValueError("--input is required")
-    fmt = _opt(args, cfg, "format", "csv")
-    return graphs.deserialize(Path(path).read_text(), fmt)
+def _load_matrix(opts: dict) -> TransitionMatrix:
+    return graphs.deserialize(Path(opts["input"]).read_text(), opts["format"])
 
 
-def _parse_p0(text: str | None, n: int) -> ProbabilityVector:
-    if text is None:
-        return ProbabilityVector.uniform(n)
-    values = [float(tok) for tok in str(text).split(",")]
-    return ProbabilityVector(np.array(values))
+def _start(opts: dict, n: int) -> ProbabilityVector:
+    """The start distribution ``p0`` (uniform if unset), recorded back as a list."""
+    if opts["p0"] is None:
+        p0 = ProbabilityVector.uniform(n)
+    else:
+        p0 = ProbabilityVector(np.array(opts["p0"]))
+    opts["p0"] = list(map(float, p0.p))
+    return p0
 
 
 def _emit(outdir: Path, subcommand: str, config: dict, artifacts: dict[str, str]) -> None:
@@ -192,30 +159,25 @@ def _json_text(obj) -> str:
 
 
 # --- subcommand handlers ------------------------------------------------------
+# A handler takes the resolved options, writes back any value it derives, and
+# returns (exit code, artifacts); ``main`` records the options in the manifest.
 
-def _cmd_family(args) -> int:
-    cfg = _load_config(args.config)
-    g = _load_matrix(args, cfg)
-    class_tag = _opt(args, cfg, "class_tag", 1)
-    t_q_max = _opt(args, cfg, "tq_max", 10)
-    fam = family_mod.build_family(g, class_tag, t_q_max)
+def _cmd_family(opts: dict) -> tuple[int, dict[str, str]]:
+    g = _load_matrix(opts)
+    t_q_max = opts["tq_max"]
+    fam = family_mod.build_family(g, opts["class"], t_q_max)
     artifacts = {"family.json": fam.to_json() + "\n"}
     width = len(str(t_q_max))
     for t in range(1, t_q_max + 1):
         artifacts[f"member_{t:0{width}d}.dot"] = graphs.serialize(fam.member(t), "dot")
-    config = {"input": _opt(args, cfg, "input", None), "format": _opt(args, cfg, "format", "csv"),
-              "class": class_tag, "tq_max": t_q_max}
-    _emit(_outdir(args, cfg), "family", config, artifacts)
-    return 0
+    return 0, artifacts
 
 
-def _cmd_cycle(args) -> int:
-    cfg = _load_config(args.config)
-    n = _opt(args, cfg, "n", None)
-    if n is None:
-        raise ValueError("--n is required")
-    t_q_max = _opt(args, cfg, "tq_max", 2 * n)
-    tol = _opt(args, cfg, "tol", family_mod.MATRIX_TOL)
+def _cmd_cycle(opts: dict) -> tuple[int, dict[str, str]]:
+    n, tol = opts["n"], opts["tol"]
+    if opts["tq_max"] is None:
+        opts["tq_max"] = 2 * n
+    t_q_max = opts["tq_max"]
     g = cycles.cycle_graph(n)
     fam = family_mod.build_family(g, 1, t_q_max)
     predicted = cycles.cycle_predictions(n)
@@ -254,12 +216,10 @@ def _cmd_cycle(args) -> int:
     width = len(str(n))
     for t in range(1, min(t_q_max, n) + 1):
         artifacts[f"member_{t:0{width}d}.dot"] = graphs.serialize(fam.member(t), "dot")
-    config = {"n": n, "tq_max": t_q_max, "tol": tol}
-    _emit(_outdir(args, cfg), "cycle", config, artifacts)
     print(f"{'PASS' if ok else 'FAIL'} cycle n={n}: "
           f"distinct={measured['distinct_count']} family_period={measured['family_period']} "
           f"unitary_period={measured['unitary_period']} closed-form dev={deviation:.2e}")
-    return 0 if ok else 1
+    return (0 if ok else 1), artifacts
 
 
 def _evolve_csv(member: TransitionMatrix, p0: ProbabilityVector, steps: int) -> str:
@@ -272,19 +232,11 @@ def _evolve_csv(member: TransitionMatrix, p0: ProbabilityVector, steps: int) -> 
     return "\n".join(rows) + "\n"
 
 
-def _cmd_evolve(args) -> int:
-    cfg = _load_config(args.config)
-    g = _load_matrix(args, cfg)
-    class_tag = _opt(args, cfg, "class_tag", 1)
-    t_q = _opt(args, cfg, "tq", 1)
-    steps = _opt(args, cfg, "steps", 20)
-    p0 = _parse_p0(_opt(args, cfg, "p0", None), g.n)
-    member = family_mod.semiclassical_matrix(g, t_q, class_tag)
-    artifacts = {"evolve.csv": _evolve_csv(member, p0, steps)}
-    config = {"input": _opt(args, cfg, "input", None), "format": _opt(args, cfg, "format", "csv"),
-              "class": class_tag, "tq": t_q, "steps": steps, "p0": list(map(float, p0.p))}
-    _emit(_outdir(args, cfg), "evolve", config, artifacts)
-    return 0
+def _cmd_evolve(opts: dict) -> tuple[int, dict[str, str]]:
+    g = _load_matrix(opts)
+    p0 = _start(opts, g.n)
+    member = family_mod.semiclassical_matrix(g, opts["tq"], opts["class"])
+    return 0, {"evolve.csv": _evolve_csv(member, p0, opts["steps"])}
 
 
 def _rank_report(g: TransitionMatrix, class_tag: int, t_q_max: int, tol: float, max_iter: int) -> dict:
@@ -302,44 +254,24 @@ def _rank_report(g: TransitionMatrix, class_tag: int, t_q_max: int, tol: float, 
     }
 
 
-def _cmd_rank(args) -> int:
-    cfg = _load_config(args.config)
-    g = _load_matrix(args, cfg)
-    class_tag = _opt(args, cfg, "class_tag", 1)
-    t_q_max = _opt(args, cfg, "tq_max", 20)
-    tol = _opt(args, cfg, "tol", dynamics.DEFAULT_TOL)
-    max_iter = _opt(args, cfg, "max_iter", dynamics.DEFAULT_MAX_ITER)
-    report = _rank_report(g, class_tag, t_q_max, tol, max_iter)
-    artifacts = {"rank.json": _json_text(report)}
-    config = {"input": _opt(args, cfg, "input", None), "format": _opt(args, cfg, "format", "csv"),
-              "class": class_tag, "tq_max": t_q_max, "tol": tol, "max_iter": max_iter}
-    _emit(_outdir(args, cfg), "rank", config, artifacts)
-    return 0
+def _cmd_rank(opts: dict) -> tuple[int, dict[str, str]]:
+    report = _rank_report(_load_matrix(opts), opts["class"], opts["tq_max"],
+                          opts["tol"], opts["max_iter"])
+    return 0, {"rank.json": _json_text(report)}
 
 
-def _cmd_sample(args) -> int:
-    cfg = _load_config(args.config)
-    g = _load_matrix(args, cfg)
-    class_tag = _opt(args, cfg, "class_tag", 1)
-    t_q = _opt(args, cfg, "tq", 1)
-    x0 = _opt(args, cfg, "x0", 0)
-    steps = _opt(args, cfg, "steps", 100)
-    count = _opt(args, cfg, "count", 1)
-    seed = _opt(args, cfg, "seed", 0)
+def _cmd_sample(opts: dict) -> tuple[int, dict[str, str]]:
+    g = _load_matrix(opts)
+    t_q, class_tag, steps = opts["tq"], opts["class"], opts["steps"]
     member = family_mod.semiclassical_matrix(g, t_q, class_tag)
     trajectories = dynamics.sample_trajectories(
-        member, x0, steps, seed, count, t_q=t_q, class_tag=class_tag
+        member, opts["x0"], steps, opts["seed"], opts["count"], t_q=t_q, class_tag=class_tag
     )
     header = "trajectory,seed," + ",".join(f"x{t}" for t in range(steps + 1))
     rows = [header]
     for k, traj in enumerate(trajectories):
         rows.append(f"{k},{traj.seed}," + ",".join(str(x) for x in traj.nodes))
-    artifacts = {"trajectories.csv": "\n".join(rows) + "\n"}
-    config = {"input": _opt(args, cfg, "input", None), "format": _opt(args, cfg, "format", "csv"),
-              "class": class_tag, "tq": t_q, "x0": x0, "steps": steps,
-              "count": count, "seed": seed}
-    _emit(_outdir(args, cfg), "sample", config, artifacts)
-    return 0
+    return 0, {"trajectories.csv": "\n".join(rows) + "\n"}
 
 
 def _gates_json(c: circuit_mod.CircuitDescription) -> str:
@@ -361,17 +293,10 @@ def _gates_json(c: circuit_mod.CircuitDescription) -> str:
     return _json_text(doc)
 
 
-def _cmd_circuit(args) -> int:
-    cfg = _load_config(args.config)
-    if _opt(args, cfg, "input", None) is not None:
-        g = _load_matrix(args, cfg)
-    else:
-        g = instances.two_node_chain()
-    t_q = _opt(args, cfg, "tq", 1)
-    t_c = _opt(args, cfg, "tc", 2)
-    p0 = _parse_p0(_opt(args, cfg, "p0", None), 2)
-    classical = bool(_opt(args, cfg, "classical_control", False))
-    c = circuit_mod.build_circuit(g, p0, t_q, t_c)
+def _cmd_circuit(opts: dict) -> tuple[int, dict[str, str]]:
+    g = instances.two_node_chain() if opts["input"] is None else _load_matrix(opts)
+    t_q, t_c = opts["tq"], opts["tc"]
+    c = circuit_mod.build_circuit(g, _start(opts, 2), t_q, t_c)
     block_dev = circuit_mod.verify_block(g, t_q)
     member = family_mod.semiclassical_matrix(g, t_q, 1)
     channel_dev = float(np.abs(circuit_mod.segment_channel(g, t_q) - member.g).max())
@@ -387,32 +312,25 @@ def _cmd_circuit(args) -> int:
         "ok": ok,
     }
     artifacts = {
-        "circuit.qasm": circuit_mod.export_openqasm(c, classical_control=classical),
+        "circuit.qasm": circuit_mod.export_openqasm(c, classical_control=opts["classical_control"]),
         "gates.json": _gates_json(c),
         "verify.json": _json_text(report),
     }
-    config = {"tq": t_q, "tc": t_c, "p0": list(map(float, p0.p)),
-              "classical_control": classical, "input": _opt(args, cfg, "input", None)}
-    _emit(_outdir(args, cfg), "circuit", config, artifacts)
     print(f"{'PASS' if ok else 'FAIL'} circuit t_q={t_q}: "
           f"block dev={block_dev:.2e} channel dev={channel_dev:.2e}")
-    return 0 if ok else 1
+    return (0 if ok else 1), artifacts
 
 
 # --- verify -------------------------------------------------------------------
 
-def _cmd_verify(args) -> int:
-    cfg = _load_config(args.config)
-    count = _opt(args, cfg, "count", 100)
-    seed = _opt(args, cfg, "seed", 0)
+def _cmd_verify(opts: dict) -> tuple[int, dict[str, str]]:
+    count, seed = opts["count"], opts["seed"]
     checks = run_verification(count=count, seed=seed)
     ok = all(c["passed"] for c in checks)
     for c in checks:
         print(f"{'PASS' if c['passed'] else 'FAIL'} {c['name']}: {c['detail']}")
     report = {"count": count, "seed": seed, "checks": checks, "ok": ok}
-    _emit(_outdir(args, cfg), "verify", {"count": count, "seed": seed},
-          {"verify_report.json": _json_text(report)})
-    return 0 if ok else 1
+    return (0 if ok else 1), {"verify_report.json": _json_text(report)}
 
 
 def run_verification(count: int = 100, seed: int = 0) -> list[dict]:
@@ -648,11 +566,49 @@ _PRESETS = {
 }
 
 
-def _cmd_preset(args) -> int:
-    cfg = _load_config(args.config)
-    artifacts = _PRESETS[args.name]()
-    _emit(_outdir(args, cfg), "preset", {"name": args.name}, artifacts)
-    return 0
+def _cmd_preset(opts: dict) -> tuple[int, dict[str, str]]:
+    return 0, _PRESETS[opts["name"]]()
+
+
+# --- option table -------------------------------------------------------------
+# subcommand -> (handler, help, options); an option is (key, type, default,
+# choices). The flag is "--" plus the key with "_" spelled "-"; the config-file
+# and manifest key is the key itself. A None default is one the handler
+# derives (and records) or, for the circuit's input, the built-in chain.
+
+_REQUIRED = object()
+_INPUT = ("input", str, _REQUIRED, None)
+_FORMAT = ("format", str, "csv", ("csv", "json"))
+_CLASS = ("class", int, 1, (1, 2))
+_OUT = ("out", str, None, None)  # every subcommand's; not in the manifest
+
+_COMMANDS = {
+    "family": (_cmd_family, "walk family of an input graph",
+               [_INPUT, _FORMAT, _CLASS, ("tq_max", int, 10, None)]),
+    "cycle": (_cmd_cycle, "closed-form predictions vs the pipeline on the n-cycle",
+              [("n", int, _REQUIRED, None), ("tq_max", int, None, None),
+               ("tol", float, family_mod.MATRIX_TOL, None)]),
+    "evolve": (_cmd_evolve, "classical time series under one family member",
+               [_INPUT, _FORMAT, _CLASS, ("tq", int, 1, None), ("steps", int, 20, None),
+                ("p0", list, None, None)]),
+    "rank": (_cmd_rank, "averaged-limit node ranking over the family",
+             [_INPUT, _FORMAT, _CLASS, ("tq_max", int, 20, None),
+              ("tol", float, dynamics.DEFAULT_TOL, None),
+              ("max_iter", int, dynamics.DEFAULT_MAX_ITER, None)]),
+    "sample": (_cmd_sample, "seeded stochastic trajectories of one member",
+               [_INPUT, _FORMAT, _CLASS, ("tq", int, 1, None), ("x0", int, 0, None),
+                ("steps", int, 100, None), ("count", int, 1, None), ("seed", int, 0, None)]),
+    "circuit": (_cmd_circuit, "two-node walk circuit: OpenQASM plus verification",
+                [("input", str, None, None), _FORMAT, ("tq", int, 1, None), ("tc", int, 2, None),
+                 ("p0", list, None, None), ("classical_control", bool, False, None)]),
+    # ``corpus`` selects nothing (``random`` is its only value); it is accepted
+    # only so that existing ``--corpus random`` command lines keep working
+    "verify": (_cmd_verify, "full theorem/property suite with pass/fail summary",
+               [("corpus", str, "random", ("random",)), ("count", int, 100, None),
+                ("seed", int, 0, None)]),
+    "preset": (_cmd_preset, "named data reproductions (fig3..fig10)",
+               [("name", str, _REQUIRED, tuple(sorted(_PRESETS)))]),
+}
 
 
 if __name__ == "__main__":

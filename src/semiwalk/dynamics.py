@@ -79,14 +79,13 @@ def limiting_distribution(
     p0: ProbabilityVector | None = None,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-    window: int | None = None,
 ) -> LimitResult:
     """Long-time distribution of the walk started from p0 (uniform by default).
 
     Modes: "converged" when the iterates settle pointwise, "cesaro" when they
     settle into a limit cycle (the cycle average is returned), "failed" when
-    neither is certified within max_iter. ``window`` caps the cycle lengths
-    that can be detected.
+    neither is certified within max_iter. Cycles up to max(64, 2N + 2) steps
+    long are detected.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -94,10 +93,8 @@ def limiting_distribution(
         p0 = ProbabilityVector.uniform(m.n)
     elif p0.n != m.n:
         raise DimensionMismatchError(f"p0 has n={p0.n}, matrix has n={m.n}")
-    if window is None:
-        window = max(64, 2 * m.n + 2)
     p = p0.p
-    recent: deque[np.ndarray] = deque(maxlen=window)
+    recent: deque[np.ndarray] = deque(maxlen=max(64, 2 * m.n + 2))
     recent.append(p)
     for it in range(1, max_iter + 1):
         q = m.g @ p

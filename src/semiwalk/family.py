@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import InsufficientRangeError
 from .graphs import TransitionMatrix, serialize
-from .szegedy import EdgeState, SzegedyOperator, register_distribution
+from .szegedy import EdgeState, SzegedyOperator, _register_probs
 
 MATRIX_TOL = 1e-9
 
@@ -58,7 +58,7 @@ class SemiclassicalFamily:
 
 
 def _measure_columns(states: list[EdgeState], class_tag: int) -> TransitionMatrix:
-    cols = [register_distribution(s, class_tag).p for s in states]
+    cols = [_register_probs(s, class_tag) for s in states]
     return TransitionMatrix(np.column_stack(cols))
 
 

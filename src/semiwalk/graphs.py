@@ -68,7 +68,7 @@ class TransitionMatrix:
         g = _frozen_array(self.g, float)
         if g.ndim != 2 or g.shape[0] != g.shape[1] or g.shape[0] < 1:
             raise DimensionMismatchError(f"transition matrix must be square, got {g.shape}")
-        if (g < -1e-12).any() or (g > 1 + 1e-12).any():
+        if (g > 1 + 1e-12).any():
             raise NegativeWeightError("transition probabilities must lie in [0, 1]")
         object.__setattr__(self, "g", g)
         validate(self)
@@ -88,11 +88,7 @@ class ProbabilityVector:
         p = _frozen_array(self.p, float)
         if p.ndim != 1 or p.size < 1:
             raise DimensionMismatchError("probability vector must be 1-D and nonempty")
-        if (p < -1e-12).any():
-            raise NegativeWeightError("probabilities must be nonnegative")
-        dev = abs(float(p.sum()) - 1.0)
-        if dev > STOCHASTIC_TOL:
-            raise NotStochasticError(0, dev)
+        validate(p)
         object.__setattr__(self, "p", p)
 
     @property
@@ -138,17 +134,21 @@ def from_weights(w: WeightedGraph | np.ndarray, patch_dangling: bool = False) ->
 
 
 def validate(m: TransitionMatrix | np.ndarray) -> None:
-    """Check column-stochasticity within ``STOCHASTIC_TOL``; raise otherwise.
+    """Check column-stochasticity; raise otherwise.
 
-    A NaN or infinite entry makes its column non-stochastic. It is tested for
-    explicitly because every comparison with NaN is false.
+    Every entry must be finite and nonnegative, and every column must sum to
+    one within ``STOCHASTIC_TOL``. A NaN or infinite entry makes its column
+    non-stochastic. It is tested for explicitly because every comparison with
+    NaN is false. A 1-D array, such as a ``ProbabilityVector``, is checked as
+    a single column.
     """
     g = m.g if isinstance(m, TransitionMatrix) else np.asarray(m, dtype=float)
+    g = g.reshape(len(g), -1)  # a 1-D vector is one column
     finite = np.isfinite(g).all(axis=0)
     if not finite.all():
         raise NotStochasticError(int(np.argmin(finite)), float("nan"))
-    if (g < -1e-12).any():
-        raise NegativeWeightError("transition probabilities must be nonnegative")
+    if (g < 0).any():
+        raise NegativeWeightError("probabilities must be nonnegative")
     sums = g.sum(axis=0)
     dev = np.abs(sums - 1.0)
     worst = int(np.argmax(dev))
@@ -227,14 +227,8 @@ def _from_csv(text: str) -> TransitionMatrix:
                 g[r - 2, c] = float(tok)
             except ValueError:
                 raise ParseError(f"bad number {tok.strip()!r}", line=r, field=c) from None
-    if (g < 0).any():
-        raise NegativeWeightError("transition probabilities must be nonnegative")
-    sums = g.sum(axis=0)
-    dev = np.abs(sums - 1.0)
-    worst = int(np.argmax(dev))
-    if dev[worst] > STOCHASTIC_TOL:
-        raise NotStochasticError(worst, float(dev[worst]))
-    return TransitionMatrix(g / sums)
+    validate(g)
+    return TransitionMatrix(g / g.sum(axis=0))
 
 
 def _to_json(m: TransitionMatrix) -> str:

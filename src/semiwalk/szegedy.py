@@ -72,11 +72,15 @@ class EdgeState:
 
 def register_distribution(state: EdgeState, register: int) -> ProbabilityVector:
     """Measurement statistics of one register, the other traced out."""
+    return ProbabilityVector(_register_probs(state, register))
+
+
+def _register_probs(state: EdgeState, register: int) -> np.ndarray:
+    # unchecked; build_family validates the columns once, as its member matrix
     if register not in (1, 2):
         raise ValueError("register must be 1 or 2")
     probs = np.abs(state.amp.reshape(state.n, state.n)) ** 2
-    p = probs.sum(axis=1) if register == 1 else probs.sum(axis=0)
-    return ProbabilityVector(p)
+    return probs.sum(axis=1) if register == 1 else probs.sum(axis=0)
 
 
 class SzegedyOperator:

@@ -208,3 +208,58 @@ def test_env_var_default_outdir(tmp_path, monkeypatch):
     doc = json.loads((tmp_path / "envout" / "classification.json").read_text())
     assert doc["asymmetric_homogeneous_ring"] == {"symmetric": False, "homogeneous": True}
     assert doc["symmetric_inhomogeneous_hub"] == {"symmetric": True, "homogeneous": False}
+
+
+_PRESET_RUNS = [["preset", name] for name in ("fig3", "fig4", "fig5", "fig6", "fig7", "fig9", "fig10")]
+_INPUT_RUNS = [
+    ["family", "--input", "{hub}", "--class", "2", "--tq-max", "6"],
+    ["rank", "--input", "{hub}", "--class", "2", "--tq-max", "6"],
+    ["sample", "--input", "{hub}", "--class", "2", "--tq", "2", "--steps", "10",
+     "--count", "4", "--seed", "7"],
+    ["evolve", "--input", "{two_csv}", "--tq", "2", "--p0", "0.8,0.2", "--steps", "5"],
+    ["circuit", "--input", "{two_json}", "--format", "json", "--tq", "2", "--tc", "3",
+     "--p0", "0.7,0.3", "--classical-control"],
+    ["cycle", "--n", "6"],
+    ["verify", "--count", "3", "--seed", "1"],
+]
+
+
+@pytest.mark.parametrize("argv", _PRESET_RUNS + _INPUT_RUNS,
+                         ids=lambda argv: argv[-1] if argv[0] == "preset" else argv[0])
+def test_manifest_config_replays_run(tmp_path, argv):
+    graphs = {
+        "hub": _write_hub(tmp_path),
+        "two_csv": _write_two_node(tmp_path),
+        "two_json": tmp_path / "two_node.json",
+    }
+    graphs["two_json"].write_text(sw.serialize(sw.two_node_chain(), "json"))
+    argv = [arg.format(**graphs) for arg in argv]
+    out_a, out_b = tmp_path / "a", tmp_path / "b"
+    assert main(argv + ["--out", str(out_a)]) == 0
+    config = tmp_path / "replay.json"
+    config.write_text(json.dumps(json.loads((out_a / "manifest.json").read_text())["config"]))
+    assert main([argv[0], "--config", str(config), "--out", str(out_b)]) == 0
+    assert _dir_bytes(out_a) == _dir_bytes(out_b)
+
+
+@pytest.mark.parametrize("subcommand, config", [
+    pytest.param("cycle", {"n": 6, "tqmax": 4}, id="unknown-key"),
+    pytest.param("cycle", {"n": 6, "tq_max": "4"}, id="string-for-int"),
+    pytest.param("cycle", {"n": 6.0}, id="float-for-int"),
+    pytest.param("family", {"input": "{two_csv}", "class": 3}, id="outside-choices"),
+    pytest.param("family", {"input": "{two_csv}", "class_tag": 2}, id="old-class-key"),
+    pytest.param("circuit", {"classical_control": 1}, id="int-for-bool"),
+    pytest.param("evolve", {"input": "{two_csv}", "p0": "0.8,0.2"}, id="string-for-list"),
+    pytest.param("preset", {"name": "fig8"}, id="unknown-preset"),
+])
+def test_bad_config_gives_json_error_and_exit_2(tmp_path, capsys, subcommand, config):
+    two_csv = str(_write_two_node(tmp_path))
+    doc = {k: v.format(two_csv=two_csv) if isinstance(v, str) else v for k, v in config.items()}
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main([subcommand, "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert json.loads(err)["error"] == "ValueError"
+    assert not out.exists()

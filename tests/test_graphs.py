@@ -68,6 +68,9 @@ def test_validate_rejects_bad_column_sum():
 def test_transition_matrix_constructor_validates():
     with pytest.raises(NotStochasticError):
         sw.TransitionMatrix(np.array([[0.5, 0.2], [0.47, 0.8]]))
+    # within the sum tolerance, but sqrt(G) of the negative entry would be NaN
+    with pytest.raises(NegativeWeightError):
+        sw.TransitionMatrix(np.array([[-1e-13, 0.5], [1 + 1e-13, 0.5]]))
 
 
 def test_validate_rejects_non_finite_entries():
@@ -207,6 +210,8 @@ def test_probability_vector_invariants():
         sw.ProbabilityVector(np.array([0.5, 0.4]))
     with pytest.raises(NegativeWeightError):
         sw.ProbabilityVector(np.array([1.5, -0.5]))
+    with pytest.raises(NotStochasticError):
+        sw.ProbabilityVector(np.array([np.nan, 1.0]))
     assert sw.ProbabilityVector.uniform(4).p.tolist() == [0.25] * 4
     assert sw.ProbabilityVector.point_mass(3, 1).p.tolist() == [0.0, 1.0, 0.0]
 
