@@ -456,7 +456,9 @@ def run_verification(count: int = 100, seed: int = 0) -> list[dict]:
 
 # --- presets ------------------------------------------------------------------
 
-def _periodicity_rows(n: int, t_q_max: int) -> list[dict]:
+def _periodicity(n: int, t_q_max: int) -> dict[str, str]:
+    """periodicity.csv and .json: per t_q, the first earlier t_q with the same
+    member matrix and with the same unitary power."""
     g = cycles.cycle_graph(n)
     fam = family_mod.build_family(g, 1, t_q_max)
     mats = [np.eye(n)] + [m.g for m in fam.members]  # index = t_q; 0 is the identity convention
@@ -467,7 +469,10 @@ def _periodicity_rows(n: int, t_q_max: int) -> list[dict]:
         mat_first = next(j for j in range(t + 1) if np.abs(mats[j] - mats[t]).max() <= 1e-9)
         uni_first = t % period if period else t
         rows.append({"t_q": t, "matrix_first_equal": mat_first, "unitary_first_equal": uni_first})
-    return rows
+    csv = "t_q,matrix_first_equal,unitary_first_equal\n" + "".join(
+        f"{r['t_q']},{r['matrix_first_equal']},{r['unitary_first_equal']}\n" for r in rows
+    )
+    return {"periodicity.csv": csv, "periodicity.json": _json_text(rows)}
 
 
 def _preset_cycle_graphs(n: int) -> dict[str, str]:
@@ -487,11 +492,7 @@ def _preset_fig3() -> dict[str, str]:
 
 
 def _preset_fig4() -> dict[str, str]:
-    rows = _periodicity_rows(6, 12)
-    csv = "t_q,matrix_first_equal,unitary_first_equal\n" + "".join(
-        f"{r['t_q']},{r['matrix_first_equal']},{r['unitary_first_equal']}\n" for r in rows
-    )
-    return {"periodicity.csv": csv, "periodicity.json": _json_text(rows)}
+    return _periodicity(6, 12)
 
 
 def _preset_fig5() -> dict[str, str]:
@@ -511,14 +512,7 @@ def _preset_fig5() -> dict[str, str]:
 
 
 def _preset_fig6() -> dict[str, str]:
-    artifacts = _preset_cycle_graphs(7)
-    rows = _periodicity_rows(7, 14)
-    csv = "t_q,matrix_first_equal,unitary_first_equal\n" + "".join(
-        f"{r['t_q']},{r['matrix_first_equal']},{r['unitary_first_equal']}\n" for r in rows
-    )
-    artifacts["periodicity.csv"] = csv
-    artifacts["periodicity.json"] = _json_text(rows)
-    return artifacts
+    return {**_preset_cycle_graphs(7), **_periodicity(7, 14)}
 
 
 def _preset_fig7() -> dict[str, str]:
@@ -601,11 +595,8 @@ _COMMANDS = {
     "circuit": (_cmd_circuit, "two-node walk circuit: OpenQASM plus verification",
                 [("input", str, None, None), _FORMAT, ("tq", int, 1, None), ("tc", int, 2, None),
                  ("p0", list, None, None), ("classical_control", bool, False, None)]),
-    # ``corpus`` selects nothing (``random`` is its only value); it is accepted
-    # only so that existing ``--corpus random`` command lines keep working
     "verify": (_cmd_verify, "full theorem/property suite with pass/fail summary",
-               [("corpus", str, "random", ("random",)), ("count", int, 100, None),
-                ("seed", int, 0, None)]),
+               [("count", int, 100, None), ("seed", int, 0, None)]),
     "preset": (_cmd_preset, "named data reproductions (fig3..fig10)",
                [("name", str, _REQUIRED, tuple(sorted(_PRESETS)))]),
 }

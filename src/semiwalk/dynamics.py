@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, IndexOutOfRangeError, RankFailedError
 from .graphs import ProbabilityVector, TransitionMatrix
-from .family import SemiclassicalFamily, build_family
+from .family import SemiclassicalFamily, _check_tol, build_family
 
 CONVERGED = "converged"
 CESARO = "cesaro"
@@ -87,8 +87,7 @@ def limiting_distribution(
     neither is certified within max_iter. Cycles up to max(64, 2N + 2) steps
     long are detected.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    _check_tol(tol)
     if p0 is None:
         p0 = ProbabilityVector.uniform(m.n)
     elif p0.n != m.n:

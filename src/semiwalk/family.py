@@ -6,6 +6,33 @@ ordered collection over ``t_q = 1..t_q_max`` is the walk family of the input
 matrix. Class 1 measures the first register, class 2 the second. ``t_q = 0``
 (the identity, no evolution at all) is not a walk and is never a member.
 
+Members are computed without stepping N^2 amplitudes. Let ``A x = sum_i x_i
+|psi_i>`` (amplitude grid ``(A x)[i, k] = x_i sqrt(G[k, i])``), so that ``(S A
+x)[i, k] = x_k sqrt(G[i, k])``, and let ``s`` be G's column sums (1 for a
+column-stochastic G). Then ``A^T A = diag(s)``, ``A^T S A = D = sqrt(G o G^T)``
+and ``U = S (2 A A^T - 1)``, which gives
+
+    U A a     = S A (2 s o a - a)
+    U S A b   = 2 S A D b - A b
+
+so span{A, SA} is invariant (Szegedy's spectral lemma) and, writing
+``U^t |psi_p> = A alpha_t[:, p] + S A beta_t[:, p]`` for all N proxies at
+once,
+
+    alpha_0 = I,  beta_0 = 0,
+    (alpha, beta) <- (-beta, (2 s - 1) o alpha + 2 D beta),
+
+one N x N product per step (``s o alpha`` scales row i by s_i). Summing
+``|(A a + S A b)[i, k]|^2 = a_i^2 G[k, i] + 2 a_i b_k sqrt(G[k, i] G[i, k])
++ b_k^2 G[i, k]`` over k (class 1) or over i (class 2) gives the members:
+
+    class 1:  s o alpha o alpha + 2 alpha o (D beta) + G (beta o beta)
+    class 2:  G (alpha o alpha) + 2 beta o (D alpha) + s o beta o beta
+
+Keeping s (rather than 1) makes these identities exact for the operator as
+applied, so members agree with stepping ``SzegedyOperator.apply`` to rounding
+even when G's columns sum to 1 only within rounding.
+
 Two periods are computed. ``family_period`` compares the measured members;
 ``unitary_period`` asks when the walk operator itself returns to the
 identity, read off U's eigenphases rather than dense powers of U.
@@ -20,9 +47,15 @@ import numpy as np
 
 from .errors import InsufficientRangeError
 from .graphs import TransitionMatrix, serialize
-from .szegedy import EdgeState, SzegedyOperator, _register_probs
+from .szegedy import SzegedyOperator
 
 MATRIX_TOL = 1e-9
+
+
+def _check_tol(tol: float) -> None:
+    # "not tol > 0" rather than "tol <= 0", which is false for NaN
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,11 +90,6 @@ class SemiclassicalFamily:
         return json.dumps(doc)
 
 
-def _measure_columns(states: list[EdgeState], class_tag: int) -> TransitionMatrix:
-    cols = [_register_probs(s, class_tag) for s in states]
-    return TransitionMatrix(np.column_stack(cols))
-
-
 def semiclassical_matrix(g: TransitionMatrix, t_q: int, class_tag: int) -> TransitionMatrix:
     """Measurement statistics of t_q walk steps from every proxy state.
 
@@ -72,21 +100,37 @@ def semiclassical_matrix(g: TransitionMatrix, t_q: int, class_tag: int) -> Trans
 
 
 def build_family(g: TransitionMatrix, class_tag: int, t_q_max: int) -> SemiclassicalFamily:
-    """Members for t_q = 1..t_q_max, evolving the proxy states incrementally.
+    """Members for t_q = 1..t_q_max from the 2N-dimensional walk subspace.
 
-    The N proxy states are advanced one step per t_q rather than recomputed,
-    so the whole family costs O(N^3) per member.
+    The N proxy states are advanced together as the coefficient matrices
+    (alpha, beta) of ``U^t |psi_p> = A alpha[:, p] + S A beta[:, p]`` (see the
+    module docstring), so each member costs two N x N products and no N^2
+    amplitudes are stored. Each entry is a sum of squares; rounding can leave
+    it a few ulps below zero, so it is clipped at 0. In planes where D has an
+    eigenvalue lam = +-1 the coefficients grow linearly in t (A x = +-S A x
+    there) while the state does not, so the rounding error of a member grows
+    like t^2 * eps there. Two-node chains, which always have lam = 1, show
+    6e-13 at t_q = 60 and 2e-10 at t_q = 1000; from t_q = 1855 their column
+    sums drift past the 1e-9 that ``validate`` allows and the member is
+    rejected with NotStochasticError.
     """
     if t_q_max < 1:
         raise ValueError("t_q_max must be >= 1")
     if class_tag not in (1, 2):
         raise ValueError("class_tag must be 1 or 2")
-    op = SzegedyOperator(g)
-    states = [op.proxy_state(i) for i in range(g.n)]
+    n = g.n
+    d = np.sqrt(g.g * g.g.T)
+    s = g.g.sum(axis=0)[:, None]
+    alpha, beta, d_beta = np.eye(n), np.zeros((n, n)), np.zeros((n, n))
     members = []
     for _ in range(t_q_max):
-        states = [op.apply(s) for s in states]
-        members.append(_measure_columns(states, class_tag))
+        alpha, beta, d_alpha = -beta, (2.0 * s - 1.0) * alpha + 2.0 * d_beta, -d_beta
+        d_beta = d @ beta
+        if class_tag == 1:
+            probs = s * alpha * alpha + 2.0 * alpha * d_beta + g.g @ (beta * beta)
+        else:
+            probs = g.g @ (alpha * alpha) + 2.0 * beta * d_alpha + s * beta * beta
+        members.append(TransitionMatrix(np.maximum(probs, 0.0)))
     return SemiclassicalFamily(source=g, class_tag=class_tag, members=tuple(members))
 
 
@@ -98,6 +142,7 @@ def family_period(f: SemiclassicalFamily, tol: float = MATRIX_TOL) -> int | None
     when nothing matches, and raises InsufficientRangeError when a candidate
     matches but the range is too short to see it twice.
     """
+    _check_tol(tol)
     mats = [m.g for m in f.members]
     length = len(mats)
     for p in range(1, length):
@@ -137,6 +182,7 @@ def unitary_period(g: TransitionMatrix, t_max: int, tol: float = MATRIX_TOL) -> 
     which bounds every entry, so the test implies max |U^p - 1| <= tol
     entrywise. No dense operator is built, so there is no size cap.
     """
+    _check_tol(tol)
     theta = SzegedyOperator(g)._eigenphases()
     for p in range(1, t_max + 1):
         if np.abs(np.exp(1j * p * theta) - 1.0).max() <= tol:

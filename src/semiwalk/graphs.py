@@ -200,8 +200,8 @@ def deserialize(text: str, fmt: str, patch_dangling: bool = False) -> Transition
 
 def _to_csv(m: TransitionMatrix) -> str:
     lines = [f"n={m.n};orientation=column-stochastic"]
-    for row in m.g:
-        lines.append(",".join(repr(float(v)) for v in row))
+    for row in m.g.tolist():
+        lines.append(",".join(map(repr, row)))
     return "\n".join(lines) + "\n"
 
 
@@ -274,10 +274,10 @@ def _to_dot(m: TransitionMatrix) -> str:
     lines = ["digraph {"]
     for i in range(m.n):
         lines.append(f"  {i};")
-    for i in range(m.n):
-        for j in range(m.n):
-            w = m.g[j, i]
+    for i, column in enumerate(m.g.T.tolist()):
+        for j, w in enumerate(column):
             if w > 0.0:
-                lines.append(f'  {i} -> {j} [label="{w:.6f}", weight={w:.6f}];')
+                s = f"{w:.6f}"
+                lines.append(f'  {i} -> {j} [label="{s}", weight={s}];')
     lines.append("}")
     return "\n".join(lines) + "\n"

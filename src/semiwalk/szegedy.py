@@ -17,6 +17,15 @@ stay honest and phase-modified operators remain representable.
 ``U`` is the single-step operator; the historical two-reflection bipartite
 operator is its square, reachable through ``apply(state, steps=2)`` rather
 than a separate entry point.
+
+Szegedy's spectral lemma: with ``A x = sum_i x_i |psi_i>``, U maps the
+2N-dimensional span{A, SA} into itself, ``U A a = S A a`` and ``U S A b = 2 S A
+D b - A b`` for column-stochastic G, where ``D = A^T S A = sqrt(G o G^T)`` is
+an N x N matrix. Every proxy state starts in that span, so its whole orbit
+is fixed by two N-vectors of coefficients; ``family.build_family`` evolves
+those instead of the N^2 amplitudes, and ``_eigenphases`` reads U's spectrum
+off D. ``apply`` and ``dense`` stay as the amplitude-level operator that
+those shortcuts are tested against.
 """
 
 from __future__ import annotations
@@ -72,15 +81,11 @@ class EdgeState:
 
 def register_distribution(state: EdgeState, register: int) -> ProbabilityVector:
     """Measurement statistics of one register, the other traced out."""
-    return ProbabilityVector(_register_probs(state, register))
-
-
-def _register_probs(state: EdgeState, register: int) -> np.ndarray:
-    # unchecked; build_family validates the columns once, as its member matrix
     if register not in (1, 2):
         raise ValueError("register must be 1 or 2")
     probs = np.abs(state.amp.reshape(state.n, state.n)) ** 2
-    return probs.sum(axis=1) if register == 1 else probs.sum(axis=0)
+    p = probs.sum(axis=1) if register == 1 else probs.sum(axis=0)
+    return ProbabilityVector(p)
 
 
 class SzegedyOperator:

@@ -179,6 +179,21 @@ def test_nan_input_gives_exit_2(tmp_path, capsys):
     assert not (out / "family.json").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["rank", "--input", "{two_csv}", "--tq-max", "2", "--tol", "nan"],
+    ["cycle", "--n", "6", "--tol", "nan"],
+], ids=lambda argv: argv[0])
+def test_nan_tol_gives_exit_2(tmp_path, capsys, argv):
+    # rank used to iterate to max_iter and report "did not settle"; cycle a mismatch
+    argv = [arg.format(two_csv=_write_two_node(tmp_path)) for arg in argv]
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError"
+    assert "tol must be positive" in err["message"]
+    assert not out.exists()
+
+
 def test_missing_input_gives_exit_2(tmp_path, capsys):
     assert main(["rank", "--out", str(tmp_path / "out")]) == 2
     err = json.loads(capsys.readouterr().err)

@@ -79,6 +79,15 @@ def test_limiting_failure_mode(two_node):
     assert res.mode == "failed"
 
 
+@pytest.mark.parametrize("tol", [float("nan"), 0.0, -1e-9])
+def test_limit_tolerance_must_be_positive(two_node, tol):
+    # a NaN tol used to pass the check and run all max_iter iterations
+    with pytest.raises(ValueError, match="tol must be positive"):
+        sw.limiting_distribution(two_node, tol=tol)
+    with pytest.raises(ValueError, match="tol must be positive"):
+        sw.semiclassical_rank(two_node, 1, 2, tol=tol)
+
+
 def test_uniform_is_fixed_point_of_symmetric_matrices():
     rng = rng_from_seed(73)
     for k in range(100):

@@ -159,6 +159,45 @@ def test_unitary_period_beyond_old_dense_cap():
     assert sw.unitary_period(sw.cycle_graph(41), 82) == 82
 
 
+def _stepped_members(g, t_q_max):
+    """Reference: step each proxy state with op.apply and measure both registers."""
+    op = SzegedyOperator(g)
+    states = [op.proxy_state(i) for i in range(g.n)]
+    members = {1: [], 2: []}
+    for _ in range(t_q_max):
+        states = [op.apply(s) for s in states]
+        probs = [np.abs(s.amp.reshape(g.n, g.n)) ** 2 for s in states]
+        members[1].append(np.column_stack([p.sum(axis=1) for p in probs]))
+        members[2].append(np.column_stack([p.sum(axis=0) for p in probs]))
+    return members
+
+
+def _sparse_stochastic(n, rng, density=0.3):
+    w = rng.random((n, n)) * (rng.random((n, n)) < density)
+    w[rng.integers(n, size=n), np.arange(n)] += rng.random(n)  # no dangling column
+    return sw.from_weights(w)
+
+
+def test_build_family_matches_stepping_oracle():
+    rng = rng_from_seed(67)
+    graphs = [random_stochastic(n, rng) for n in range(2, 33)] + [sw.symmetric_hub()]
+    # uniform chains have exact zeros in members that rounding would push
+    # below 0 (to -6e-14 at N = 3, t_q = 52) without the clip
+    graphs += [sw.TransitionMatrix(np.full((n, n), 1.0 / n)) for n in (3, 5)]
+    for n in (2, 3, 5, 8, 13, 21, 32):
+        graphs += [random_symmetric_stochastic(n, rng), _sparse_stochastic(n, rng)]
+        if n >= 3:
+            graphs.append(random_circulant_symmetric(n, rng))
+    for g in graphs:
+        t_q_max = max(60, 2 * g.n)
+        stepped = _stepped_members(g, t_q_max)
+        for class_tag in (1, 2):
+            fam = sw.build_family(g, class_tag, t_q_max)
+            for t, (member, ref) in enumerate(zip(fam.members, stepped[class_tag]), start=1):
+                dev = np.abs(member.g - ref).max()
+                assert dev <= 1e-12, (g.n, class_tag, t, dev)
+
+
 def test_class_equivalence_shifted_by_one():
     rng = rng_from_seed(53)
     for _ in range(10):
@@ -196,3 +235,15 @@ def test_family_argument_validation(two_node):
     fam = sw.build_family(two_node, 1, 2)
     with pytest.raises(IndexError):
         fam.member(3)
+
+
+@pytest.mark.parametrize("tol", [float("nan"), 0.0, -1e-9])
+def test_period_tolerances_must_be_positive(tol):
+    g = sw.cycle_graph(6)
+    fam = sw.build_family(g, 1, 12)
+    with pytest.raises(ValueError, match="tol must be positive"):
+        sw.family_period(fam, tol)
+    with pytest.raises(ValueError, match="tol must be positive"):
+        sw.distinct_matrices(fam, tol)
+    with pytest.raises(ValueError, match="tol must be positive"):
+        sw.unitary_period(g, 12, tol)

@@ -136,6 +136,40 @@ def test_dot_six_cycle_has_twelve_half_edges():
     assert text.startswith("digraph {")
 
 
+def _reference_csv(m):
+    lines = [f"n={m.n};orientation=column-stochastic"]
+    for row in m.g:
+        lines.append(",".join(repr(float(v)) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def _reference_dot(m):
+    lines = ["digraph {"]
+    for i in range(m.n):
+        lines.append(f"  {i};")
+    for i in range(m.n):
+        for j in range(m.n):
+            w = m.g[j, i]
+            if w > 0.0:
+                lines.append(f'  {i} -> {j} [label="{w:.6f}", weight={w:.6f}];')
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def test_csv_and_dot_bytes_match_elementwise_reference(hub):
+    # the serializers format whole rows from .tolist(); the references format
+    # one numpy scalar at a time, as the files were first written
+    rng = rng_from_seed(79)
+    mats = [hub, sw.cycle_graph(7), sw.from_weights(np.eye(3))]
+    for n in (1, 2, 5, 16, 33):
+        mats.append(random_stochastic(n, rng))
+        w = rng.random((n, n)) * (rng.random((n, n)) < 0.3) + np.eye(n) * 1e-300
+        mats.append(sw.from_weights(w))
+    for m in mats:
+        assert sw.serialize(m, "csv") == _reference_csv(m)
+        assert sw.serialize(m, "dot") == _reference_dot(m)
+
+
 def test_dot_is_export_only():
     with pytest.raises(ValueError):
         sw.deserialize("digraph {}", "dot")
