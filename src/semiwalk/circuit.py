@@ -18,33 +18,73 @@ wire 1, re-prepares the proxy conditioned on wire 0, applies t_q walk
 blocks and measures wire 0 again. The proxy preparation uses quantum
 controlled rotations; an export flag swaps these for classically controlled
 gates (untested against hardware).
+
+Each gate kind is one entry of ``_GATES`` (OpenQASM 2.0 template, 4x4
+unitary), read by the gate matrices, the exporter and the parser. The
+simulator carries the 4x4 density matrix rho of both wires: a gate maps rho
+to U rho U^dagger, a measurement reads its wire's marginal off rho's
+diagonal and dephases the wire, a reset applies the Kraus pair |0><0|,
+|0><1| on it.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import json
 import math
 import re
+import string
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ParseError, UnsupportedSizeError
-from .graphs import ProbabilityVector, TransitionMatrix
+from .graphs import ProbabilityVector, TransitionMatrix, serialize
 from .szegedy import SzegedyOperator
 
-GATE_KINDS = (
-    "ry",
-    "x",
-    "z",
-    "controlled-ry",
-    "controlled-z",
-    "swap",
-    "measure",
-    "reset",
-    "global-phase",
-)
-
 _WIRE_OF_REGISTER = {1: 0, 2: 1}
+
+_X = np.array([[0, 1], [1, 0]], dtype=complex)
+_Z = np.diag([1, -1]).astype(complex)
+_P0 = np.diag([1, 0]).astype(complex)
+_P1 = np.diag([0, 1]).astype(complex)
+_SWAP = np.eye(4, dtype=complex)[[0, 2, 1, 3]]  # |a, b> -> |b, a>
+
+
+def _ry(theta: float) -> np.ndarray:
+    c, s = math.cos(theta / 2), math.sin(theta / 2)
+    return np.array([[c, -s], [s, c]], dtype=complex)
+
+
+def _on_wire(u: np.ndarray, wire: int) -> np.ndarray:
+    eye = np.eye(2, dtype=complex)
+    return np.kron(u, eye) if wire == 0 else np.kron(eye, u)
+
+
+def _controlled(u: np.ndarray, control: int, target: int) -> np.ndarray:
+    return _on_wire(_P0, control) + _on_wire(_P1, control) @ _on_wire(u, target)
+
+
+# kind -> (OpenQASM template, 4x4 unitary of the gate or None). Template
+# fields: {target}, {control}, {angle} (12 significant digits), {wire} (the
+# register's wire) and {clbit} (the classical bit a measurement writes).
+_GATES = {
+    "ry": ("ry({angle}) q[{target}];", lambda g: _on_wire(_ry(g.angle), g.target)),
+    "x": ("x q[{target}];", lambda g: _on_wire(_X, g.target)),
+    "z": ("z q[{target}];", lambda g: _on_wire(_Z, g.target)),
+    "controlled-ry": ("cry({angle}) q[{control}],q[{target}];",
+                      lambda g: _controlled(_ry(g.angle), g.control, g.target)),
+    "controlled-z": ("cz q[{control}],q[{target}];",
+                     lambda g: _controlled(_Z, g.control, g.target)),
+    "swap": ("swap q[{control}],q[{target}];", lambda g: _SWAP.copy()),
+    "measure": ("measure q[{wire}] -> {clbit};", None),
+    "reset": ("reset q[{wire}];", None),
+    # no global-phase statement in OpenQASM 2.0; keep it recoverable
+    "global-phase": ("// global-phase({angle})",
+                     lambda g: np.exp(1j * g.angle) * np.eye(4, dtype=complex)),
+}
+
+GATE_KINDS = tuple(_GATES)
 
 
 @dataclass(frozen=True)
@@ -63,6 +103,8 @@ class GateOp:
         for wire in (self.target, self.control):
             if wire is not None and wire not in (0, 1):
                 raise ValueError(f"wire index {wire} outside {{0, 1}}")
+        if self.control is not None and self.control == self.target:
+            raise ValueError("control and target must be different wires")
         if self.angle is not None and not math.isfinite(self.angle):
             raise ValueError("gate angle must be finite")
         if self.register is not None and self.register not in (1, 2):
@@ -80,69 +122,67 @@ class CircuitDescription:
     theta0: float
     theta1: float
 
+    def to_json(self) -> str:
+        """JSON object: sizes, angles, the source matrix as CSV, p0, and each
+        gate with only its set fields."""
+        doc = {name: getattr(self, name) for name in ("t_q", "t_c", "alpha", "theta0", "theta1")}
+        doc["source_csv"] = serialize(self.source, "csv")
+        doc["p0"] = list(map(float, self.p0.p))
+        doc["gates"] = [{k: v for k, v in dataclasses.asdict(gate).items() if v is not None}
+                        for gate in self.gates]
+        return json.dumps(doc, indent=2, sort_keys=True)
+
 
 def prep_angles(g: TransitionMatrix, p0: ProbabilityVector) -> tuple[float, float, float]:
     """(alpha, theta_0, theta_1): the initial-sampling and proxy rotations.
 
     theta_i = 2 arccos(sqrt(g[0, i])) and alpha = 2 arccos(sqrt(p0[0]));
-    stochasticity keeps every argument inside [0, 1], so the angles are
-    always real.
+    each argument is clamped at 1, since validation lets an entry exceed 1
+    by rounding, so the angles are always real.
     """
     if g.n != 2:
         raise UnsupportedSizeError(f"circuit construction needs n=2, got n={g.n}")
     if p0.n != 2:
         raise UnsupportedSizeError("p0 must have two entries")
     theta0, theta1 = _proxy_angles(g)
-    alpha = 2.0 * math.acos(math.sqrt(min(float(p0.p[0]), 1.0)))
-    return alpha, theta0, theta1
+    return _angle(p0.p[0]), theta0, theta1
+
+
+def _angle(p: float) -> float:
+    # 2 arccos(sqrt(p)); p may exceed 1 by rounding that validation allows
+    return 2.0 * math.acos(math.sqrt(min(float(p), 1.0)))
 
 
 def _proxy_angles(g: TransitionMatrix) -> tuple[float, float]:
     # theta_i = 2 arccos(sqrt(g[0, i])); callers have checked n == 2
-    return (2.0 * math.acos(math.sqrt(float(g.g[0, 0]))),
-            2.0 * math.acos(math.sqrt(float(g.g[0, 1]))))
+    return _angle(g.g[0, 0]), _angle(g.g[0, 1])
 
 
 def _proxy_reflection(i: int, theta: float) -> list[GateOp]:
     # 1 - 2|psi_i><psi_i| = RY(theta) (1 - 2|i,0><i,0|) RY(-theta) on wire 1;
     # the sign flip on |i,0> is CZ conjugated by X on wire 1 (and wire 0 for i=0)
-    gates = [GateOp("ry", target=1, angle=-theta)]
+    x1 = GateOp("x", target=1)
+    flip = [x1, GateOp("controlled-z", control=0, target=1), x1]
     if i == 0:
-        gates.append(GateOp("x", target=0))
-    gates.append(GateOp("x", target=1))
-    gates.append(GateOp("controlled-z", control=0, target=1))
-    gates.append(GateOp("x", target=1))
-    if i == 0:
-        gates.append(GateOp("x", target=0))
-    gates.append(GateOp("ry", target=1, angle=theta))
-    return gates
+        flip = [GateOp("x", target=0), *flip, GateOp("x", target=0)]
+    return [GateOp("ry", target=1, angle=-theta), *flip, GateOp("ry", target=1, angle=theta)]
 
 
 def walk_block_gates(theta0: float, theta1: float) -> tuple[GateOp, ...]:
     """Gate sequence of one walk application U."""
-    gates = _proxy_reflection(0, theta0)
-    gates += _proxy_reflection(1, theta1)
-    gates.append(GateOp("swap", control=0, target=1))
-    gates.append(GateOp("global-phase", angle=math.pi))
-    return tuple(gates)
+    return (*_proxy_reflection(0, theta0), *_proxy_reflection(1, theta1),
+            GateOp("swap", control=0, target=1), GateOp("global-phase", angle=math.pi))
 
 
 def prep_block_gates(theta0: float, theta1: float) -> list[GateOp]:
     # rotate wire 1 by theta_0 when wire 0 is |0>, by theta_1 when it is |1>
-    return [
-        GateOp("x", target=0),
-        GateOp("controlled-ry", control=0, target=1, angle=theta0),
-        GateOp("x", target=0),
-        GateOp("controlled-ry", control=0, target=1, angle=theta1),
-    ]
+    x0 = GateOp("x", target=0)
+    return [x0, GateOp("controlled-ry", control=0, target=1, angle=theta0),
+            x0, GateOp("controlled-ry", control=0, target=1, angle=theta1)]
 
 
-def build_circuit(
-    g: TransitionMatrix,
-    p0: ProbabilityVector,
-    t_q: int,
-    t_c: int,
-) -> CircuitDescription:
+def build_circuit(g: TransitionMatrix, p0: ProbabilityVector, t_q: int,
+                  t_c: int) -> CircuitDescription:
     """Full walk circuit: initial sampling, then t_c measure-and-reset rounds.
 
     The initial rotation is omitted when alpha is exactly zero (p0 starts at
@@ -161,69 +201,18 @@ def build_circuit(
         gates.extend(prep_block_gates(theta0, theta1))
         gates.extend(block * t_q)
         gates.append(GateOp("measure", register=1))
-    return CircuitDescription(
-        gates=tuple(gates),
-        t_q=t_q,
-        t_c=t_c,
-        source=g,
-        p0=p0,
-        alpha=alpha,
-        theta0=theta0,
-        theta1=theta1,
-    )
+    return CircuitDescription(gates=tuple(gates), t_q=t_q, t_c=t_c, source=g, p0=p0,
+                              alpha=alpha, theta0=theta0, theta1=theta1)
 
 
 # --- gate matrices and verification ------------------------------------------
 
-_X = np.array([[0, 1], [1, 0]], dtype=complex)
-_Z = np.diag([1, -1]).astype(complex)
-_SWAP = np.array(
-    [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
-)
-
-
-def _ry(theta: float) -> np.ndarray:
-    c, s = math.cos(theta / 2), math.sin(theta / 2)
-    return np.array([[c, -s], [s, c]], dtype=complex)
-
-
-def _on_wire(u: np.ndarray, wire: int) -> np.ndarray:
-    eye = np.eye(2, dtype=complex)
-    return np.kron(u, eye) if wire == 0 else np.kron(eye, u)
-
-
-def _controlled(u: np.ndarray, control: int, target: int) -> np.ndarray:
-    out = np.eye(4, dtype=complex)
-    for src in range(4):
-        a, b = divmod(src, 2)
-        ctrl_val = a if control == 0 else b
-        if ctrl_val != 1:
-            continue
-        out[src, src] = 0.0
-        tgt_val = b if target == 1 else a
-        for t in range(2):
-            dst = a * 2 + t if target == 1 else t * 2 + b
-            out[dst, src] = u[t, tgt_val]
-    return out
-
-
 def gate_matrix(gate: GateOp) -> np.ndarray:
     """4x4 unitary of one gate; measure/reset have no matrix."""
-    if gate.kind == "ry":
-        return _on_wire(_ry(gate.angle), gate.target)
-    if gate.kind == "x":
-        return _on_wire(_X, gate.target)
-    if gate.kind == "z":
-        return _on_wire(_Z, gate.target)
-    if gate.kind == "controlled-ry":
-        return _controlled(_ry(gate.angle), gate.control, gate.target)
-    if gate.kind == "controlled-z":
-        return _controlled(_Z, gate.control, gate.target)
-    if gate.kind == "swap":
-        return _SWAP.copy()
-    if gate.kind == "global-phase":
-        return np.exp(1j * gate.angle) * np.eye(4, dtype=complex)
-    raise ValueError(f"{gate.kind} has no unitary matrix")
+    unitary = _GATES[gate.kind][1]
+    if unitary is None:
+        raise ValueError(f"{gate.kind} has no unitary matrix")
+    return unitary(gate)
 
 
 def compose_gates(gates) -> np.ndarray:
@@ -249,89 +238,48 @@ def verify_block(g: TransitionMatrix, t_q: int) -> float:
         raise ValueError("t_q must be nonnegative")
     block = compose_gates(walk_block_gates(*_proxy_angles(g)))
     dense = SzegedyOperator(g).dense()
-    return deviation_up_to_phase(
-        np.linalg.matrix_power(block, t_q),
-        np.linalg.matrix_power(dense, t_q),
-    )
+    return deviation_up_to_phase(np.linalg.matrix_power(block, t_q),
+                                 np.linalg.matrix_power(dense, t_q))
 
 
-# --- statevector simulation with projective collapse --------------------------
+# --- density-matrix simulation ------------------------------------------------
+
+# Kraus operators on one wire: measure dephases it, reset moves it to |0>
+_KRAUS = {"measure": (_P0, _P1), "reset": (_P0, np.array([[0, 1], [0, 0]], dtype=complex))}
+
 
 def simulate_circuit(c: CircuitDescription) -> list[ProbabilityVector]:
     """Exact node distribution at every classical step (one per measurement).
 
-    Branches on each mid-circuit measurement, collapses, and merges branches
-    that coincide after the reset, so the cost stays linear in t_c.
+    Evolves the 4x4 density matrix of both wires from |0,0>. Each
+    measurement records its wire's marginal (rho's diagonal summed over the
+    other wire, rounding below zero clipped) and dephases the wire, so the
+    classical mixture of all outcomes is carried at a fixed cost per gate.
     """
-    branches: list[tuple[float, np.ndarray]] = [(1.0, _basis_vec(0, 0))]
+    rho = np.zeros((4, 4), dtype=complex)
+    rho[0, 0] = 1.0
+    # each distinct gate once: the walk block repeats t_q * t_c times
+    unitaries = {gate: gate_matrix(gate) for gate in set(c.gates) if gate.kind not in _KRAUS}
     outcomes: list[ProbabilityVector] = []
     for gate in c.gates:
-        if gate.kind == "measure":
+        if gate.kind in _KRAUS:
             wire = _WIRE_OF_REGISTER[gate.register]
-            dist = np.zeros(2)
-            new_branches = []
-            for outcome, weight, part in _collapse(branches, wire):
-                new_branches.append((weight, _embed(part, wire, outcome)))
-                dist[outcome] += weight
-            branches = _merge(new_branches)
-            outcomes.append(ProbabilityVector(dist))
-        elif gate.kind == "reset":
-            # collapse, then move the collapsed part to |0> on the reset wire
-            wire = _WIRE_OF_REGISTER[gate.register]
-            branches = _merge([(weight, _embed(part, wire, 0))
-                               for _, weight, part in _collapse(branches, wire)])
+            if gate.kind == "measure":
+                marginal = rho.diagonal().real.reshape(2, 2).sum(axis=1 - wire)
+                outcomes.append(ProbabilityVector(np.maximum(marginal, 0.0)))
+            kraus = [_on_wire(k, wire) for k in _KRAUS[gate.kind]]
+            rho = sum(k @ rho @ k.conj().T for k in kraus)
         else:
-            mat = gate_matrix(gate)
-            branches = [(w, mat @ v) for w, v in branches]
+            u = unitaries[gate]
+            rho = u @ rho @ u.conj().T
     return outcomes
-
-
-def _collapse(branches: list[tuple[float, np.ndarray]], wire: int):
-    # per branch and outcome of ``wire``: (outcome, weight * prob, normalised
-    # state of the other wire); outcomes with probability <= 1e-15 are dropped
-    for weight, vec in branches:
-        vv = vec.reshape(2, 2)
-        for outcome in (0, 1):
-            part = vv[outcome] if wire == 0 else vv[:, outcome]
-            prob = float(np.vdot(part, part).real)
-            if prob > 1e-15:
-                yield outcome, weight * prob, part / math.sqrt(prob)
-
-
-def _embed(part: np.ndarray, wire: int, value: int) -> np.ndarray:
-    # the state with ``wire`` in basis state |value> and the other wire in ``part``
-    vv = np.zeros((2, 2), dtype=complex)
-    if wire == 0:
-        vv[value] = part
-    else:
-        vv[:, value] = part
-    return vv.reshape(4)
-
-
-def _basis_vec(i: int, j: int) -> np.ndarray:
-    v = np.zeros(4, dtype=complex)
-    v[i * 2 + j] = 1.0
-    return v
-
-
-def _merge(branches: list[tuple[float, np.ndarray]]) -> list[tuple[float, np.ndarray]]:
-    # classical mixture: branches equal up to a global phase can be pooled
-    merged: list[tuple[float, np.ndarray]] = []
-    for weight, vec in branches:
-        for k, (w0, v0) in enumerate(merged):
-            if abs(abs(np.vdot(v0, vec)) - 1.0) < 1e-12:
-                merged[k] = (w0 + weight, v0)
-                break
-        else:
-            merged.append((weight, vec))
-    return merged
 
 
 def segment_channel(g: TransitionMatrix, t_q: int) -> np.ndarray:
     """Outcome distribution of one circuit segment per start node, as columns.
 
-    Runs the synthesized gate list through the collapse simulator from each
-    basis start, so it checks the circuit rather than re-deriving it.
+    Runs the synthesized gate list through the density-matrix simulator from
+    each basis start, so it checks the circuit rather than re-deriving it.
     """
     cols = []
     for x in (0, 1):
@@ -340,7 +288,13 @@ def segment_channel(g: TransitionMatrix, t_q: int) -> np.ndarray:
     return np.column_stack(cols)
 
 
-# --- OpenQASM export ----------------------------------------------------------
+# --- OpenQASM export and import -----------------------------------------------
+
+def _qasm_line(gate: GateOp, clbit: str = "") -> str:
+    angle = None if gate.angle is None else f"{gate.angle:.12g}"
+    return _GATES[gate.kind][0].format(target=gate.target, control=gate.control, angle=angle,
+                                       wire=_WIRE_OF_REGISTER.get(gate.register), clbit=clbit)
+
 
 def export_openqasm(c: CircuitDescription, classical_control: bool = False) -> str:
     """OpenQASM 2.0 text with mid-circuit measure and reset.
@@ -360,89 +314,73 @@ def export_openqasm(c: CircuitDescription, classical_control: bool = False) -> s
         lines.append(f"creg c[{n_meas}];")
 
     meas_index = 0
-    gates = list(c.gates)
     idx = 0
-    while idx < len(gates):
-        gate = gates[idx]
+    while idx < len(c.gates):
+        gate = c.gates[idx]
+        clbit = ""
+        if gate.kind == "measure":
+            clbit = f"c{meas_index}[0]" if classical_control else f"c[{meas_index}]"
+            meas_index += 1
+        lines.append(_qasm_line(gate, clbit))
+        idx += 1
         if classical_control and gate.kind == "reset":
             # replace the 4-gate controlled preparation after each reset
-            lines.append(f"reset q[{_WIRE_OF_REGISTER[gate.register]}];")
-            prep = gates[idx + 1: idx + 5]
+            prep = c.gates[idx: idx + 4]
             if [g.kind for g in prep] != ["x", "controlled-ry", "x", "controlled-ry"]:
                 raise ValueError("unexpected circuit structure for classical control")
-            bit = meas_index - 1
-            lines.append(f"if(c{bit}==0) ry({_fmt(prep[1].angle)}) q[1];")
-            lines.append(f"if(c{bit}==1) ry({_fmt(prep[3].angle)}) q[1];")
-            idx += 5
-            continue
-        if gate.kind == "measure":
-            wire = _WIRE_OF_REGISTER[gate.register]
-            if classical_control:
-                lines.append(f"measure q[{wire}] -> c{meas_index}[0];")
-            else:
-                lines.append(f"measure q[{wire}] -> c[{meas_index}];")
-            meas_index += 1
-        elif gate.kind == "reset":
-            lines.append(f"reset q[{_WIRE_OF_REGISTER[gate.register]}];")
-        elif gate.kind == "ry":
-            lines.append(f"ry({_fmt(gate.angle)}) q[{gate.target}];")
-        elif gate.kind == "x":
-            lines.append(f"x q[{gate.target}];")
-        elif gate.kind == "z":
-            lines.append(f"z q[{gate.target}];")
-        elif gate.kind == "controlled-ry":
-            lines.append(f"cry({_fmt(gate.angle)}) q[{gate.control}],q[{gate.target}];")
-        elif gate.kind == "controlled-z":
-            lines.append(f"cz q[{gate.control}],q[{gate.target}];")
-        elif gate.kind == "swap":
-            lines.append("swap q[0],q[1];")
-        elif gate.kind == "global-phase":
-            # no global-phase statement in OpenQASM 2.0; keep it recoverable
-            lines.append(f"// global-phase({_fmt(gate.angle)})")
-        idx += 1
+            for value, rot in ((0, prep[1]), (1, prep[3])):
+                ry = GateOp("ry", target=rot.target, angle=rot.angle)
+                lines.append(f"if(c{meas_index - 1}=={value}) " + _qasm_line(ry))
+            idx += 4
     return "\n".join(lines) + "\n"
 
 
-def _fmt(angle: float) -> str:
-    return f"{angle:.12g}"
+# what each template field matches when parsing; {clbit} matches only the
+# default export's single register, c[k]
+_FIELD_PATTERNS = {"target": "[01]", "control": "[01]", "wire": "[01]",
+                   "angle": r"[^)]+", "clbit": r"c\[\d+\]"}
 
 
-_QASM_PATTERNS = [
-    (re.compile(r"^ry\((?P<a>[^)]+)\) q\[(?P<t>[01])\];$"),
-     lambda m: GateOp("ry", target=int(m["t"]), angle=float(m["a"]))),
-    (re.compile(r"^x q\[(?P<t>[01])\];$"),
-     lambda m: GateOp("x", target=int(m["t"]))),
-    (re.compile(r"^z q\[(?P<t>[01])\];$"),
-     lambda m: GateOp("z", target=int(m["t"]))),
-    (re.compile(r"^cry\((?P<a>[^)]+)\) q\[(?P<c>[01])\],q\[(?P<t>[01])\];$"),
-     lambda m: GateOp("controlled-ry", control=int(m["c"]), target=int(m["t"]), angle=float(m["a"]))),
-    (re.compile(r"^cz q\[(?P<c>[01])\],q\[(?P<t>[01])\];$"),
-     lambda m: GateOp("controlled-z", control=int(m["c"]), target=int(m["t"]))),
-    (re.compile(r"^swap q\[0\],q\[1\];$"),
-     lambda m: GateOp("swap", control=0, target=1)),
-    (re.compile(r"^measure q\[(?P<w>[01])\] -> c\[\d+\];$"),
-     lambda m: GateOp("measure", register=int(m["w"]) + 1)),
-    (re.compile(r"^reset q\[(?P<w>[01])\];$"),
-     lambda m: GateOp("reset", register=int(m["w"]) + 1)),
-    (re.compile(r"^// global-phase\((?P<a>[^)]+)\)$"),
-     lambda m: GateOp("global-phase", angle=float(m["a"]))),
-]
+def _template_pattern(template: str) -> re.Pattern:
+    parts = []
+    for literal, field, _, _ in string.Formatter().parse(template):
+        parts.append(re.escape(literal))
+        if field:
+            parts.append(f"(?P<{field}>{_FIELD_PATTERNS[field]})")
+    return re.compile("".join(parts) + "$")
+
+
+_QASM_PATTERNS = [(kind, _template_pattern(template)) for kind, (template, _) in _GATES.items()]
 
 _QASM_SKIP = re.compile(r"^(OPENQASM|include|qreg|creg)\b")
 
 
 def parse_openqasm(text: str) -> tuple[GateOp, ...]:
-    """Recover the gate list from text produced by the default exporter."""
+    """Recover the gate list from text produced by the default exporter.
+
+    Raises ParseError, with the line number, for a statement outside the
+    gate table and for an angle that is not a finite number.
+    """
     gates: list[GateOp] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or _QASM_SKIP.match(line):
             continue
-        for pattern, make in _QASM_PATTERNS:
+        for kind, pattern in _QASM_PATTERNS:
             m = pattern.match(line)
             if m:
-                gates.append(make(m))
                 break
         else:
             raise ParseError(f"unrecognized statement {line!r}", line=lineno)
+        fields = m.groupdict()
+        try:
+            gates.append(GateOp(
+                kind,
+                target=int(fields["target"]) if "target" in fields else None,
+                control=int(fields["control"]) if "control" in fields else None,
+                angle=float(fields["angle"]) if "angle" in fields else None,
+                register=int(fields["wire"]) + 1 if "wire" in fields else None,
+            ))
+        except ValueError as exc:
+            raise ParseError(f"{exc} in {line!r}", line=lineno) from None
     return tuple(gates)

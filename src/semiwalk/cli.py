@@ -262,35 +262,15 @@ def _cmd_rank(opts: dict) -> tuple[int, dict[str, str]]:
 
 def _cmd_sample(opts: dict) -> tuple[int, dict[str, str]]:
     g = _load_matrix(opts)
-    t_q, class_tag, steps = opts["tq"], opts["class"], opts["steps"]
-    member = family_mod.semiclassical_matrix(g, t_q, class_tag)
-    trajectories = dynamics.sample_trajectories(
-        member, opts["x0"], steps, opts["seed"], opts["count"], t_q=t_q, class_tag=class_tag
-    )
+    steps = opts["steps"]
+    member = family_mod.semiclassical_matrix(g, opts["tq"], opts["class"])
+    trajectories = dynamics.sample_trajectories(member, opts["x0"], steps, opts["seed"],
+                                                opts["count"])
     header = "trajectory,seed," + ",".join(f"x{t}" for t in range(steps + 1))
     rows = [header]
     for k, traj in enumerate(trajectories):
         rows.append(f"{k},{traj.seed}," + ",".join(str(x) for x in traj.nodes))
     return 0, {"trajectories.csv": "\n".join(rows) + "\n"}
-
-
-def _gates_json(c: circuit_mod.CircuitDescription) -> str:
-    doc = {
-        "t_q": c.t_q,
-        "t_c": c.t_c,
-        "alpha": c.alpha,
-        "theta0": c.theta0,
-        "theta1": c.theta1,
-        "source_csv": graphs.serialize(c.source, "csv"),
-        "p0": list(map(float, c.p0.p)),
-        "gates": [
-            {k: v for k, v in (("kind", gate.kind), ("target", gate.target),
-                               ("control", gate.control), ("angle", gate.angle),
-                               ("register", gate.register)) if v is not None}
-            for gate in c.gates
-        ],
-    }
-    return _json_text(doc)
 
 
 def _cmd_circuit(opts: dict) -> tuple[int, dict[str, str]]:
@@ -313,7 +293,7 @@ def _cmd_circuit(opts: dict) -> tuple[int, dict[str, str]]:
     }
     artifacts = {
         "circuit.qasm": circuit_mod.export_openqasm(c, classical_control=opts["classical_control"]),
-        "gates.json": _gates_json(c),
+        "gates.json": c.to_json() + "\n",
         "verify.json": _json_text(report),
     }
     print(f"{'PASS' if ok else 'FAIL'} circuit t_q={t_q}: "
@@ -466,7 +446,8 @@ def _periodicity(n: int, t_q_max: int) -> dict[str, str]:
     period = family_mod.unitary_period(g, t_q_max)
     rows = []
     for t in range(t_q_max + 1):
-        mat_first = next(j for j in range(t + 1) if np.abs(mats[j] - mats[t]).max() <= 1e-9)
+        mat_first = next(j for j in range(t + 1)
+                         if np.abs(mats[j] - mats[t]).max() <= family_mod.MATRIX_TOL)
         uni_first = t % period if period else t
         rows.append({"t_q": t, "matrix_first_equal": mat_first, "unitary_first_equal": uni_first})
     csv = "t_q,matrix_first_equal,unitary_first_equal\n" + "".join(
@@ -533,7 +514,7 @@ def _preset_fig9() -> dict[str, str]:
     }
     return {
         "circuit.qasm": circuit_mod.export_openqasm(c),
-        "gates.json": _gates_json(c),
+        "gates.json": c.to_json() + "\n",
         "verify.json": _json_text(report),
     }
 

@@ -13,9 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TooSmallError
-from .graphs import TransitionMatrix
-
-SUPPORT_TOL = 1e-9
+from .graphs import SUPPORT_TOL, TransitionMatrix
 
 
 @dataclass(frozen=True)

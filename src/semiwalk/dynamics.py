@@ -40,8 +40,6 @@ class Trajectory:
 
     seed: int
     nodes: tuple[int, ...]
-    t_q: int | None = None
-    class_tag: int | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,14 +162,7 @@ def semiclassical_rank(
     return rank_family(build_family(g, class_tag, t_q_max), tol=tol, max_iter=max_iter, p0=p0)
 
 
-def sample_trajectory(
-    m: TransitionMatrix,
-    x0: int,
-    steps: int,
-    seed: int,
-    t_q: int | None = None,
-    class_tag: int | None = None,
-) -> Trajectory:
+def sample_trajectory(m: TransitionMatrix, x0: int, steps: int, seed: int) -> Trajectory:
     """Sample x_0..x_steps with inverse-CDF draws from a PCG64 stream.
 
     The stream is fully determined by ``seed``, so identical seeds give
@@ -188,7 +179,7 @@ def sample_trajectory(
         u = rng.random()
         x = int(np.searchsorted(cum[:, nodes[-1]], u, side="right"))
         nodes.append(min(x, m.n - 1))
-    return Trajectory(seed=seed, nodes=tuple(nodes), t_q=t_q, class_tag=class_tag)
+    return Trajectory(seed=seed, nodes=tuple(nodes))
 
 
 def sample_trajectories(
@@ -197,11 +188,6 @@ def sample_trajectories(
     steps: int,
     seed: int,
     count: int,
-    t_q: int | None = None,
-    class_tag: int | None = None,
 ) -> list[Trajectory]:
     """A reproducible batch; trajectory k uses the derived seed ``seed ^ k``."""
-    return [
-        sample_trajectory(m, x0, steps, seed ^ k, t_q=t_q, class_tag=class_tag)
-        for k in range(count)
-    ]
+    return [sample_trajectory(m, x0, steps, seed ^ k) for k in range(count)]

@@ -27,6 +27,8 @@ from .errors import (
 )
 
 STOCHASTIC_TOL = 1e-9
+# an entry at or below this is no edge: rounding noise, not a transition
+SUPPORT_TOL = 1e-9
 
 _CSV_HEADER = re.compile(r"^n=(\d+);orientation=([a-z-]+)$")
 
@@ -276,7 +278,7 @@ def _to_dot(m: TransitionMatrix) -> str:
         lines.append(f"  {i};")
     for i, column in enumerate(m.g.T.tolist()):
         for j, w in enumerate(column):
-            if w > 0.0:
+            if w > SUPPORT_TOL:
                 s = f"{w:.6f}"
                 lines.append(f'  {i} -> {j} [label="{s}", weight={s}];')
     lines.append("}")

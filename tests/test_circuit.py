@@ -1,7 +1,11 @@
+import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import semiwalk as sw
 from semiwalk.circuit import (
@@ -99,8 +103,9 @@ def test_verify_block_small_deviation(two_node):
 
 def test_verify_block_random_two_node_matrices():
     rng = rng_from_seed(83)
-    for _ in range(50):
-        g = _random_two_node(rng)
+    # validation lets an entry exceed 1 by rounding; the angles clamp it
+    above_one = sw.TransitionMatrix(np.array([[1 + 1e-13, 0.5], [0.0, 0.5]]))
+    for g in [_random_two_node(rng) for _ in range(50)] + [above_one]:
         for t in (1, 2, 3):
             assert sw.verify_block(g, t) < 1e-9
 
@@ -112,10 +117,15 @@ def test_deviation_empty_gate_list_is_identity():
 
 
 def test_segment_channel_matches_members(two_node):
-    for t in (1, 2, 3):
-        member = sw.semiclassical_matrix(two_node, t, 1)
-        dev = np.abs(sw.segment_channel(two_node, t) - member.g).max()
-        assert dev <= 1e-10
+    rng = rng_from_seed(89)
+    mats = [two_node] + [sw.TransitionMatrix(np.array(g, dtype=float)) for g in
+                         ([[1, 0.5], [0, 0.5]], [[0, 1], [1, 0]], np.eye(2))]
+    mats += [_random_two_node(rng) for _ in range(50)]
+    for g in mats:
+        for t in (1, 2, 3, 5):
+            member = sw.semiclassical_matrix(g, t, 1)
+            dev = np.abs(sw.segment_channel(g, t) - member.g).max()
+            assert dev <= 1e-10
 
 
 def test_simulated_circuit_matches_classical_evolution(two_node, p0_experiment):
@@ -174,6 +184,27 @@ def test_export_round_trip(two_node, p0_experiment):
             assert got.angle == pytest.approx(expected.angle, abs=1e-9)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.floats(0, 1), st.floats(0, 1), st.floats(0, 1),
+       st.integers(min_value=1, max_value=3), st.integers(min_value=1, max_value=3))
+def test_export_parse_round_trip_random_two_node(a, b, p, t_q, t_c):
+    g = sw.TransitionMatrix(np.array([[a, b], [1.0 - a, 1.0 - b]]))
+    c = sw.build_circuit(g, sw.ProbabilityVector(np.array([p, 1.0 - p])), t_q, t_c)
+    # angles come back as printed: 12 significant digits
+    expected = tuple(gate if gate.angle is None
+                     else dataclasses.replace(gate, angle=float(f"{gate.angle:.12g}"))
+                     for gate in c.gates)
+    assert sw.parse_openqasm(sw.export_openqasm(c)) == expected
+
+
+def test_to_json_lists_set_fields_of_each_gate(two_node, p0_experiment):
+    c = sw.build_circuit(two_node, p0_experiment, 2, 2)
+    doc = json.loads(c.to_json())
+    assert tuple(GateOp(**entry) for entry in doc["gates"]) == c.gates
+    assert all(None not in entry.values() for entry in doc["gates"])
+    assert (doc["t_q"], doc["t_c"], doc["theta0"], doc["p0"]) == (2, 2, c.theta0, [0.8, 0.2])
+
+
 def test_export_deterministic(two_node, p0_experiment):
     c = sw.build_circuit(two_node, p0_experiment, 1, 2)
     assert sw.export_openqasm(c) == sw.export_openqasm(c)
@@ -190,8 +221,38 @@ def test_export_classical_control_variant(two_node, p0_experiment):
 
 
 def test_parse_rejects_unknown_statement():
-    with pytest.raises(ParseError):
-        sw.parse_openqasm("OPENQASM 2.0;\nh q[0];\n")
+    # a bad angle or a controlled gate on one wire is no statement of the table
+    for line in ("h q[0];", "ry(abc) q[0];", "ry(nan) q[0];", "cry(1e999) q[0],q[1];",
+                 "cz q[1],q[1];"):
+        with pytest.raises(ParseError) as err:
+            sw.parse_openqasm("OPENQASM 2.0;\n" + line + "\n")
+        assert err.value.line == 2
+
+
+_ANGLE_TEXT = st.one_of(st.floats().map(repr), st.text(max_size=8),
+                        st.sampled_from(["nan", "inf", "1e999", "abc", "", "1.5"]))
+_QASM_LINE = st.one_of(
+    st.text(max_size=30),
+    st.builds("ry({}) q[{}];".format, _ANGLE_TEXT, st.integers(-1, 2)),
+    st.builds("cry({}) q[{}],q[{}];".format, _ANGLE_TEXT, st.integers(0, 2), st.integers(0, 2)),
+    st.builds("// global-phase({})".format, _ANGLE_TEXT),
+    st.builds("{} q[{}],q[{}];".format, st.sampled_from(["cz", "swap"]),
+              st.integers(0, 2), st.integers(0, 2)),
+    st.builds("measure q[{}] -> c[{}];".format, st.integers(0, 2), st.integers(0, 30)),
+    st.sampled_from(["x q[0];", "z q[1];", "reset q[1];", "OPENQASM 2.0;", "creg c[3];"]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_QASM_LINE, max_size=6).map("\n".join))
+def test_parse_gives_gates_or_parse_error(text):
+    try:
+        gates = sw.parse_openqasm(text)
+    except ParseError as err:
+        assert err.line is not None
+    else:
+        assert isinstance(gates, tuple)
+        assert all(isinstance(gate, GateOp) for gate in gates)
 
 
 def test_gateop_validation():
@@ -203,3 +264,5 @@ def test_gateop_validation():
         GateOp("ry", target=0, angle=float("nan"))
     with pytest.raises(ValueError):
         GateOp("measure", register=3)
+    with pytest.raises(ValueError):
+        GateOp("controlled-z", control=1, target=1)
