@@ -239,14 +239,15 @@ def _cmd_evolve(opts: dict) -> tuple[int, dict[str, str]]:
     return 0, {"evolve.csv": _evolve_csv(member, p0, opts["steps"])}
 
 
-def _rank_report(g: TransitionMatrix, class_tag: int, t_q_max: int, tol: float, max_iter: int) -> dict:
+def _rank_report(g: TransitionMatrix, class_tag: int, t_q_max: int, tol: float) -> dict:
     fam = family_mod.build_family(g, class_tag, t_q_max)
-    result = dynamics.rank_family(fam, tol=tol, max_iter=max_iter)
+    result = dynamics.rank_family(fam, tol=tol)
     return {
         "class": class_tag,
         "tq_max": t_q_max,
         "limits": [list(map(float, d.p)) for d in result.limits],
         "modes": list(result.modes),
+        "residuals": list(result.residuals),
         "running_averages": [list(map(float, row)) for row in result.running_averages],
         "final_average": list(map(float, result.final_average.p)),
         "ordering": list(result.ordering),
@@ -255,8 +256,7 @@ def _rank_report(g: TransitionMatrix, class_tag: int, t_q_max: int, tol: float, 
 
 
 def _cmd_rank(opts: dict) -> tuple[int, dict[str, str]]:
-    report = _rank_report(_load_matrix(opts), opts["class"], opts["tq_max"],
-                          opts["tol"], opts["max_iter"])
+    report = _rank_report(_load_matrix(opts), opts["class"], opts["tq_max"], opts["tol"])
     return 0, {"rank.json": _json_text(report)}
 
 
@@ -497,8 +497,7 @@ def _preset_fig6() -> dict[str, str]:
 
 
 def _preset_fig7() -> dict[str, str]:
-    report = _rank_report(instances.symmetric_hub(), 1, 60,
-                          dynamics.DEFAULT_TOL, dynamics.DEFAULT_MAX_ITER)
+    report = _rank_report(instances.symmetric_hub(), 1, 60, dynamics.DEFAULT_TOL)
     return {"rank.json": _json_text(report)}
 
 
@@ -568,8 +567,7 @@ _COMMANDS = {
                 ("p0", list, None, None)]),
     "rank": (_cmd_rank, "averaged-limit node ranking over the family",
              [_INPUT, _FORMAT, _CLASS, ("tq_max", int, 20, None),
-              ("tol", float, dynamics.DEFAULT_TOL, None),
-              ("max_iter", int, dynamics.DEFAULT_MAX_ITER, None)]),
+              ("tol", float, dynamics.DEFAULT_TOL, None)]),
     "sample": (_cmd_sample, "seeded stochastic trajectories of one member",
                [_INPUT, _FORMAT, _CLASS, ("tq", int, 1, None), ("x0", int, 0, None),
                 ("steps", int, 100, None), ("count", int, 1, None), ("seed", int, 0, None)]),

@@ -1,12 +1,15 @@
 """Classical-time dynamics: evolution, limits, sampling, and node ranking.
 
-Limiting distributions are found by iterating p <- G p. Chains that never
-settle pointwise (bipartite structures, permutation-like family members)
-instead settle into an exact limit cycle; the time average over one cycle is
-the Cesaro limit and is reported with mode "cesaro". The raw running average
-only closes in on that value like 1/t, far too slowly for tight tolerances,
-so the implementation detects the cycle and averages over exactly one period
-instead.
+The long-time distribution of p <- G p is the Cesaro limit Pi p0, where Pi
+is the spectral projector onto ker(I - G) along range(I - G) (Kemeny and
+Snell, *Finite Markov Chains*, 1960; Meyer, *Matrix Analysis and Applied
+Linear Algebra*, 2000, section 7.10). One SVD of I - G gives both null
+spaces, so Pi p0 is computed exactly instead of being waited for: a slow
+chain costs as much as a fast one, and the answer carries a measured
+residual ||G x - x||_1. The iterates themselves converge to Pi p0 unless p0
+has weight on a peripheral eigenvalue other than 1. Those eigenvalues are
+roots of unity set by the periods of the closed classes, so the class
+structure decides which of the two modes, "converged" or "cesaro", applies.
 
 Node ranking follows the family-averaging scheme: for every quantum time the
 member's limiting distribution is computed from a uniform start, and the
@@ -17,13 +20,13 @@ averaged limit becomes informative.
 
 from __future__ import annotations
 
-from collections import deque
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatchError, IndexOutOfRangeError, RankFailedError
-from .graphs import ProbabilityVector, TransitionMatrix
+from .graphs import SUPPORT_TOL, ProbabilityVector, TransitionMatrix
 from .family import SemiclassicalFamily, _check_tol, build_family
 
 CONVERGED = "converged"
@@ -31,7 +34,13 @@ CESARO = "cesaro"
 FAILED = "failed"
 
 DEFAULT_TOL = 1e-8
-DEFAULT_MAX_ITER = 100_000
+# A singular value of I - G counts as zero at or below
+# NULL_C * N * eps * max(sigma_max, 1) + ||1^T (I - G)||_2. I - G is formed
+# from entries of size one, so its rounding is about N * eps in norm even
+# when every singular value is small (a slow chain); the second term is G's
+# distance from an exactly stochastic matrix, whose null space is the one
+# wanted (family members drift off unit column sums like t_q^2 * eps).
+NULL_C = 8
 
 
 @dataclass(frozen=True)
@@ -46,7 +55,8 @@ class Trajectory:
 class LimitResult:
     distribution: ProbabilityVector
     mode: str
-    iterations: int
+    iterations: int  # products with G (or a power of G) the call took
+    residual: float  # certified ||G x - x||_1 of the returned x
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,6 +65,7 @@ class RankingResult:
 
     limits: tuple[ProbabilityVector, ...]
     modes: tuple[str, ...]
+    residuals: tuple[float, ...]
     running_averages: np.ndarray
     final_average: ProbabilityVector
     ordering: tuple[int, ...]
@@ -76,37 +87,99 @@ def limiting_distribution(
     m: TransitionMatrix,
     p0: ProbabilityVector | None = None,
     tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
+    max_iter: int | None = None,
 ) -> LimitResult:
     """Long-time distribution of the walk started from p0 (uniform by default).
 
-    Modes: "converged" when the iterates settle pointwise, "cesaro" when they
-    settle into a limit cycle (the cycle average is returned), "failed" when
-    neither is certified within max_iter. Cycles up to max(64, 2N + 2) steps
-    long are detected.
+    Returns x = Pi p0, the Cesaro limit, from one SVD of I - G (clipped at 0
+    and renormalised), with its residual ||G x - x||_1. Modes: "failed" when
+    that residual exceeds ``tol``; else "cesaro" when p0 has weight on a
+    peripheral eigenvalue other than 1, so the iterates cycle and only their
+    running average tends to x; else "converged". ``max_iter`` is accepted
+    for callers of the earlier power iteration and ignored.
     """
     _check_tol(tol)
     if p0 is None:
         p0 = ProbabilityVector.uniform(m.n)
     elif p0.n != m.n:
         raise DimensionMismatchError(f"p0 has n={p0.n}, matrix has n={m.n}")
-    p = p0.p
-    recent: deque[np.ndarray] = deque(maxlen=max(64, 2 * m.n + 2))
-    recent.append(p)
-    for it in range(1, max_iter + 1):
-        q = m.g @ p
-        if np.abs(q - p).sum() < tol:
-            return LimitResult(ProbabilityVector(q), CONVERGED, it)
-        stack = np.asarray(recent)
-        hits = np.flatnonzero(np.abs(stack - q).sum(axis=1) < tol)
-        if hits.size:
-            j = int(hits.max())  # largest index = shortest cycle
-            cycle = list(recent)[j + 1:] + [q]
-            avg = np.mean(cycle, axis=0)
-            return LimitResult(ProbabilityVector(avg), CESARO, it)
-        recent.append(q)
-        p = q
-    return LimitResult(ProbabilityVector(p), FAILED, max_iter)
+    g = m.g
+    residual = float(np.abs(g @ p0.p - p0.p).sum())
+    if residual <= NULL_C * m.n * np.finfo(float).eps:
+        # p0 is a fixed point to rounding, so it is its own limit; the SVD
+        # would return it only to that rounding, and break p0's exact ties
+        return LimitResult(p0, CONVERGED, 1, residual)
+    x, right = _cesaro_limit(g, p0.p)
+    x = np.maximum(x, 0.0)
+    x /= x.sum()
+    residual = float(np.abs(g @ x - x).sum())
+    products = 2
+    mode = CONVERGED
+    d = _period(g, right)
+    if d > 1:
+        # G^d has 1 as its only peripheral eigenvalue, so its iterates from p0
+        # converge; they tend to x exactly when p0 has no weight on the other
+        # peripheral eigenvalues of G
+        products += d.bit_length() + bin(d).count("1") - 2
+        y, _ = _cesaro_limit(np.linalg.matrix_power(g, d), p0.p)
+        if np.abs(y - x).sum() > tol:
+            mode = CESARO
+    if not residual <= tol:
+        mode = FAILED
+    return LimitResult(ProbabilityVector(x), mode, products, residual)
+
+
+def _cesaro_limit(g: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pi p for the projector Pi onto ker(I - g) along range(I - g).
+
+    With I - g = U S V^T and k the number of zero singular values (at least
+    one: the columns of a stochastic g sum to one), K = V's and L = U's
+    trailing k columns span the right and left null spaces, and
+    Pi = K (L^T K)^-1 L^T. Returns Pi p and K.
+    """
+    n = len(g)
+    a = np.eye(n) - g
+    u, s, vt = np.linalg.svd(a)
+    cut = NULL_C * n * np.finfo(float).eps * max(s[0], 1.0) + np.linalg.norm(a.sum(axis=0))
+    k = max(1, int((s <= cut).sum()))
+    right, left = vt[-k:].T, u[:, -k:]
+    return right @ np.linalg.solve(left.T @ right, left.T @ p), right
+
+
+def _period(g: np.ndarray, right: np.ndarray) -> int:
+    """The lcm of the periods of g's closed classes, one per column of ``right``.
+
+    The squared row norms of the null-space basis ``right`` are the diagonal
+    of the orthogonal projector onto span{pi_C}, the closed classes'
+    stationary vectors: pi_C,i^2 / ||pi_C||^2 on class C, so at least 1/|C|
+    somewhere in it, and 0 on transient states. So the classes are found
+    one at a time, each by a breadth-first search from the heaviest state
+    not yet placed. A class's period is the gcd of level(i) + 1 - level(j)
+    over its edges i -> j, so an edge i -> i makes it aperiodic; when every
+    state has one (every dense member) there is nothing to search.
+    """
+    if (np.diagonal(g) > SUPPORT_TOL).all():
+        return 1
+    edges = g > SUPPORT_TOL  # edges[j, i]: i -> j
+    weight = np.square(right).sum(axis=1)
+    placed = np.zeros(len(g), bool)
+    d = 1
+    for _ in range(right.shape[1]):
+        root = int(np.argmax(np.where(placed, -1.0, weight)))
+        level = np.full(len(g), -1)
+        level[root] = 0
+        frontier = level == 0
+        depth = 0
+        while frontier.any():
+            depth += 1
+            frontier = edges[:, frontier].any(axis=1) & (level < 0)
+            level[frontier] = depth
+        members = level >= 0
+        placed |= members
+        to, fr = np.nonzero(edges[np.ix_(members, members)])
+        lv = level[members]
+        d = math.lcm(d, int(np.gcd.reduce(lv[fr] + 1 - lv[to])))  # may pass int64
+    return d
 
 
 def asymmetry(m: TransitionMatrix) -> float:
@@ -117,33 +190,32 @@ def asymmetry(m: TransitionMatrix) -> float:
 def rank_family(
     family: SemiclassicalFamily,
     tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
     p0: ProbabilityVector | None = None,
 ) -> RankingResult:
     """Average the members' limiting distributions and order the nodes.
 
     Ties in the final average break toward the lower node index so rankings
-    are reproducible. Raises RankFailedError if any member fails to settle.
+    are reproducible. Raises RankFailedError if a member's limit has a
+    residual ||G x - x||_1 above ``tol``.
     """
     n = family.source.n
     if p0 is None:
         p0 = ProbabilityVector.uniform(n)
-    limits = []
-    modes = []
+    results = []
     for t, member in enumerate(family.members, start=1):
-        res = limiting_distribution(member, p0, tol=tol, max_iter=max_iter)
+        res = limiting_distribution(member, p0, tol=tol)
         if res.mode == FAILED:
-            raise RankFailedError(f"member t_q={t} did not settle in {max_iter} iterations")
-        limits.append(res.distribution)
-        modes.append(res.mode)
-    stacked = np.stack([d.p for d in limits])
-    running = np.cumsum(stacked, axis=0) / np.arange(1, len(limits) + 1)[:, None]
+            raise RankFailedError(f"member t_q={t} limit has residual {res.residual:.3e} > tol {tol:g}")
+        results.append(res)
+    stacked = np.stack([r.distribution.p for r in results])
+    running = np.cumsum(stacked, axis=0) / np.arange(1, len(results) + 1)[:, None]
     running.setflags(write=False)
     final = ProbabilityVector(running[-1])
     ordering = tuple(sorted(range(n), key=lambda i: (-final.p[i], i)))
     return RankingResult(
-        limits=tuple(limits),
-        modes=tuple(modes),
+        limits=tuple(r.distribution for r in results),
+        modes=tuple(r.mode for r in results),
+        residuals=tuple(r.residual for r in results),
         running_averages=running,
         final_average=final,
         ordering=ordering,
@@ -155,11 +227,10 @@ def semiclassical_rank(
     class_tag: int,
     t_q_max: int,
     tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
     p0: ProbabilityVector | None = None,
 ) -> RankingResult:
     """Build the family of g and rank its nodes by the averaged limit."""
-    return rank_family(build_family(g, class_tag, t_q_max), tol=tol, max_iter=max_iter, p0=p0)
+    return rank_family(build_family(g, class_tag, t_q_max), tol=tol, p0=p0)
 
 
 def sample_trajectory(m: TransitionMatrix, x0: int, steps: int, seed: int) -> Trajectory:

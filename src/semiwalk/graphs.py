@@ -13,6 +13,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass
 
@@ -27,6 +28,9 @@ from .errors import (
 )
 
 STOCHASTIC_TOL = 1e-9
+# The most nodes a CSV or JSON input may declare: a dense N x N matrix of
+# float64 is 8 MB here, and every family member is one more.
+MAX_NODES = 1024
 # an entry at or below this is no edge: rounding noise, not a transition
 SUPPORT_TOL = 1e-9
 
@@ -214,7 +218,9 @@ def _from_csv(text: str) -> TransitionMatrix:
     header = _CSV_HEADER.match(lines[0].strip())
     if header is None:
         raise ParseError("expected header 'n=<N>;orientation=column-stochastic'", line=1)
-    n = int(header.group(1))
+    digits = header.group(1)
+    # more digits than MAX_NODES has are too many; int() would take any number of them
+    n = _node_count(int(digits) if len(digits.lstrip("0")) <= len(str(MAX_NODES)) else digits, line=1)
     if header.group(2) != "column-stochastic":
         raise ParseError(f"unsupported orientation {header.group(2)!r}", line=1, field="orientation")
     if len(lines) - 1 != n:
@@ -243,6 +249,14 @@ def _to_json(m: TransitionMatrix) -> str:
     return json.dumps({"n": m.n, "edges": edges})
 
 
+def _node_count(n, line: int | None = None) -> int:
+    """The declared node count, which must be an int in 1..MAX_NODES."""
+    if type(n) is not int or not 1 <= n <= MAX_NODES:
+        raise ParseError(f"node count must be an integer in 1..{MAX_NODES}, got {n!r:.20}",
+                         line=line, field="n")
+    return n
+
+
 def _from_json(text: str, patch_dangling: bool) -> TransitionMatrix:
     if not text.strip():
         raise ParseError("empty input", line=1)
@@ -250,25 +264,34 @@ def _from_json(text: str, patch_dangling: bool) -> TransitionMatrix:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(e.msg, line=e.lineno) from None
+    except (ValueError, RecursionError) as e:  # an int too long to convert, deep nesting
+        raise ParseError(str(e)) from None
     if not isinstance(doc, dict) or "n" not in doc:
         raise ParseError("missing 'n'", field="n")
-    n = doc["n"]
-    if not isinstance(n, int) or n < 1:
-        raise ParseError(f"bad node count {n!r}", field="n")
+    n = _node_count(doc["n"])
     edges = doc.get("edges")
     if not isinstance(edges, list):
         raise ParseError("missing 'edges' array", field="edges")
     weights = np.zeros((n, n))
     for k, e in enumerate(edges):
-        if not isinstance(e, dict):
-            raise ParseError(f"edge {k} is not an object", field=k)
+        if not isinstance(e, dict) or not {"from", "to", "w"} <= e.keys():
+            raise ParseError(f"edge {k} is not an object with 'from', 'to' and 'w'", field=k)
+        i, j, w = e["from"], e["to"], e["w"]
+        # type(...) is int keeps true/false out; JSON has no other int-like type
+        if type(i) is not int or type(j) is not int or not (0 <= i < n and 0 <= j < n):
+            raise ParseError(f"edge {k} endpoints must be integers in 0..{n - 1}", field=k)
         try:
-            i, j, w = e["from"], e["to"], float(e["w"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"edge {k}: {exc}", field=k) from None
-        if not (0 <= i < n and 0 <= j < n):
-            raise ParseError(f"edge {k} endpoint out of range", field=k)
+            w = float(w) if type(w) in (int, float) else math.nan
+        except OverflowError:  # an int beyond float range
+            w = math.inf
+        if not math.isfinite(w):
+            raise ParseError(f"edge {k} weight must be a finite number", field=k)
+        if w < 0:
+            raise NegativeWeightError(f"edge {k} has negative weight {w!r}")
         weights[j, i] += w
+    with np.errstate(over="ignore"):
+        if not np.isfinite(weights.sum(axis=0)).all():
+            raise ParseError("edge weights overflow a column sum", field="edges")
     return from_weights(weights, patch_dangling=patch_dangling)
 
 

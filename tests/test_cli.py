@@ -57,6 +57,7 @@ def test_rank_hub_ordering(tmp_path):
     assert main(["rank", "--input", str(graph), "--tq-max", "6", "--out", str(out)]) == 0
     report = json.loads((out / "rank.json").read_text())
     assert report["ordering"][:2] == [3, 4]
+    assert len(report["residuals"]) == 6 and max(report["residuals"]) <= 1e-8
     assert report["asymmetries"][0] <= 1e-12
     assert min(report["asymmetries"][1:]) > 1e-6
 
@@ -194,6 +195,15 @@ def test_nan_tol_gives_exit_2(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+def test_rank_max_iter_flag_is_gone(tmp_path, capsys):
+    # the exact solver has no iteration budget, so the flag is unknown
+    with pytest.raises(SystemExit) as exc:
+        main(["rank", "--input", str(_write_two_node(tmp_path)), "--max-iter", "5",
+              "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert "--max-iter" in capsys.readouterr().err
+
+
 def test_missing_input_gives_exit_2(tmp_path, capsys):
     assert main(["rank", "--out", str(tmp_path / "out")]) == 2
     err = json.loads(capsys.readouterr().err)
@@ -266,6 +276,7 @@ def test_manifest_config_replays_run(tmp_path, argv):
     pytest.param("circuit", {"classical_control": 1}, id="int-for-bool"),
     pytest.param("evolve", {"input": "{two_csv}", "p0": "0.8,0.2"}, id="string-for-list"),
     pytest.param("preset", {"name": "fig8"}, id="unknown-preset"),
+    pytest.param("rank", {"input": "{two_csv}", "max_iter": 100}, id="removed-max-iter"),
 ])
 def test_bad_config_gives_json_error_and_exit_2(tmp_path, capsys, subcommand, config):
     two_csv = str(_write_two_node(tmp_path))

@@ -1,8 +1,15 @@
+from collections import deque
+
 import numpy as np
 import pytest
 
 import semiwalk as sw
-from semiwalk.corpus import random_stochastic, random_symmetric_stochastic, rng_from_seed
+from semiwalk.corpus import (
+    random_stochastic,
+    random_stochastic_corpus,
+    random_symmetric_stochastic,
+    rng_from_seed,
+)
 from semiwalk.errors import DimensionMismatchError, IndexOutOfRangeError, RankFailedError
 
 from conftest import stationary_2x2
@@ -75,8 +82,156 @@ def test_limiting_four_cycle_cesaro_uniform():
 
 
 def test_limiting_failure_mode(two_node):
-    res = sw.limiting_distribution(two_node, tol=1e-12, max_iter=3)
-    assert res.mode == "failed"
+    # failed means the measured residual exceeds tol; ask for less than attained
+    res = sw.limiting_distribution(two_node)
+    assert res.mode == "converged" and 0 < res.residual <= 1e-15
+    failed = sw.limiting_distribution(two_node, tol=res.residual / 2)
+    assert failed.mode == "failed"
+    assert failed.residual == res.residual
+    assert np.array_equal(failed.distribution.p, res.distribution.p)
+
+
+def _power_limit(g: np.ndarray, p: np.ndarray, tol: float = 1e-8, max_iter: int = 100_000):
+    """The earlier solver, kept as a reference: iterate p <- G p until the step
+    drops below tol ("converged"), or until an iterate is within tol of one of
+    the last max(64, 2N + 2), then average over that cycle ("cesaro")."""
+    recent = deque([p], maxlen=max(64, 2 * len(g) + 2))
+    for _ in range(max_iter):
+        q = g @ p
+        if np.abs(q - p).sum() < tol:
+            return q, "converged"
+        hits = np.flatnonzero(np.abs(np.asarray(recent) - q).sum(axis=1) < tol)
+        if hits.size:
+            return np.mean(list(recent)[int(hits.max()) + 1:] + [q], axis=0), "cesaro"
+        recent.append(q)
+        p = q
+    return p, "failed"
+
+
+def _peripheral_mode(g: np.ndarray, p: np.ndarray) -> str:
+    """Mode from the spectrum: "cesaro" iff p has weight on an eigenvalue
+    omega of modulus one other than 1. Such an eigenvalue of a stochastic
+    matrix is semisimple, so its spectral projector is R (L^H R)^-1 L^H with
+    R and L spanning the right and left null spaces of G - omega I."""
+    lam = np.linalg.eigvals(g)
+    peripheral = lam[(np.abs(np.abs(lam) - 1) < 1e-9) & (np.abs(lam - 1) > 1e-9)]
+    weight = 0.0
+    for omega in np.unique(np.round(peripheral, 9)):
+        u, s, vh = np.linalg.svd(g - omega * np.eye(len(g)))
+        null = s <= 1e-9
+        right, left = vh[null].conj().T, u[:, null]
+        weight += np.abs(right @ np.linalg.solve(left.conj().T @ right, left.conj().T @ p)).sum()
+    return "cesaro" if weight > 1e-9 else "converged"
+
+
+@pytest.mark.parametrize("a", [1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7])
+def test_slow_two_state_limit_is_exact(a):
+    # the step-size test of power iteration stopped 2.5e-6 off at a = 1e-3
+    g = sw.TransitionMatrix(np.array([[1 - a, 3 * a], [a, 1 - 3 * a]]))
+    for p0 in (sw.ProbabilityVector.point_mass(2, 0), sw.ProbabilityVector.uniform(2)):
+        res = sw.limiting_distribution(g, p0)
+        assert res.mode == "converged"
+        assert res.residual <= 1e-8
+        assert np.abs(res.distribution.p - stationary_2x2(g.g)).sum() <= 1e-9
+        # max_iter is accepted for earlier callers and changes nothing
+        again = sw.limiting_distribution(g, p0, max_iter=3)
+        assert np.array_equal(again.distribution.p, res.distribution.p)
+
+
+@pytest.mark.parametrize("periodic", [False, True], ids=["aperiodic", "periodic"])
+def test_reducible_chain_absorption_split(periodic):
+    # closed classes {0, 1} and {2}; 3 and 4 are transient. From 3 the walk is
+    # absorbed in {0, 1} with h3 = 1/2 + h4/2, h4 = 1/3 + h3/3: h3 = 4/5, h4 = 3/5.
+    a = np.array([[0.0, 1.0], [1.0, 0.0]]) if periodic else np.array([[0.7, 0.4], [0.3, 0.6]])
+    pi_a = np.array([1 / 2, 1 / 2]) if periodic else np.array([4 / 7, 3 / 7])
+    g = np.zeros((5, 5))
+    g[:2, :2] = a
+    g[2, 2] = 1.0
+    g[[0, 4], 3] = 1 / 2
+    g[[1, 2, 3], 4] = 1 / 3
+    h = {3: 4 / 5, 4: 3 / 5}
+    for label in (np.arange(5), np.array([4, 3, 2, 1, 0])):  # node i is called label[i]
+        old = np.argsort(label)
+        m = sw.TransitionMatrix(g[np.ix_(old, old)])
+        for p0 in (np.eye(5)[3], np.full(5, 0.2)):
+            to_a = p0[0] + p0[1] + sum(p0[i] * h[i] for i in h)
+            exact = np.concatenate([to_a * pi_a, [1 - to_a, 0.0, 0.0]])
+            res = sw.limiting_distribution(m, sw.ProbabilityVector(p0[old]))
+            assert np.abs(res.distribution.p[label] - exact).sum() <= 1e-12
+            assert res.residual <= 1e-12
+            assert res.mode == _peripheral_mode(m.g, p0[old])
+            if p0[3] == 1:
+                assert res.mode == ("cesaro" if periodic else "converged")
+
+
+def _mode_cases():
+    rng = rng_from_seed(79)
+    cases = []
+    for n in range(3, 17):
+        g = sw.cycle_graph(n)
+        # from two neighbours the even cycles' -1 eigenvector has no weight
+        pair = sw.ProbabilityVector((np.eye(n)[0] + np.eye(n)[1]) / 2)
+        cases += [(f"cycle {n} from 0", g, sw.ProbabilityVector.point_mass(n, 0)),
+                  (f"cycle {n} uniform", g, sw.ProbabilityVector.uniform(n)),
+                  (f"cycle {n} from 0 and 1", g, pair)]
+    for k in range(12):
+        n = 2 + k % 7
+        g = sw.TransitionMatrix(np.eye(n)[rng.permutation(n)])
+        for p0 in (sw.ProbabilityVector.point_mass(n, 0), sw.ProbabilityVector.uniform(n),
+                   sw.ProbabilityVector(rng.dirichlet(np.ones(n)))):
+            cases.append((f"permutation {k}", g, p0))
+    for k, g in enumerate(random_stochastic_corpus(20, seed=83)):
+        cases.append((f"random {k}", g, sw.ProbabilityVector.point_mass(g.n, 0)))
+    return cases
+
+
+def test_limit_modes_match_peripheral_spectrum():
+    for name, g, p0 in _mode_cases():
+        res = sw.limiting_distribution(g, p0)
+        assert res.mode == _peripheral_mode(g.g, p0.p), name
+        assert res.residual <= 1e-12, name
+        # the Cesaro limit is the fixed point with p0's weight on each closed class
+        assert np.abs(g.g @ res.distribution.p - res.distribution.p).sum() <= 1e-12, name
+    for n in (3, 5, 7, 9, 33):
+        # odd cycles are aperiodic: the walk converges, however slowly
+        res = sw.limiting_distribution(sw.cycle_graph(n), sw.ProbabilityVector.point_mass(n, 0))
+        assert res.mode == "converged"
+        assert np.abs(res.distribution.p - 1 / n).max() <= 1e-12
+
+
+def test_reducible_family_members_keep_both_classes():
+    # Two closed blocks and a node feeding both (absorbing at t_q = 60). Late
+    # members drift off unit column sums by ~1e-14, which puts the second zero
+    # singular value of I - G above N * eps; the limit must still split p0's
+    # mass between the blocks.
+    rng = rng_from_seed(3)
+    g = np.zeros((8, 8))
+    g[:3, :3] = random_stochastic(3, rng).g
+    g[3:7, 3:7] = random_stochastic(4, rng).g
+    g[[0, 3, 7], 7] = [0.2, 0.3, 0.5]
+    fam = sw.build_family(sw.TransitionMatrix(g), 1, 200)
+    p0 = sw.ProbabilityVector.uniform(8)
+    for t in (1, 5, 60, 100, 200):
+        member = fam.member(t)
+        q, _ = _power_limit(member.g, p0.p, tol=1e-13)
+        res = sw.limiting_distribution(member, p0)
+        assert res.mode == _peripheral_mode(member.g, p0.p) == "converged", t
+        assert np.abs(res.distribution.p - q).sum() <= 1e-9, t
+
+
+def test_limit_agrees_with_power_iteration_reference(theorem_corpus):
+    for g in theorem_corpus:
+        p0 = sw.ProbabilityVector.uniform(g.n)
+        q, mode = _power_limit(g.g, p0.p)
+        res = sw.limiting_distribution(g, p0)
+        assert mode == res.mode == "converged"
+        x = res.distribution.p
+        # q - x sums to zero, so q - x = Z (I - G)(q - x) with the fundamental
+        # matrix Z = (I - G + x 1^T)^-1: the reference is off by at most
+        # ||Z||_1 times its own step ||G q - q||_1
+        z = np.linalg.inv(np.eye(g.n) - g.g + np.outer(x, np.ones(g.n)))
+        bound = np.abs(z).sum(axis=0).max() * np.abs(g.g @ q - q).sum()
+        assert np.abs(q - x).sum() <= bound + 1e-13
 
 
 @pytest.mark.parametrize("tol", [float("nan"), 0.0, -1e-9])
@@ -121,8 +276,10 @@ def test_rank_two_node_average_is_mean_of_limits(two_node):
 
 
 def test_rank_failure_raises(two_node):
-    with pytest.raises(RankFailedError):
-        sw.semiclassical_rank(two_node, 1, 2, tol=1e-12, max_iter=3)
+    worst = max(sw.semiclassical_rank(two_node, 1, 2).residuals)
+    assert worst > 0
+    with pytest.raises(RankFailedError, match="residual"):
+        sw.semiclassical_rank(two_node, 1, 2, tol=worst / 2)
 
 
 def test_rank_running_average_shape(hub):

@@ -1,16 +1,25 @@
+import contextlib
+import io
+import json
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import semiwalk as sw
+from semiwalk.cli import main
 from semiwalk.corpus import random_stochastic, random_symmetric_stochastic, rng_from_seed
 from semiwalk.errors import (
     DanglingNodeError,
     NegativeWeightError,
     NotStochasticError,
     ParseError,
+    SemiwalkError,
 )
+from semiwalk.graphs import MAX_NODES
 
 
 def test_from_weights_normalizes_cycle_adjacency():
@@ -239,6 +248,104 @@ def test_json_normalizes_raw_weights():
     doc = '{"n": 2, "edges": [{"from": 0, "to": 1, "w": 3.0}, {"from": 1, "to": 0, "w": 2.0}]}'
     m = sw.deserialize(doc, "json")
     np.testing.assert_allclose(m.g, [[0.0, 1.0], [1.0, 0.0]])
+
+
+_BACK_EDGE = {"from": 1, "to": 0, "w": 1}
+
+
+@pytest.mark.parametrize("doc", [
+    pytest.param({"n": 2, "edges": [{"from": 0.0, "to": 1, "w": 1}, _BACK_EDGE]}, id="float-endpoint"),
+    pytest.param({"n": 2, "edges": [{"from": True, "to": 1, "w": 1}, _BACK_EDGE]}, id="bool-endpoint"),
+    pytest.param({"n": 2, "edges": [{"from": 0, "to": "1", "w": 1}, _BACK_EDGE]}, id="string-endpoint"),
+    pytest.param({"n": 2, "edges": [{"from": 0, "to": 1, "w": True}, _BACK_EDGE]}, id="bool-weight"),
+    pytest.param({"n": 2, "edges": [{"from": 0, "to": 1, "w": "1"}, _BACK_EDGE]}, id="string-weight"),
+    pytest.param({"n": 2, "edges": [{"from": 0, "to": 1, "w": None}, _BACK_EDGE]}, id="null-weight"),
+    pytest.param({"n": 2, "edges": [{"from": 0, "to": 1, "w": float("inf")}, _BACK_EDGE]}, id="inf-weight"),
+    pytest.param({"n": 2, "edges": [{"from": 0, "to": 1, "w": 10**400}, _BACK_EDGE]}, id="huge-int-weight"),
+    pytest.param({"n": 2, "edges": [{"from": 0, "to": 1, "w": 1e308}, {"from": 0, "to": 0, "w": 1e308},
+                                    _BACK_EDGE]}, id="column-sum-overflow"),
+    pytest.param({"n": 2, "edges": [{"from": 0, "to": 1}, _BACK_EDGE]}, id="missing-weight"),
+    pytest.param({"n": True, "edges": []}, id="bool-count"),
+    pytest.param({"n": 2.0, "edges": []}, id="float-count"),
+    pytest.param({"n": 100_000, "edges": []}, id="count-above-cap"),
+])
+def test_json_rejects_loose_types_and_sizes(doc):
+    # each used to be accepted, read as another value or end in a numpy traceback
+    with pytest.raises(ParseError):
+        sw.deserialize(json.dumps(doc), "json")
+
+
+def test_node_count_cap_in_both_formats():
+    ok = {"n": MAX_NODES, "edges": [{"from": i, "to": i, "w": 1} for i in range(MAX_NODES)]}
+    assert sw.deserialize(json.dumps(ok), "json").n == MAX_NODES
+    for n in (0, MAX_NODES + 1, 10**30):
+        with pytest.raises(ParseError) as err:
+            sw.deserialize(f"n={n};orientation=column-stochastic\n1.0\n", "csv")
+        assert err.value.line == 1 and err.value.field == "n"
+        with pytest.raises(ParseError):
+            sw.deserialize(json.dumps({"n": n, "edges": []}), "json")
+
+
+# Generated input files: mostly well-formed, with every field sometimes
+# replaced by a value of the wrong type or range.
+_ANY = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=3))
+_EDGE = st.one_of(
+    st.fixed_dictionaries({"from": st.integers(0, 4) | _ANY, "to": st.integers(0, 4) | _ANY,
+                           "w": st.floats(0, 10) | st.integers(0, 5) | _ANY}),
+    st.dictionaries(st.sampled_from(["from", "to", "w"]), _ANY),
+    _ANY,
+)
+_JSON_TEXT = st.fixed_dictionaries(
+    {"n": st.integers(1, 5) | _ANY, "edges": st.lists(_EDGE, max_size=12) | _ANY}
+).map(json.dumps) | st.text(max_size=20)
+_CSV_TOKEN = st.one_of(st.floats(0, 1).map(repr), st.sampled_from(["0", "1", "nan", "-inf", "1e999", ""]),
+                       st.text(max_size=4))
+
+
+@st.composite
+def _csv_text(draw):
+    n = draw(st.integers(1, 4))
+    if draw(st.booleans()):  # a valid matrix, written as the package writes it
+        w = np.array(draw(st.lists(st.floats(1e-3, 1), min_size=n * n, max_size=n * n))).reshape(n, n)
+        return sw.serialize(sw.TransitionMatrix(w / w.sum(axis=0)), "csv")
+    count = draw(st.sampled_from([str(n), "0", str(MAX_NODES + 1), "9" * 30, ""]))
+    orientation = draw(st.sampled_from(["column-stochastic", "row-stochastic"]))
+    rows = draw(st.lists(st.lists(_CSV_TOKEN, min_size=n, max_size=n).map(",".join), max_size=5))
+    return "\n".join([f"n={count};orientation={orientation}", *rows]) + "\n"
+
+
+def _parse_or_none(text: str, fmt: str):
+    """The parsed matrix, checked stochastic, or None on a SemiwalkError."""
+    try:
+        m = sw.deserialize(text, fmt)
+    except SemiwalkError:
+        return None
+    sw.graphs.validate(m)
+    return m
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_JSON_TEXT.map(lambda t: (t, "json")), _csv_text().map(lambda t: (t, "csv"))))
+def test_deserialize_gives_matrix_or_semiwalk_error(case):
+    _parse_or_none(*case)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(_JSON_TEXT.map(lambda t: (t, "json")), _csv_text().map(lambda t: (t, "csv"))))
+def test_family_cli_exits_0_or_2_on_generated_files(case):
+    text, fmt = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / f"graph.{fmt}"
+        path.write_text(text)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["family", "--input", str(path), "--format", fmt, "--tq-max", "2",
+                         "--out", str(Path(tmp) / "out")])
+    if _parse_or_none(text, fmt) is None:
+        assert code == 2
+        assert issubclass(getattr(sw.errors, json.loads(err.getvalue())["error"]), SemiwalkError)
+    else:
+        assert code == 0
 
 
 def test_probability_vector_invariants():
