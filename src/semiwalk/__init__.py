@@ -44,13 +44,11 @@ from .cycles import (
 from .dynamics import (
     LimitResult,
     RankingResult,
-    Trajectory,
     asymmetry,
     evolve,
     limiting_distribution,
     rank_family,
     sample_trajectories,
-    sample_trajectory,
     semiclassical_rank,
 )
 from .circuit import (

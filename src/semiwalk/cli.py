@@ -23,7 +23,7 @@ import numpy as np
 
 from . import circuit as circuit_mod
 from . import corpus, cycles, dynamics, family as family_mod, graphs, instances
-from .errors import SemiwalkError
+from .errors import ParseError, SemiwalkError
 from .graphs import ProbabilityVector, TransitionMatrix
 from .szegedy import EdgeState, SzegedyOperator
 
@@ -129,7 +129,12 @@ def _config_value(key: str, typ: type, value, default):
 
 
 def _load_matrix(opts: dict) -> TransitionMatrix:
-    return graphs.deserialize(Path(opts["input"]).read_text(), opts["format"])
+    data = Path(opts["input"]).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"input is not UTF-8: {exc.reason} at byte {exc.start}") from None
+    return graphs.deserialize(text, opts["format"])
 
 
 def _start(opts: dict, n: int) -> ProbabilityVector:
@@ -264,12 +269,9 @@ def _cmd_sample(opts: dict) -> tuple[int, dict[str, str]]:
     g = _load_matrix(opts)
     steps = opts["steps"]
     member = family_mod.semiclassical_matrix(g, opts["tq"], opts["class"])
-    trajectories = dynamics.sample_trajectories(member, opts["x0"], steps, opts["seed"],
-                                                opts["count"])
-    header = "trajectory,seed," + ",".join(f"x{t}" for t in range(steps + 1))
-    rows = [header]
-    for k, traj in enumerate(trajectories):
-        rows.append(f"{k},{traj.seed}," + ",".join(str(x) for x in traj.nodes))
+    nodes = dynamics.sample_trajectories(member, opts["x0"], steps, opts["seed"], opts["count"])
+    rows = ["trajectory," + ",".join(f"x{t}" for t in range(steps + 1))]
+    rows += [f"{k}," + ",".join(map(str, row)) for k, row in enumerate(nodes.tolist())]
     return 0, {"trajectories.csv": "\n".join(rows) + "\n"}
 
 
@@ -423,11 +425,8 @@ def run_verification(count: int = 100, seed: int = 0) -> list[dict]:
 
     worst_l1 = 0.0
     for x0 in range(2):
-        trajectories = dynamics.sample_trajectories(g2, x0, 1, seed, 20000)
-        freq = np.zeros(2)
-        for traj in trajectories:
-            freq[traj.nodes[1]] += 1
-        freq /= len(trajectories)
+        nodes = dynamics.sample_trajectories(g2, x0, 1, seed, 20000)
+        freq = np.bincount(nodes[:, 1], minlength=2) / len(nodes)
         worst_l1 = max(worst_l1, float(np.abs(freq - g2.g[:, x0]).sum()))
     record("sampler-frequencies", worst_l1 < 0.05, f"max L1 gap {worst_l1:.3f} (tol 0.05)")
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, IndexOutOfRangeError, RankFailedError
+from .errors import DimensionMismatchError, IndexOutOfRangeError, RankFailedError, TooLargeError
 from .graphs import SUPPORT_TOL, ProbabilityVector, TransitionMatrix
 from .family import SemiclassicalFamily, _check_tol, build_family
 
@@ -41,14 +41,13 @@ DEFAULT_TOL = 1e-8
 # distance from an exactly stochastic matrix, whose null space is the one
 # wanted (family members drift off unit column sums like t_q^2 * eps).
 NULL_C = 8
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """A sampled node sequence; identical seeds reproduce it exactly."""
-
-    seed: int
-    nodes: tuple[int, ...]
+# The most nodes one sample_trajectories batch may hold, count * (steps + 1):
+# with its uniform draws that is about 16 bytes a node, 16 MB at the cap
+# (and about 90 MB for the CSV that ``semiwalk sample`` formats from it).
+MAX_SAMPLES = 1_000_000
+# Entries in the (rows, N) comparison a sampler step makes at once (8 MB of
+# gathered float64 cumulative sums).
+SAMPLE_BLOCK = 1 << 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -233,32 +232,38 @@ def semiclassical_rank(
     return rank_family(build_family(g, class_tag, t_q_max), tol=tol, p0=p0)
 
 
-def sample_trajectory(m: TransitionMatrix, x0: int, steps: int, seed: int) -> Trajectory:
-    """Sample x_0..x_steps with inverse-CDF draws from a PCG64 stream.
+def sample_trajectories(m: TransitionMatrix, x0: int, steps: int, seed: int, count: int) -> np.ndarray:
+    """``count`` trajectories x_0..x_steps from x0, as a read-only int64 array
+    of shape (count, steps + 1).
 
-    The stream is fully determined by ``seed``, so identical seeds give
-    identical trajectories regardless of scheduling.
+    One PCG64 stream per batch: u = Generator(PCG64(seed)).random((count,
+    steps)) is drawn in C order, so row k is the stream segment
+    [k * steps, (k + 1) * steps) and depends only on (seed, steps, k). A
+    larger ``count`` extends a smaller batch without changing its rows.
+
+    Step t moves every row at once by inverse-CDF lookup in the current
+    node's column: with c its cumulative sum, the next node is the first j
+    with c[j] > u[k, t], reading c[N - 1] as +inf against rounding. That is
+    searchsorted(c, u[k, t], side="right") capped at N - 1.
     """
     if not (0 <= x0 < m.n):
         raise IndexOutOfRangeError(f"start node {x0} outside 0..{m.n - 1}")
-    if steps < 0:
-        raise ValueError("steps must be nonnegative")
-    rng = np.random.Generator(np.random.PCG64(seed))
-    cum = np.cumsum(m.g, axis=0)
-    nodes = [x0]
-    for _ in range(steps):
-        u = rng.random()
-        x = int(np.searchsorted(cum[:, nodes[-1]], u, side="right"))
-        nodes.append(min(x, m.n - 1))
-    return Trajectory(seed=seed, nodes=tuple(nodes))
-
-
-def sample_trajectories(
-    m: TransitionMatrix,
-    x0: int,
-    steps: int,
-    seed: int,
-    count: int,
-) -> list[Trajectory]:
-    """A reproducible batch; trajectory k uses the derived seed ``seed ^ k``."""
-    return [sample_trajectory(m, x0, steps, seed ^ k) for k in range(count)]
+    for name, value, least in (("count", count, 1), ("steps", steps, 0), ("seed", seed, 0)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+            raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    count, steps = int(count), int(steps)
+    if count * (steps + 1) > MAX_SAMPLES:
+        raise TooLargeError(f"count * (steps + 1) = {count * (steps + 1)} nodes "
+                            f"exceeds MAX_SAMPLES = {MAX_SAMPLES}")
+    u = np.random.Generator(np.random.PCG64(seed)).random((count, steps))
+    cdf = np.cumsum(m.g, axis=0).T.copy()  # cdf[i]: cumulative sum of column i
+    cdf[:, -1] = np.inf
+    nodes = np.empty((count, steps + 1), dtype=np.int64)
+    nodes[:, 0] = x0
+    block = max(1, SAMPLE_BLOCK // m.n)  # rows stepped together, bounding the (rows, N) temporaries
+    for lo in range(0, count, block):
+        rows = slice(lo, lo + block)
+        for t in range(steps):
+            nodes[rows, t + 1] = (u[rows, t, None] >= cdf[nodes[rows, t]]).argmin(axis=1)
+    nodes.setflags(write=False)
+    return nodes

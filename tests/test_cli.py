@@ -71,7 +71,7 @@ def test_sample_is_deterministic(tmp_path):
     assert main(args + ["--out", str(out_b)]) == 0
     assert _dir_bytes(out_a) == _dir_bytes(out_b)
     header = (out_a / "trajectories.csv").read_text().splitlines()[0]
-    assert header.startswith("trajectory,seed,x0,")
+    assert header.startswith("trajectory,x0,")
 
 
 def test_circuit_subcommand(tmp_path):
@@ -178,6 +178,19 @@ def test_nan_input_gives_exit_2(tmp_path, capsys):
     assert main(["family", "--input", str(bad), "--out", str(out)]) == 2
     assert json.loads(capsys.readouterr().err)["error"] == "NotStochasticError"
     assert not (out / "family.json").exists()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_non_utf8_input_is_a_parse_error(tmp_path, capsys, fmt):
+    # read as text, this ended in UnicodeDecodeError, outside SemiwalkError
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"n=2;orientation=column-stochastic\n\xff,1\n")
+    out = tmp_path / "out"
+    assert main(["family", "--input", str(bad), "--format", fmt, "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ParseError"
+    assert "not UTF-8" in err["message"] and "byte 34" in err["message"]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [

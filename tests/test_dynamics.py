@@ -1,3 +1,4 @@
+import json
 from collections import deque
 
 import numpy as np
@@ -10,7 +11,15 @@ from semiwalk.corpus import (
     random_symmetric_stochastic,
     rng_from_seed,
 )
-from semiwalk.errors import DimensionMismatchError, IndexOutOfRangeError, RankFailedError
+from semiwalk import dynamics
+from semiwalk.cli import main
+from semiwalk.dynamics import MAX_SAMPLES
+from semiwalk.errors import (
+    DimensionMismatchError,
+    IndexOutOfRangeError,
+    RankFailedError,
+    TooLargeError,
+)
 
 from conftest import stationary_2x2
 
@@ -290,43 +299,143 @@ def test_rank_running_average_shape(hub):
     )
 
 
+def _searchsorted_sampler(m: sw.TransitionMatrix, x0: int, u: np.ndarray) -> np.ndarray:
+    """The earlier per-trajectory loop, kept as a reference: one searchsorted
+    lookup per step, fed the uniform draws ``u`` (one row per trajectory)."""
+    cum = np.cumsum(m.g, axis=0)
+    rows = []
+    for draws in u:
+        nodes = [x0]
+        for v in draws:
+            x = int(np.searchsorted(cum[:, nodes[-1]], v, side="right"))
+            nodes.append(min(x, m.n - 1))
+        rows.append(nodes)
+    return np.array(rows, dtype=np.int64).reshape(len(u), u.shape[1] + 1)
+
+
+def _sampler_members(two_node, hub):
+    member = sw.build_family(random_stochastic(8, rng_from_seed(89)), 1, 3).member(3)
+    return {"two-node": two_node, "hub": hub, "random N=8 member": member}
+
+
+def test_sample_matches_searchsorted_reference(two_node, hub):
+    for name, m in _sampler_members(two_node, hub).items():
+        for x0 in range(m.n):
+            for seed, steps, count in ((0, 30, 40), (7, 1, 500), (12, 0, 3)):
+                u = np.random.Generator(np.random.PCG64(seed)).random((count, steps))
+                batch = sw.sample_trajectories(m, x0, steps, seed=seed, count=count)
+                assert np.array_equal(batch, _searchsorted_sampler(m, x0, u)), (name, x0, seed)
+
+
+def test_sample_row_blocks_do_not_change_batch(monkeypatch, hub):
+    whole = sw.sample_trajectories(hub, 1, 12, seed=8, count=30)
+    # blocks of 2, 1 and 4 rows: 15 full blocks, 30 blocks, and a short last one
+    for entries in (2 * hub.n, 1, 4 * hub.n):
+        monkeypatch.setattr(dynamics, "SAMPLE_BLOCK", entries)
+        assert np.array_equal(sw.sample_trajectories(hub, 1, 12, seed=8, count=30), whole)
+
+
+def test_sample_returns_read_only_int64_rows(hub):
+    nodes = sw.sample_trajectories(hub, 2, 9, seed=4, count=6)
+    assert nodes.shape == (6, 10) and len(nodes) == 6
+    assert nodes.dtype == np.int64
+    assert not nodes.flags.writeable
+    assert (nodes[:, 0] == 2).all()
+
+
+def test_sample_larger_count_extends_batch(two_node, hub):
+    for m in _sampler_members(two_node, hub).values():
+        for steps in (0, 1, 25):
+            small = sw.sample_trajectories(m, 0, steps, seed=31, count=5)
+            large = sw.sample_trajectories(m, 0, steps, seed=31, count=20)
+            assert np.array_equal(small, large[:5])
+
+
+def test_sample_distinct_seeds_give_distinct_batches(two_node, hub):
+    # under the derived seeds seed ^ k, seeds 0 and 1 gave the same two
+    # trajectories in swapped order
+    a = sw.sample_trajectories(two_node, 0, 5, seed=0, count=2)
+    b = sw.sample_trajectories(two_node, 0, 5, seed=1, count=2)
+    assert not np.array_equal(a, b)
+    assert not np.array_equal(a, b[::-1])
+    # 50 steps on the hub: no two of these 80 rows should coincide
+    rows = np.concatenate([sw.sample_trajectories(hub, 0, 50, seed=s, count=4) for s in range(20)])
+    assert len(np.unique(rows, axis=0)) == len(rows)
+
+
 def test_sample_permutation_member_alternates():
     member = sw.cycle_semiclassical(6, 3)
-    traj = sw.sample_trajectory(member, 0, 7, seed=5)
-    assert traj.nodes == (0, 3, 0, 3, 0, 3, 0, 3)
+    nodes = sw.sample_trajectories(member, 0, 7, seed=5, count=3)
+    assert (nodes == [0, 3, 0, 3, 0, 3, 0, 3]).all()
 
 
 def test_sample_same_seed_identical(hub):
-    a = sw.sample_trajectory(hub, 2, 40, seed=99)
-    b = sw.sample_trajectory(hub, 2, 40, seed=99)
-    assert a.nodes == b.nodes
-    c = sw.sample_trajectory(hub, 2, 40, seed=100)
-    assert c.nodes != a.nodes
+    a = sw.sample_trajectories(hub, 2, 40, seed=99, count=3)
+    b = sw.sample_trajectories(hub, 2, 40, seed=99, count=3)
+    assert np.array_equal(a, b)
+    c = sw.sample_trajectories(hub, 2, 40, seed=100, count=3)
+    assert not np.array_equal(a, c)
 
 
 def test_sample_transitions_follow_support(hub):
-    traj = sw.sample_trajectory(hub, 0, 200, seed=3)
-    for x, y in zip(traj.nodes, traj.nodes[1:]):
-        assert hub.g[y, x] > 0
+    nodes = sw.sample_trajectories(hub, 0, 200, seed=3, count=5)
+    assert (hub.g[nodes[:, 1:], nodes[:, :-1]] > 0).all()
 
 
 def test_sample_single_step_frequencies(two_node):
-    trajectories = sw.sample_trajectories(two_node, 0, 1, seed=0, count=20000)
-    freq = np.bincount([t.nodes[1] for t in trajectories], minlength=2) / 20000
+    nodes = sw.sample_trajectories(two_node, 0, 1, seed=0, count=20000)
+    freq = np.bincount(nodes[:, 1], minlength=2) / 20000
     assert abs(freq[1] - 0.9) <= 0.02
 
 
-def test_sample_batch_uses_derived_seeds(two_node):
-    batch = sw.sample_trajectories(two_node, 0, 3, seed=12, count=4)
-    assert [t.seed for t in batch] == [12 ^ k for k in range(4)]
-    # each stream matches the equivalent standalone call
-    for k, traj in enumerate(batch):
-        assert traj.nodes == sw.sample_trajectory(two_node, 0, 3, 12 ^ k).nodes
+def test_sample_single_step_frequencies_hub_member(hub):
+    # 20000 one-step draws from each start of the 7-node member at t_q = 2.
+    # Each count is binomial, so 5 standard errors, sqrt(p (1 - p) / n), bound
+    # its frequency's gap (about 3e-5 for the 49 entries together); a zero
+    # entry of the column is never drawn.
+    member = sw.build_family(hub, 1, 2).member(2)
+    shots = 20000
+    for x0 in range(member.n):
+        nodes = sw.sample_trajectories(member, x0, 1, seed=x0, count=shots)
+        freq = np.bincount(nodes[:, 1], minlength=member.n) / shots
+        p = member.g[:, x0]
+        assert (np.abs(freq - p) <= 5 * np.sqrt(p * (1 - p) / shots)).all(), x0
 
 
 def test_sample_rejects_bad_start(two_node):
     with pytest.raises(IndexOutOfRangeError):
-        sw.sample_trajectory(two_node, 5, 1, seed=0)
+        sw.sample_trajectories(two_node, 5, 1, seed=0, count=1)
+
+
+_BAD_BATCHES = [
+    pytest.param({"count": -1}, ValueError, "count must be an integer >= 1", id="negative-count"),
+    pytest.param({"count": 0}, ValueError, "count must be an integer >= 1", id="zero-count"),
+    pytest.param({"steps": -1}, ValueError, "steps must be an integer >= 0", id="negative-steps"),
+    pytest.param({"seed": -1}, ValueError, "seed must be an integer >= 0", id="negative-seed"),
+    pytest.param({"count": MAX_SAMPLES // 2 + 1}, TooLargeError, "MAX_SAMPLES", id="too-many-nodes"),
+]
+
+
+@pytest.mark.parametrize("change, error, message", _BAD_BATCHES)
+def test_sample_batch_boundary(tmp_path, capsys, two_node, change, error, message):
+    batch = {"steps": 1, "seed": 0, "count": 1, **change}
+    with pytest.raises(error, match=message):
+        sw.sample_trajectories(two_node, 0, **batch)
+    graph = tmp_path / "two_node.csv"
+    graph.write_text(sw.serialize(two_node, "csv"))
+    argv = ["sample", "--input", str(graph), "--out", str(tmp_path / "out")]
+    for key, value in batch.items():
+        argv += [f"--{key}", str(value)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert json.loads(err)["error"] == error.__name__
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("seed", [1.5, True, "3", None])
+def test_sample_seed_must_be_an_integer(two_node, seed):
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        sw.sample_trajectories(two_node, 0, 1, seed=seed, count=1)
 
 
 def test_asymmetry_values(two_node, hub):
