@@ -30,6 +30,8 @@ from .szegedy import EdgeState, SzegedyOperator
 ENV_OUT = "SEMIWALK_OUT"
 
 _TWO_NODE_LIMITS = {1: 9 / 11, 2: 153 / 299, 3: 8 / 9}
+# the start vector of the paper's two-node experiment (fig9, fig10, verify)
+_EXPERIMENT_P0 = ProbabilityVector(np.array([0.8, 0.2]))
 
 
 def main(argv=None) -> int:
@@ -163,6 +165,16 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
+def _member_dots(fam: family_mod.SemiclassicalFamily, count: int, width: int) -> dict[str, str]:
+    """``member_<t>.dot`` for t_q = 1..count, t zero-padded to ``width`` digits."""
+    return {f"member_{t:0{width}d}.dot": graphs.serialize(fam.member(t), "dot")
+            for t in range(1, count + 1)}
+
+
+def _components(fam: family_mod.SemiclassicalFamily, count: int) -> dict[str, list]:
+    return {str(t): cycles.components(fam.member(t)) for t in range(1, count + 1)}
+
+
 # --- subcommand handlers ------------------------------------------------------
 # A handler takes the resolved options, writes back any value it derives, and
 # returns (exit code, artifacts); ``main`` records the options in the manifest.
@@ -171,60 +183,47 @@ def _cmd_family(opts: dict) -> tuple[int, dict[str, str]]:
     g = _load_matrix(opts)
     t_q_max = opts["tq_max"]
     fam = family_mod.build_family(g, opts["class"], t_q_max)
-    artifacts = {"family.json": fam.to_json() + "\n"}
-    width = len(str(t_q_max))
-    for t in range(1, t_q_max + 1):
-        artifacts[f"member_{t:0{width}d}.dot"] = graphs.serialize(fam.member(t), "dot")
-    return 0, artifacts
+    return 0, {"family.json": fam.to_json() + "\n", **_member_dots(fam, t_q_max, len(str(t_q_max)))}
 
 
-def _cmd_cycle(opts: dict) -> tuple[int, dict[str, str]]:
-    n, tol = opts["n"], opts["tol"]
-    if opts["tq_max"] is None:
-        opts["tq_max"] = 2 * n
-    t_q_max = opts["tq_max"]
+def _cycle_report(n: int, t_q_max: int, tol: float) -> tuple[dict, family_mod.SemiclassicalFamily]:
+    """The n-cycle's measured counts and periods against the closed forms."""
     g = cycles.cycle_graph(n)
     fam = family_mod.build_family(g, 1, t_q_max)
-    predicted = cycles.cycle_predictions(n)
     measured = {
         "distinct_count": family_mod.distinct_matrices(fam, tol),
         "family_period": family_mod.family_period(fam, tol),
         "unitary_period": family_mod.unitary_period(g, 2 * n, tol),
     }
+    pred = cycles.cycle_predictions(n)
+    predicted = {key: getattr(pred, key) for key in measured}
     deviation = max(
         float(np.abs(cycles.cycle_semiclassical(n, t).g - fam.member(t).g).max())
         for t in range(1, t_q_max + 1)
     )
-    comps = {
-        str(t): cycles.components(fam.member(t))
-        for t in range(1, min(t_q_max, n) + 1)
-    }
-    ok = (
-        measured["distinct_count"] == predicted.distinct_count
-        and measured["family_period"] == predicted.family_period
-        and measured["unitary_period"] == predicted.unitary_period
-        and deviation <= 1e-12
-    )
     report = {
         "n": n,
-        "predicted": {
-            "distinct_count": predicted.distinct_count,
-            "family_period": predicted.family_period,
-            "unitary_period": predicted.unitary_period,
-        },
+        "predicted": predicted,
         "measured": measured,
         "closed_form_max_deviation": deviation,
-        "components": comps,
-        "match": ok,
+        "match": measured == predicted and deviation <= 1e-12,
     }
-    artifacts = {"cycle.json": _json_text(report)}
-    width = len(str(n))
-    for t in range(1, min(t_q_max, n) + 1):
-        artifacts[f"member_{t:0{width}d}.dot"] = graphs.serialize(fam.member(t), "dot")
+    return report, fam
+
+
+def _cmd_cycle(opts: dict) -> tuple[int, dict[str, str]]:
+    n = opts["n"]
+    if opts["tq_max"] is None:
+        opts["tq_max"] = 2 * n
+    report, fam = _cycle_report(n, opts["tq_max"], opts["tol"])
+    count = min(opts["tq_max"], n)
+    report["components"] = _components(fam, count)
+    measured, ok = report["measured"], report["match"]
     print(f"{'PASS' if ok else 'FAIL'} cycle n={n}: "
           f"distinct={measured['distinct_count']} family_period={measured['family_period']} "
-          f"unitary_period={measured['unitary_period']} closed-form dev={deviation:.2e}")
-    return (0 if ok else 1), artifacts
+          f"unitary_period={measured['unitary_period']} "
+          f"closed-form dev={report['closed_form_max_deviation']:.2e}")
+    return (0 if ok else 1), {"cycle.json": _json_text(report), **_member_dots(fam, count, len(str(n)))}
 
 
 def _evolve_csv(member: TransitionMatrix, p0: ProbabilityVector, steps: int) -> str:
@@ -279,28 +278,29 @@ def _cmd_circuit(opts: dict) -> tuple[int, dict[str, str]]:
     g = instances.two_node_chain() if opts["input"] is None else _load_matrix(opts)
     t_q, t_c = opts["tq"], opts["tc"]
     c = circuit_mod.build_circuit(g, _start(opts, 2), t_q, t_c)
-    block_dev = circuit_mod.verify_block(g, t_q)
-    member = family_mod.semiclassical_matrix(g, t_q, 1)
-    channel_dev = float(np.abs(circuit_mod.segment_channel(g, t_q) - member.g).max())
+    block_dev, channel_dev = _circuit_deviations(g, t_q)
     ok = block_dev < 1e-9 and channel_dev < 1e-10
-    report = {
-        "t_q": t_q,
-        "t_c": t_c,
-        "alpha": c.alpha,
-        "theta0": c.theta0,
-        "theta1": c.theta1,
-        "block_deviation": block_dev,
-        "channel_deviation": channel_dev,
-        "ok": ok,
-    }
-    artifacts = {
-        "circuit.qasm": circuit_mod.export_openqasm(c, classical_control=opts["classical_control"]),
-        "gates.json": c.to_json() + "\n",
-        "verify.json": _json_text(report),
-    }
+    artifacts = _circuit_artifacts(c, opts["classical_control"], t_q=t_q, t_c=t_c,
+                                   block_deviation=block_dev, channel_deviation=channel_dev, ok=ok)
     print(f"{'PASS' if ok else 'FAIL'} circuit t_q={t_q}: "
           f"block dev={block_dev:.2e} channel dev={channel_dev:.2e}")
     return (0 if ok else 1), artifacts
+
+
+def _circuit_artifacts(c: circuit_mod.CircuitDescription, classical_control: bool,
+                       **checks) -> dict[str, str]:
+    """circuit.qasm, gates.json, and verify.json: the angles of c plus ``checks``."""
+    report = {"alpha": c.alpha, "theta0": c.theta0, "theta1": c.theta1, **checks}
+    return {"circuit.qasm": circuit_mod.export_openqasm(c, classical_control=classical_control),
+            "gates.json": c.to_json() + "\n", "verify.json": _json_text(report)}
+
+
+def _circuit_deviations(g: TransitionMatrix, t_q: int) -> tuple[float, float]:
+    """Max deviations of the composed gates from the dense operator's block and
+    of the circuit's node channel from family member t_q."""
+    block = circuit_mod.verify_block(g, t_q)
+    member = family_mod.semiclassical_matrix(g, t_q, 1)
+    return block, float(np.abs(circuit_mod.segment_channel(g, t_q) - member.g).max())
 
 
 # --- verify -------------------------------------------------------------------
@@ -316,13 +316,21 @@ def _cmd_verify(opts: dict) -> tuple[int, dict[str, str]]:
 
 
 def run_verification(count: int = 100, seed: int = 0) -> list[dict]:
-    """The theorem/property suite behind ``semiwalk verify``."""
+    """The theorem/property suite behind ``semiwalk verify``.
+
+    The corpus and the three later random checks draw from independent
+    streams spawned from ``seed``; the sampler check uses ``seed`` itself.
+    """
+    for key, value, least in (("count", count, 1), ("seed", seed, 0)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+            raise ValueError(f"{key} must be an integer >= {least}, got {value!r}")
+    corpus_seq, unitarity_seq, uniform_seq, circulant_seq = np.random.SeedSequence(seed).spawn(4)
     checks: list[dict] = []
 
     def record(name: str, passed: bool, detail: str):
         checks.append({"name": name, "passed": bool(passed), "detail": detail})
 
-    mats = corpus.random_stochastic_corpus(count, seed)
+    mats = corpus.random_stochastic_corpus(count, corpus_seq)
 
     dev1 = dev2 = dev3 = 0.0
     for g in mats:
@@ -336,7 +344,7 @@ def run_verification(count: int = 100, seed: int = 0) -> list[dict]:
     record("classical-limit-II", dev2 < 1e-12, f"max dev {dev2:.2e} (tol 1e-12)")
     record("class-equivalence", dev3 < 1e-12, f"max dev {dev3:.2e} (tol 1e-12)")
 
-    rng = corpus.rng_from_seed(seed + 1)
+    rng = corpus.rng_from_seed(unitarity_seq)
     dev_u = dev_mf = 0.0
     for g in mats:
         op = SzegedyOperator(g)
@@ -349,24 +357,13 @@ def run_verification(count: int = 100, seed: int = 0) -> list[dict]:
     record("unitarity", dev_u < 1e-10, f"max |U+U - 1| {dev_u:.2e} (tol 1e-10)")
     record("matrix-free-vs-dense", dev_mf < 1e-10, f"max dev {dev_mf:.2e} (tol 1e-10)")
 
-    worst = 0.0
-    predictions_ok = True
-    for n in range(3, 11):
-        g = cycles.cycle_graph(n)
-        fam = family_mod.build_family(g, 1, 2 * n)
-        for t in range(1, 2 * n + 1):
-            worst = max(worst, float(np.abs(cycles.cycle_semiclassical(n, t).g - fam.member(t).g).max()))
-        pred = cycles.cycle_predictions(n)
-        predictions_ok &= (
-            family_mod.distinct_matrices(fam) == pred.distinct_count
-            and family_mod.family_period(fam) == pred.family_period
-            and family_mod.unitary_period(g, 2 * n) == pred.unitary_period
-        )
+    cycle_reports = {n: _cycle_report(n, 2 * n, family_mod.MATRIX_TOL) for n in range(3, 11)}
+    worst = max(r["closed_form_max_deviation"] for r, _ in cycle_reports.values())
+    predictions_ok = all(r["measured"] == r["predicted"] for r, _ in cycle_reports.values())
     record("cycle-closed-form", worst < 1e-12, f"max dev {worst:.2e} (tol 1e-12)")
     record("cycle-predictions", predictions_ok, "counts and periods match for n=3..10")
 
-    fam6 = family_mod.build_family(cycles.cycle_graph(6), 1, 6)
-    fam7 = family_mod.build_family(cycles.cycle_graph(7), 1, 2)
+    fam6, fam7 = cycle_reports[6][1], cycle_reports[7][1]
     breaking_ok = (
         cycles.components(fam6.member(2)) == [[0, 2, 4], [1, 3, 5]]
         and cycles.components(fam6.member(3)) == [[0, 3], [1, 4], [2, 5]]
@@ -375,7 +372,7 @@ def run_verification(count: int = 100, seed: int = 0) -> list[dict]:
     )
     record("graph-breaking", breaking_ok, "6-cycle triangles/pairs/singletons, 7-cycle chain")
 
-    rng = corpus.rng_from_seed(seed + 2)
+    rng = corpus.rng_from_seed(uniform_seq)
     dev4 = dev5 = 0.0
     for k in range(50):
         n = 3 + k % 8
@@ -388,7 +385,7 @@ def run_verification(count: int = 100, seed: int = 0) -> list[dict]:
     record("uniform-fixed-point", dev4 < 1e-12, f"max dev {dev4:.2e} (tol 1e-12)")
     record("uniform-superposition-eigenvector", dev5 < 1e-12, f"max dev {dev5:.2e} (tol 1e-12)")
 
-    rng = corpus.rng_from_seed(seed + 3)
+    rng = corpus.rng_from_seed(circulant_seq)
     dev_sym = 0.0
     for k in range(50):
         n = 3 + k % 8
@@ -399,8 +396,7 @@ def run_verification(count: int = 100, seed: int = 0) -> list[dict]:
     record("homogeneous-symmetry-preserved", dev_sym < 1e-9, f"max asymmetry {dev_sym:.2e} (tol 1e-9)")
 
     g2 = instances.two_node_chain()
-    p0 = ProbabilityVector(np.array([0.8, 0.2]))
-    series = [float(dynamics.evolve(g2, p0, t).p[1]) for t in range(3)]
+    series = [float(dynamics.evolve(g2, _EXPERIMENT_P0, t).p[1]) for t in range(3)]
     limits_ok = abs(series[0] - 0.2) < 1e-12 and abs(series[1] - 0.88) < 1e-12 and abs(series[2] - 0.812) < 1e-12
     worst_limit = 0.0
     for t_q, target in _TWO_NODE_LIMITS.items():
@@ -408,17 +404,11 @@ def run_verification(count: int = 100, seed: int = 0) -> list[dict]:
         res = dynamics.limiting_distribution(member)
         worst_limit = max(worst_limit, abs(float(res.distribution.p[1]) - target))
     record("two-node-evolution", limits_ok, f"node-1 series {series}")
-    record("two-node-limits", worst_limit < 1e-3, f"max gap to exact limits {worst_limit:.2e} (tol 1e-3)")
+    record("two-node-limits", worst_limit < 1e-12, f"max gap to exact limits {worst_limit:.2e} (tol 1e-12)")
 
-    alpha, th0, th1 = circuit_mod.prep_angles(g2, p0)
-    angles_ok = (
-        abs(alpha - 0.927) < 5e-4 and abs(th0 - 2.50) < 5e-3 and abs(th1 - 2.21) < 5e-3
-    )
-    block_dev = max(circuit_mod.verify_block(g2, t) for t in (1, 2, 3))
-    channel_dev = max(
-        float(np.abs(circuit_mod.segment_channel(g2, t) - family_mod.semiclassical_matrix(g2, t, 1).g).max())
-        for t in (1, 2, 3)
-    )
+    alpha, th0, th1 = circuit_mod.prep_angles(g2, _EXPERIMENT_P0)
+    angles_ok = abs(alpha - 0.927) < 5e-4 and abs(th0 - 2.50) < 5e-3 and abs(th1 - 2.21) < 5e-3
+    block_dev, channel_dev = np.max([_circuit_deviations(g2, t) for t in (1, 2, 3)], axis=0)
     record("circuit-angles", angles_ok, f"alpha={alpha:.4f} theta0={th0:.4f} theta1={th1:.4f}")
     record("circuit-block", block_dev < 1e-9, f"max dev {block_dev:.2e} (tol 1e-9)")
     record("circuit-channel", channel_dev < 1e-10, f"max dev {channel_dev:.2e} (tol 1e-10)")
@@ -457,14 +447,8 @@ def _periodicity(n: int, t_q_max: int) -> dict[str, str]:
 
 def _preset_cycle_graphs(n: int) -> dict[str, str]:
     fam = family_mod.build_family(cycles.cycle_graph(n), 1, n)
-    artifacts = {}
-    for t in range(1, n + 1):
-        artifacts[f"member_{t}.dot"] = graphs.serialize(fam.member(t), "dot")
-    artifacts["family.json"] = fam.to_json() + "\n"
-    artifacts["components.json"] = _json_text(
-        {str(t): cycles.components(fam.member(t)) for t in range(1, n + 1)}
-    )
-    return artifacts
+    return {**_member_dots(fam, n, 1), "family.json": fam.to_json() + "\n",
+            "components.json": _json_text(_components(fam, n))}
 
 
 def _preset_fig3() -> dict[str, str]:
@@ -502,29 +486,15 @@ def _preset_fig7() -> dict[str, str]:
 
 def _preset_fig9() -> dict[str, str]:
     g = instances.two_node_chain()
-    p0 = ProbabilityVector(np.array([0.8, 0.2]))
-    c = circuit_mod.build_circuit(g, p0, 1, 2)
-    report = {
-        "alpha": c.alpha,
-        "theta0": c.theta0,
-        "theta1": c.theta1,
-        "block_deviation": circuit_mod.verify_block(g, 1),
-    }
-    return {
-        "circuit.qasm": circuit_mod.export_openqasm(c),
-        "gates.json": c.to_json() + "\n",
-        "verify.json": _json_text(report),
-    }
+    c = circuit_mod.build_circuit(g, _EXPERIMENT_P0, 1, 2)
+    return _circuit_artifacts(c, False, block_deviation=circuit_mod.verify_block(g, 1))
 
 
 def _preset_fig10() -> dict[str, str]:
-    g = instances.two_node_chain()
-    p0 = ProbabilityVector(np.array([0.8, 0.2]))
-    fam = family_mod.build_family(g, 1, 3)
-    artifacts = {"family.json": fam.to_json() + "\n"}
+    fam = family_mod.build_family(instances.two_node_chain(), 1, 3)
+    artifacts = {"family.json": fam.to_json() + "\n", **_member_dots(fam, 3, 1)}
     for t in range(1, 4):
-        artifacts[f"member_{t}.dot"] = graphs.serialize(fam.member(t), "dot")
-        artifacts[f"evolve_tq{t}.csv"] = _evolve_csv(fam.member(t), p0, 30)
+        artifacts[f"evolve_tq{t}.csv"] = _evolve_csv(fam.member(t), _EXPERIMENT_P0, 30)
     return artifacts
 
 

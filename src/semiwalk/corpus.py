@@ -7,7 +7,7 @@ import numpy as np
 from .graphs import TransitionMatrix
 
 
-def rng_from_seed(seed: int) -> np.random.Generator:
+def rng_from_seed(seed: int | np.random.SeedSequence) -> np.random.Generator:
     """PCG64 stream; the single RNG used everywhere in this package."""
     return np.random.Generator(np.random.PCG64(seed))
 
@@ -52,7 +52,7 @@ def random_circulant_symmetric(n: int, rng: np.random.Generator) -> TransitionMa
 
 
 def random_stochastic_corpus(
-    count: int, seed: int, n_min: int = 2, n_max: int = 8
+    count: int, seed: int | np.random.SeedSequence, n_min: int = 2, n_max: int = 8
 ) -> list[TransitionMatrix]:
     """Deterministic corpus cycling through sizes n_min..n_max."""
     rng = rng_from_seed(seed)

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import TooSmallError
-from .graphs import SUPPORT_TOL, TransitionMatrix
+from .errors import TooLargeError, TooSmallError
+from .graphs import MAX_NODES, SUPPORT_TOL, TransitionMatrix
 
 
 @dataclass(frozen=True)
@@ -29,26 +29,24 @@ class CyclePrediction:
 def cycle_graph(n: int) -> TransitionMatrix:
     """Transition matrix of the n-cycle: jump to either neighbor with 1/2.
 
-    n = 2 is rejected: the two neighbors coincide there, which the cycle
-    formulas do not model.
+    This is the closed-form member at t_q = 1, which is the input itself.
     """
-    if n < 3:
-        raise TooSmallError(f"cycle formulas need n >= 3, got {n}")
-    g = np.zeros((n, n))
-    for i in range(n):
-        g[(i + 1) % n, i] = 0.5
-        g[(i - 1) % n, i] = 0.5
-    return TransitionMatrix(g)
+    return cycle_semiclassical(n, 1)
 
 
 def cycle_semiclassical(n: int, t_q: int) -> TransitionMatrix:
     """Closed-form family member: node i links to i +/- t_q (mod n).
 
     When the two targets coincide (2 t_q divisible by n) the entry is an
-    explicit 1 rather than a sum of halves, keeping the formula exact.
+    explicit 1 rather than a sum of halves, keeping the formula exact. n = 2
+    is rejected: the two neighbors coincide there, which the cycle formulas
+    do not model. n above ``graphs.MAX_NODES`` is rejected before the n x n
+    matrix is allocated.
     """
     if n < 3:
         raise TooSmallError(f"cycle formulas need n >= 3, got {n}")
+    if n > MAX_NODES:
+        raise TooLargeError(f"n = {n} exceeds MAX_NODES = {MAX_NODES}")
     if t_q < 1:
         raise ValueError("t_q must be >= 1")
     g = np.zeros((n, n))

@@ -45,11 +45,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientRangeError
+from .errors import InsufficientRangeError, TooLargeError
 from .graphs import TransitionMatrix, serialize
 from .szegedy import SzegedyOperator
 
 MATRIX_TOL = 1e-9
+# Cap on N^2 * t_q_max, the float64 entries a family holds (2**24 is 128 MiB).
+MAX_ENTRIES = 2**24
 
 
 def _check_tol(tol: float) -> None:
@@ -112,13 +114,16 @@ def build_family(g: TransitionMatrix, class_tag: int, t_q_max: int) -> Semiclass
     like t^2 * eps there. Two-node chains, which always have lam = 1, show
     6e-13 at t_q = 60 and 2e-10 at t_q = 1000; from t_q = 1855 their column
     sums drift past the 1e-9 that ``validate`` allows and the member is
-    rejected with NotStochasticError.
+    rejected with NotStochasticError. A family of more than ``MAX_ENTRIES``
+    entries, N^2 * t_q_max, is a TooLargeError before anything is allocated.
     """
     if t_q_max < 1:
         raise ValueError("t_q_max must be >= 1")
     if class_tag not in (1, 2):
         raise ValueError("class_tag must be 1 or 2")
     n = g.n
+    if n * n * t_q_max > MAX_ENTRIES:
+        raise TooLargeError(f"N^2 * t_q_max = {n * n * t_q_max} entries exceeds MAX_ENTRIES = {MAX_ENTRIES}")
     d = np.sqrt(g.g * g.g.T)
     s = g.g.sum(axis=0)[:, None]
     alpha, beta, d_beta = np.eye(n), np.zeros((n, n)), np.zeros((n, n))

@@ -24,8 +24,14 @@ D b - A b`` for column-stochastic G, where ``D = A^T S A = sqrt(G o G^T)`` is
 an N x N matrix. Every proxy state starts in that span, so its whole orbit
 is fixed by two N-vectors of coefficients; ``family.build_family`` evolves
 those instead of the N^2 amplitudes, and ``_eigenphases`` reads U's spectrum
-off D. ``apply`` and ``dense`` stay as the amplitude-level operator that
-those shortcuts are tested against.
+off D.
+
+The rest of this module is the reference operator: ``EdgeState``,
+``SzegedyOperator.apply``, ``reflect``, ``dense``, ``proxy_state`` and
+``uniform_superposition``, and ``register_distribution``. They step the N^2
+amplitudes themselves and are the oracle the shortcuts are tested against.
+No production path uses them; only ``semiwalk verify``,
+``circuit.verify_block`` and the tests do.
 """
 
 from __future__ import annotations

@@ -1,12 +1,15 @@
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import semiwalk as sw
-from semiwalk.cli import main
+from semiwalk.cli import main, run_verification
+from semiwalk.family import MAX_ENTRIES
+from semiwalk.graphs import MAX_NODES
 
 
 def _write_two_node(tmp_path: Path) -> Path:
@@ -280,18 +283,23 @@ def test_manifest_config_replays_run(tmp_path, argv):
     assert _dir_bytes(out_a) == _dir_bytes(out_b)
 
 
-@pytest.mark.parametrize("subcommand, config", [
-    pytest.param("cycle", {"n": 6, "tqmax": 4}, id="unknown-key"),
-    pytest.param("cycle", {"n": 6, "tq_max": "4"}, id="string-for-int"),
-    pytest.param("cycle", {"n": 6.0}, id="float-for-int"),
-    pytest.param("family", {"input": "{two_csv}", "class": 3}, id="outside-choices"),
-    pytest.param("family", {"input": "{two_csv}", "class_tag": 2}, id="old-class-key"),
-    pytest.param("circuit", {"classical_control": 1}, id="int-for-bool"),
-    pytest.param("evolve", {"input": "{two_csv}", "p0": "0.8,0.2"}, id="string-for-list"),
-    pytest.param("preset", {"name": "fig8"}, id="unknown-preset"),
-    pytest.param("rank", {"input": "{two_csv}", "max_iter": 100}, id="removed-max-iter"),
+@pytest.mark.parametrize("subcommand, config, key", [
+    pytest.param("cycle", {"n": 6, "tqmax": 4}, "tqmax", id="unknown-key"),
+    pytest.param("cycle", {"n": 6, "tq_max": "4"}, "tq_max", id="string-for-int"),
+    pytest.param("cycle", {"n": 6.0}, "n", id="float-for-int"),
+    pytest.param("family", {"input": "{two_csv}", "class": 3}, "class", id="outside-choices"),
+    pytest.param("family", {"input": "{two_csv}", "class_tag": 2}, "class_tag", id="old-class-key"),
+    pytest.param("circuit", {"classical_control": 1}, "classical_control", id="int-for-bool"),
+    pytest.param("evolve", {"input": "{two_csv}", "p0": "0.8,0.2"}, "p0", id="string-for-list"),
+    pytest.param("preset", {"name": "fig8"}, "name", id="unknown-preset"),
+    pytest.param("rank", {"input": "{two_csv}", "max_iter": 100}, "max_iter", id="removed-max-iter"),
+    # verify used to pass five checks over an empty corpus, and to end a
+    # negative seed in numpy's message, which names no key
+    pytest.param("verify", {"count": 0}, "count", id="verify-count-zero"),
+    pytest.param("verify", {"count": -5}, "count", id="verify-count-negative"),
+    pytest.param("verify", {"count": 1, "seed": -1}, "seed", id="verify-seed-negative"),
 ])
-def test_bad_config_gives_json_error_and_exit_2(tmp_path, capsys, subcommand, config):
+def test_bad_config_gives_json_error_and_exit_2(tmp_path, capsys, subcommand, config, key):
     two_csv = str(_write_two_node(tmp_path))
     doc = {k: v.format(two_csv=two_csv) if isinstance(v, str) else v for k, v in config.items()}
     path = tmp_path / "run.json"
@@ -300,5 +308,30 @@ def test_bad_config_gives_json_error_and_exit_2(tmp_path, capsys, subcommand, co
     assert main([subcommand, "--config", str(path), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err
-    assert json.loads(err)["error"] == "ValueError"
+    doc = json.loads(err)
+    assert doc["error"] == "ValueError"
+    assert re.search(rf"\b{key}\b", doc["message"]), doc["message"]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, cap", [
+    pytest.param(["cycle", "--n", str(MAX_NODES + 1)], "MAX_NODES", id="cycle-n"),
+    pytest.param(["family", "--input", "{hub}", "--tq-max", "{tq_max}"], "MAX_ENTRIES", id="family-tq-max"),
+    pytest.param(["rank", "--input", "{hub}", "--tq-max", "{tq_max}"], "MAX_ENTRIES", id="rank-tq-max"),
+])
+def test_size_caps_exit_2_before_allocating(tmp_path, capsys, argv, cap):
+    hub = _write_hub(tmp_path)
+    tq_max = MAX_ENTRIES // sw.symmetric_hub().n ** 2 + 1
+    argv = [arg.format(hub=hub, tq_max=tq_max) for arg in argv]
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 2
+    doc = json.loads(capsys.readouterr().err)
+    assert doc["error"] == "TooLargeError" and cap in doc["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_verify_checks_pass_across_seeds(seed):
+    checks = run_verification(count=100, seed=seed)
+    assert len(checks) == 17
+    assert [c["name"] for c in checks if not c["passed"]] == []

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import semiwalk as sw
-from semiwalk.errors import TooSmallError
+from semiwalk.errors import TooLargeError, TooSmallError
+from semiwalk.graphs import MAX_NODES
 
 
 def _components_by_search(g: np.ndarray, tol: float = 1e-9) -> list[list[int]]:
@@ -59,6 +60,19 @@ def test_cycle_graph_too_small():
         sw.cycle_semiclassical(2, 1)
     with pytest.raises(TooSmallError):
         sw.cycle_predictions(2)
+
+
+def test_cycle_graph_is_the_first_closed_form_member():
+    for n in range(3, 12):
+        assert np.array_equal(sw.cycle_graph(n).g, sw.cycle_semiclassical(n, 1).g)
+
+
+def test_cycle_above_node_cap_is_too_large():
+    # rejected before the n x n matrix is allocated
+    assert sw.cycle_graph(MAX_NODES).n == MAX_NODES
+    for make in (sw.cycle_graph, lambda n: sw.cycle_semiclassical(n, 1)):
+        with pytest.raises(TooLargeError, match="MAX_NODES"):
+            make(MAX_NODES + 1)
 
 
 def test_closed_form_six_cycle_members():

@@ -10,7 +10,9 @@ from semiwalk.corpus import (
     random_symmetric_stochastic,
     rng_from_seed,
 )
-from semiwalk.errors import InsufficientRangeError
+from semiwalk.errors import InsufficientRangeError, TooLargeError
+from semiwalk.family import MAX_ENTRIES
+from semiwalk.graphs import MAX_NODES
 from semiwalk.szegedy import SzegedyOperator
 
 # two-node family members frozen from an independent dense-operator computation
@@ -235,6 +237,14 @@ def test_family_argument_validation(two_node):
     fam = sw.build_family(two_node, 1, 2)
     with pytest.raises(IndexError):
         fam.member(3)
+
+
+def test_family_above_entry_cap_is_too_large(two_node):
+    # N^2 * t_q_max entries are checked before any member is computed
+    with pytest.raises(TooLargeError, match="MAX_ENTRIES"):
+        sw.build_family(two_node, 1, MAX_ENTRIES // 4 + 1)
+    with pytest.raises(TooLargeError, match="MAX_ENTRIES"):
+        sw.semiclassical_matrix(sw.cycle_graph(MAX_NODES), 17, 2)
 
 
 @pytest.mark.parametrize("tol", [float("nan"), 0.0, -1e-9])
