@@ -1,5 +1,8 @@
 """Szegedy walk operators, their measured walk families, and node ranking."""
 
+# set before the submodule imports, so a submodule may import it
+__version__ = "0.1.0"
+
 from .errors import (
     DanglingNodeError,
     DimensionMismatchError,
@@ -64,5 +67,3 @@ from .circuit import (
     walk_block_gates,
 )
 from .instances import asymmetric_ring, symmetric_hub, two_node_chain
-
-__version__ = "0.1.0"

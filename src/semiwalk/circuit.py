@@ -38,9 +38,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParseError, UnsupportedSizeError
+from .errors import ParseError, TooLargeError, UnsupportedSizeError
 from .graphs import ProbabilityVector, TransitionMatrix, serialize
 from .szegedy import SzegedyOperator
+
+# cap on the walk blocks t_q * t_c of one circuit. A block is 14 gates, at
+# most about 330 bytes of OpenQASM and 1.4 kB of gates.json together with its
+# round's reset, preparation and measurement (t_q = 1), so at the cap the
+# OpenQASM stays below about 11 MB and gates.json below about 46 MB.
+MAX_WALK_BLOCKS = 2**15
 
 _WIRE_OF_REGISTER = {1: 0, 2: 1}
 
@@ -186,10 +192,13 @@ def build_circuit(g: TransitionMatrix, p0: ProbabilityVector, t_q: int,
     """Full walk circuit: initial sampling, then t_c measure-and-reset rounds.
 
     The initial rotation is omitted when alpha is exactly zero (p0 starts at
-    node 0 with certainty).
+    node 0 with certainty). More than ``MAX_WALK_BLOCKS`` walk blocks,
+    t_q * t_c, is a TooLargeError before any gate is listed.
     """
     if t_q < 1 or t_c < 1:
         raise ValueError("t_q and t_c must be >= 1")
+    if t_q * t_c > MAX_WALK_BLOCKS:
+        raise TooLargeError(f"t_q * t_c = {t_q * t_c} walk blocks exceeds MAX_WALK_BLOCKS = {MAX_WALK_BLOCKS}")
     alpha, theta0, theta1 = prep_angles(g, p0)
     gates: list[GateOp] = []
     if alpha != 0.0:

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import circuit as circuit_mod
+from . import __version__, circuit as circuit_mod
 from . import corpus, cycles, dynamics, family as family_mod, graphs, instances
 from .errors import ParseError, SemiwalkError
 from .graphs import ProbabilityVector, TransitionMatrix
@@ -155,7 +155,8 @@ def _emit(outdir: Path, subcommand: str, config: dict, artifacts: dict[str, str]
         data = text.encode()
         (outdir / name).write_bytes(data)
         checksums[name] = hashlib.sha256(data).hexdigest()
-    manifest = {"subcommand": subcommand, "config": config, "artifacts": checksums}
+    manifest = {"subcommand": subcommand, "config": config, "artifacts": checksums,
+                "versions": {"semiwalk": __version__, "numpy": np.__version__}}
     (outdir / "manifest.json").write_bytes(
         (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode()
     )
@@ -181,9 +182,8 @@ def _components(fam: family_mod.SemiclassicalFamily, count: int) -> dict[str, li
 
 def _cmd_family(opts: dict) -> tuple[int, dict[str, str]]:
     g = _load_matrix(opts)
-    t_q_max = opts["tq_max"]
-    fam = family_mod.build_family(g, opts["class"], t_q_max)
-    return 0, {"family.json": fam.to_json() + "\n", **_member_dots(fam, t_q_max, len(str(t_q_max)))}
+    fam = family_mod.build_family(g, opts["class"], opts["tq_max"])
+    return 0, {"family.json": fam.to_json() + "\n"}
 
 
 def _cycle_report(n: int, t_q_max: int, tol: float) -> tuple[dict, family_mod.SemiclassicalFamily]:

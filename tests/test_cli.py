@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 import semiwalk as sw
+from semiwalk.circuit import MAX_WALK_BLOCKS
 from semiwalk.cli import main, run_verification
+from semiwalk.corpus import random_stochastic
 from semiwalk.family import MAX_ENTRIES
 from semiwalk.graphs import MAX_NODES
 
@@ -21,6 +23,12 @@ def _write_two_node(tmp_path: Path) -> Path:
 def _write_hub(tmp_path: Path) -> Path:
     path = tmp_path / "hub.csv"
     path.write_text(sw.serialize(sw.symmetric_hub(), "csv"))
+    return path
+
+
+def _write_random_32(tmp_path: Path) -> Path:
+    path = tmp_path / "random_32.csv"
+    path.write_text(sw.serialize(random_stochastic(32, np.random.default_rng(32)), "csv"))
     return path
 
 
@@ -123,6 +131,36 @@ def test_presets_emit_artifacts(tmp_path):
     out7 = tmp_path / "fig7"
     assert main(["preset", "fig7", "--out", str(out7)]) == 0
     assert json.loads((out7 / "rank.json").read_text())["ordering"][0] == 3
+
+
+@pytest.mark.parametrize("make_input, class_tag", [
+    (_write_random_32, "1"),
+    (_write_hub, "2"),
+], ids=["random-32-class-1", "hub-class-2"])
+def test_family_writes_family_json_only(tmp_path, make_input, class_tag):
+    graph = make_input(tmp_path)
+    out = tmp_path / "out"
+    assert main(["family", "--input", str(graph), "--class", class_tag, "--tq-max", "6",
+                 "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["family.json", "manifest.json"]
+    assert list(json.loads((out / "manifest.json").read_text())["artifacts"]) == ["family.json"]
+    # the one remaining encoding is lossless: each token parses back to the member's float
+    g = sw.deserialize(graph.read_text(), "csv")
+    members = sw.build_family(g, int(class_tag), 6).members
+    entries = json.loads((out / "family.json").read_text())
+    assert [e["t_q"] for e in entries] == [1, 2, 3, 4, 5, 6]
+    for entry, member in zip(entries, members):
+        rows = entry["matrix_csv"].splitlines()[1:]
+        parsed = [[float(tok) for tok in row.split(",")] for row in rows]
+        assert parsed == member.g.tolist()
+
+
+def test_manifest_records_versions(tmp_path):
+    out = tmp_path / "out"
+    assert main(["cycle", "--n", "3", "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["versions"] == {"semiwalk": sw.__version__, "numpy": np.__version__}
+    assert "manifest.json" not in manifest["artifacts"]
 
 
 def test_manifest_checksums_match(tmp_path):
@@ -318,11 +356,13 @@ def test_bad_config_gives_json_error_and_exit_2(tmp_path, capsys, subcommand, co
     pytest.param(["cycle", "--n", str(MAX_NODES + 1)], "MAX_NODES", id="cycle-n"),
     pytest.param(["family", "--input", "{hub}", "--tq-max", "{tq_max}"], "MAX_ENTRIES", id="family-tq-max"),
     pytest.param(["rank", "--input", "{hub}", "--tq-max", "{tq_max}"], "MAX_ENTRIES", id="rank-tq-max"),
+    pytest.param(["circuit", "--tq", "{tq}", "--tc", "2"], "MAX_WALK_BLOCKS", id="circuit-tq-tc"),
 ])
 def test_size_caps_exit_2_before_allocating(tmp_path, capsys, argv, cap):
     hub = _write_hub(tmp_path)
     tq_max = MAX_ENTRIES // sw.symmetric_hub().n ** 2 + 1
-    argv = [arg.format(hub=hub, tq_max=tq_max) for arg in argv]
+    tq = MAX_WALK_BLOCKS // 2 + 1
+    argv = [arg.format(hub=hub, tq_max=tq_max, tq=tq) for arg in argv]
     out = tmp_path / "out"
     assert main(argv + ["--out", str(out)]) == 2
     doc = json.loads(capsys.readouterr().err)
