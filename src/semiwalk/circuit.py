@@ -117,6 +117,9 @@ class GateOp:
             raise ValueError("register must be 1 or 2")
 
 
+_GATE_FIELDS = tuple(f.name for f in dataclasses.fields(GateOp))
+
+
 @dataclass(frozen=True, eq=False)
 class CircuitDescription:
     gates: tuple[GateOp, ...]
@@ -134,7 +137,7 @@ class CircuitDescription:
         doc = {name: getattr(self, name) for name in ("t_q", "t_c", "alpha", "theta0", "theta1")}
         doc["source_csv"] = serialize(self.source, "csv")
         doc["p0"] = list(map(float, self.p0.p))
-        doc["gates"] = [{k: v for k, v in dataclasses.asdict(gate).items() if v is not None}
+        doc["gates"] = [{k: v for k in _GATE_FIELDS if (v := getattr(gate, k)) is not None}
                         for gate in self.gates]
         return json.dumps(doc, indent=2, sort_keys=True)
 

@@ -13,6 +13,7 @@ key and its manifest key all come from that one entry, so the manifest's
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -60,6 +61,7 @@ def _error_json(exc: Exception) -> None:
 
 # --- option plumbing ----------------------------------------------------------
 
+@functools.cache  # built once per process; parse_args leaves the parser as it was
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="semiwalk",

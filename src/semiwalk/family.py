@@ -33,6 +33,9 @@ Keeping s (rather than 1) makes these identities exact for the operator as
 applied, so members agree with stepping ``SzegedyOperator.apply`` to rounding
 even when G's columns sum to 1 only within rounding.
 
+A family's members are read-only views of one ``(t_q_max, N, N)`` array, one
+row per step, which is checked once per family rather than once per member.
+
 Two periods are computed. ``family_period`` compares the measured members;
 ``unitary_period`` asks when the walk operator itself returns to the
 identity, read off U's eigenphases rather than dense powers of U.
@@ -46,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientRangeError, TooLargeError
-from .graphs import TransitionMatrix, serialize
+from .graphs import TransitionMatrix, _stacked_members, serialize
 from .szegedy import SzegedyOperator
 
 MATRIX_TOL = 1e-9
@@ -96,9 +99,10 @@ def semiclassical_matrix(g: TransitionMatrix, t_q: int, class_tag: int) -> Trans
     """Measurement statistics of t_q walk steps from every proxy state.
 
     Column i is the distribution of the measured register of U^t_q |psi_i>;
-    this is member t_q of :func:`build_family`.
+    this is member t_q of :func:`build_family`, copied so that the family's
+    other t_q - 1 members are not kept alive with it.
     """
-    return build_family(g, class_tag, t_q).member(t_q)
+    return TransitionMatrix(build_family(g, class_tag, t_q).member(t_q).g)
 
 
 def build_family(g: TransitionMatrix, class_tag: int, t_q_max: int) -> SemiclassicalFamily:
@@ -107,15 +111,21 @@ def build_family(g: TransitionMatrix, class_tag: int, t_q_max: int) -> Semiclass
     The N proxy states are advanced together as the coefficient matrices
     (alpha, beta) of ``U^t |psi_p> = A alpha[:, p] + S A beta[:, p]`` (see the
     module docstring), so each member costs two N x N products and no N^2
-    amplitudes are stored. Each entry is a sum of squares; rounding can leave
-    it a few ulps below zero, so it is clipped at 0. In planes where D has an
-    eigenvalue lam = +-1 the coefficients grow linearly in t (A x = +-S A x
-    there) while the state does not, so the rounding error of a member grows
-    like t^2 * eps there. Two-node chains, which always have lam = 1, show
-    6e-13 at t_q = 60 and 2e-10 at t_q = 1000; from t_q = 1855 their column
-    sums drift past the 1e-9 that ``validate`` allows and the member is
-    rejected with NotStochasticError. A family of more than ``MAX_ENTRIES``
-    entries, N^2 * t_q_max, is a TooLargeError before anything is allocated.
+    amplitudes are stored. The members are written into one (t_q_max, N, N)
+    array and are read-only views of its rows. Each entry is a sum of squares;
+    rounding can leave it a few ulps below zero, so the array is clipped at 0.
+    It is then checked once for the whole family, with the checks each
+    TransitionMatrix makes; if it fails, the first bad member raises the error
+    it would raise on its own.
+
+    In planes where D has an eigenvalue lam = +-1 the coefficients grow
+    linearly in t (A x = +-S A x there) while the state does not, so the
+    rounding error of a member grows like t^2 * eps there. Two-node chains,
+    which always have lam = 1, show 6e-13 at t_q = 60 and 2e-10 at t_q = 1000;
+    from t_q = 1855 their column sums drift past the 1e-9 that ``validate``
+    allows and the member is rejected with NotStochasticError. A family of
+    more than ``MAX_ENTRIES`` entries, N^2 * t_q_max, is a TooLargeError
+    before anything is allocated.
     """
     if t_q_max < 1:
         raise ValueError("t_q_max must be >= 1")
@@ -126,17 +136,18 @@ def build_family(g: TransitionMatrix, class_tag: int, t_q_max: int) -> Semiclass
         raise TooLargeError(f"N^2 * t_q_max = {n * n * t_q_max} entries exceeds MAX_ENTRIES = {MAX_ENTRIES}")
     d = np.sqrt(g.g * g.g.T)
     s = g.g.sum(axis=0)[:, None]
+    scale = 2.0 * s - 1.0
     alpha, beta, d_beta = np.eye(n), np.zeros((n, n)), np.zeros((n, n))
-    members = []
-    for _ in range(t_q_max):
-        alpha, beta, d_alpha = -beta, (2.0 * s - 1.0) * alpha + 2.0 * d_beta, -d_beta
+    stack = np.empty((t_q_max, n, n))
+    for row in stack:
+        alpha, beta, d_alpha = -beta, scale * alpha + 2.0 * d_beta, -d_beta
         d_beta = d @ beta
         if class_tag == 1:
-            probs = s * alpha * alpha + 2.0 * alpha * d_beta + g.g @ (beta * beta)
+            np.add(s * alpha * alpha + 2.0 * alpha * d_beta, g.g @ (beta * beta), out=row)
         else:
-            probs = g.g @ (alpha * alpha) + 2.0 * beta * d_alpha + s * beta * beta
-        members.append(TransitionMatrix(np.maximum(probs, 0.0)))
-    return SemiclassicalFamily(source=g, class_tag=class_tag, members=tuple(members))
+            np.add(g.g @ (alpha * alpha) + 2.0 * beta * d_alpha, s * beta * beta, out=row)
+    np.maximum(stack, 0.0, out=stack)
+    return SemiclassicalFamily(source=g, class_tag=class_tag, members=_stacked_members(stack))
 
 
 def family_period(f: SemiclassicalFamily, tol: float = MATRIX_TOL) -> int | None:

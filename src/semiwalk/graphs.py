@@ -74,14 +74,41 @@ class TransitionMatrix:
         g = _frozen_array(self.g, float)
         if g.ndim != 2 or g.shape[0] != g.shape[1] or g.shape[0] < 1:
             raise DimensionMismatchError(f"transition matrix must be square, got {g.shape}")
-        if (g > 1 + 1e-12).any():
-            raise NegativeWeightError("transition probabilities must lie in [0, 1]")
+        _check_transition(g)
         object.__setattr__(self, "g", g)
-        validate(self)
 
     @property
     def n(self) -> int:
         return self.g.shape[0]
+
+
+def _check_transition(g: np.ndarray) -> None:
+    """The entry checks of a transition matrix, or of a (T, N, N) stack of them."""
+    if np.fmax.reduce(g, axis=None) > 1 + 1e-12:  # fmax skips NaN, as a comparison does
+        raise NegativeWeightError("transition probabilities must lie in [0, 1]")
+    validate(g)
+
+
+def _stacked_members(stack: np.ndarray) -> tuple[TransitionMatrix, ...]:
+    """Transition matrices viewing the rows of a (T, N, N) float64 stack.
+
+    The stack is made read-only and checked once, with the checks each
+    TransitionMatrix makes, and the members wrap views of it. This is the only
+    constructor that skips the per-matrix check. If the stack fails, the
+    members are built one by one through TransitionMatrix, so the first bad
+    member raises the error it raises on its own.
+    """
+    stack.setflags(write=False)
+    try:
+        _check_transition(stack)
+    except (NegativeWeightError, NotStochasticError):
+        return tuple(map(TransitionMatrix, stack))
+    members = []
+    for g in stack:
+        m = object.__new__(TransitionMatrix)
+        object.__setattr__(m, "g", g)
+        members.append(m)
+    return tuple(members)
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,17 +173,23 @@ def validate(m: TransitionMatrix | np.ndarray) -> None:
     one within ``STOCHASTIC_TOL``. A NaN or infinite entry makes its column
     non-stochastic. It is tested for explicitly because every comparison with
     NaN is false. A 1-D array, such as a ``ProbabilityVector``, is checked as
-    a single column.
+    a single column. A (T, N, N) stack is checked matrix by matrix; column i
+    of matrix t is then reported as column t * N + i.
     """
     g = m.g if isinstance(m, TransitionMatrix) else np.asarray(m, dtype=float)
-    g = g.reshape(len(g), -1)  # a 1-D vector is one column
-    finite = np.isfinite(g).all(axis=0)
-    if not finite.all():
-        raise NotStochasticError(int(np.argmin(finite)), float("nan"))
-    if (g < 0).any():
+    if g.ndim == 1:
+        g = g[:, None]  # one column
+    # A non-finite entry makes its column's sum non-finite, so the entries are
+    # only scanned when a sum is; no array of g's size is allocated otherwise.
+    with np.errstate(invalid="ignore", over="ignore"):
+        sums = g.sum(axis=-2)
+    if not np.isfinite(sums).all():
+        finite = np.isfinite(g).all(axis=-2)
+        if not finite.all():
+            raise NotStochasticError(int(np.argmin(finite)), float("nan"))
+    if g.min() < 0:
         raise NegativeWeightError("probabilities must be nonnegative")
-    sums = g.sum(axis=0)
-    dev = np.abs(sums - 1.0)
+    dev = np.abs(sums - 1.0).ravel()
     worst = int(np.argmax(dev))
     if dev[worst] > STOCHASTIC_TOL:
         raise NotStochasticError(worst, float(dev[worst]))

@@ -205,6 +205,30 @@ def test_to_json_lists_set_fields_of_each_gate(two_node, p0_experiment):
     assert (doc["t_q"], doc["t_c"], doc["theta0"], doc["p0"]) == (2, 2, c.theta0, [0.8, 0.2])
 
 
+def _asdict_json(c):
+    """Reference: to_json with one dataclasses.asdict per gate."""
+    doc = {name: getattr(c, name) for name in ("t_q", "t_c", "alpha", "theta0", "theta1")}
+    doc["source_csv"] = sw.serialize(c.source, "csv")
+    doc["p0"] = list(map(float, c.p0.p))
+    doc["gates"] = [{k: v for k, v in dataclasses.asdict(gate).items() if v is not None}
+                    for gate in c.gates]
+    return json.dumps(doc, indent=2, sort_keys=True)
+
+
+def test_to_json_bytes_match_asdict_reference(two_node, p0_experiment):
+    for t_q in (1, 2, 3):
+        c = sw.build_circuit(two_node, p0_experiment, t_q, 20)
+        assert c.to_json() == _asdict_json(c)
+    # g[0, 0] = 1 gives theta0 = 0 and ry(-0.0) gates, equal to ry(0.0) but
+    # written with their sign
+    corner = sw.TransitionMatrix(np.array([[1.0, 0.3], [0.0, 0.7]]))
+    c = sw.build_circuit(corner, p0_experiment, 2, 3)
+    assert any(g.angle == 0.0 and math.copysign(1.0, g.angle) < 0 for g in c.gates)
+    text = c.to_json()
+    assert text == _asdict_json(c)
+    assert '"angle": -0.0' in text
+
+
 def test_export_deterministic(two_node, p0_experiment):
     c = sw.build_circuit(two_node, p0_experiment, 1, 2)
     assert sw.export_openqasm(c) == sw.export_openqasm(c)

@@ -203,6 +203,24 @@ def test_module_entry_point_runs(tmp_path):
     assert "PASS cycle n=3" in proc.stdout
 
 
+def test_repeated_main_calls_give_identical_results(tmp_path, capsys):
+    # the parser is built once per process and reused by every call
+    def run(argv, out):
+        try:
+            code = main([*argv, "--out", str(out)])
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err, _dir_bytes(out) if out.exists() else {}
+
+    argvs = [["circuit", "--tq", "2", "--tc", "3"], ["preset", "fig99"]]
+    first = [run(argv, tmp_path / f"a{k}") for k, argv in enumerate(argvs)]
+    second = [run(argv, tmp_path / f"b{k}") for k, argv in enumerate(argvs)]
+    assert [r[0] for r in first] == [0, 2]
+    assert "invalid choice: 'fig99'" in first[1][2]
+    assert second == first
+
+
 def test_bad_input_gives_json_error_and_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("not a matrix\n")

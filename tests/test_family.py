@@ -10,9 +10,9 @@ from semiwalk.corpus import (
     random_symmetric_stochastic,
     rng_from_seed,
 )
-from semiwalk.errors import InsufficientRangeError, TooLargeError
+from semiwalk.errors import InsufficientRangeError, NotStochasticError, TooLargeError
 from semiwalk.family import MAX_ENTRIES
-from semiwalk.graphs import MAX_NODES
+from semiwalk.graphs import MAX_NODES, _stacked_members
 from semiwalk.szegedy import SzegedyOperator
 
 # two-node family members frozen from an independent dense-operator computation
@@ -257,3 +257,66 @@ def test_period_tolerances_must_be_positive(tol):
         sw.distinct_matrices(fam, tol)
     with pytest.raises(ValueError, match="tol must be positive"):
         sw.unitary_period(g, 12, tol)
+
+
+def _looped_members(g, class_tag, t_q_max):
+    """Reference: the recurrence with one checked TransitionMatrix per member."""
+    n = g.n
+    d = np.sqrt(g.g * g.g.T)
+    s = g.g.sum(axis=0)[:, None]
+    alpha, beta, d_beta = np.eye(n), np.zeros((n, n)), np.zeros((n, n))
+    members = []
+    for _ in range(t_q_max):
+        alpha, beta, d_alpha = -beta, (2.0 * s - 1.0) * alpha + 2.0 * d_beta, -d_beta
+        d_beta = d @ beta
+        if class_tag == 1:
+            probs = s * alpha * alpha + 2.0 * alpha * d_beta + g.g @ (beta * beta)
+        else:
+            probs = g.g @ (alpha * alpha) + 2.0 * beta * d_alpha + s * beta * beta
+        members.append(sw.TransitionMatrix(np.maximum(probs, 0.0)))
+    return members
+
+
+def test_stacked_members_equal_looped_members_bitwise():
+    rng = rng_from_seed(71)
+    graphs = [random_stochastic(n, rng) for n in range(2, 33)]
+    graphs += [sw.symmetric_hub(), sw.two_node_chain()] + [sw.cycle_graph(n) for n in range(3, 17)]
+    for g in graphs:
+        t_q_max = max(20, 2 * g.n)
+        for class_tag in (1, 2):
+            fam = sw.build_family(g, class_tag, t_q_max)
+            ref = _looped_members(g, class_tag, t_q_max)
+            for t, (member, expected) in enumerate(zip(fam.members, ref, strict=True), start=1):
+                assert np.array_equal(member.g, expected.g), (g.n, class_tag, t)
+
+
+def test_members_and_single_matrices_are_read_only(hub):
+    for m in sw.build_family(hub, 2, 6).members:
+        assert not m.g.flags.writeable
+        with pytest.raises(ValueError):
+            m.g[0, 0] = 0.5
+    m = sw.semiclassical_matrix(hub, 4, 1)
+    assert not m.g.flags.writeable
+    assert np.array_equal(m.g, sw.build_family(hub, 1, 4).member(4).g)
+
+
+def _raised(fn, *args):
+    with pytest.raises(sw.SemiwalkError) as info:
+        fn(*args)
+    return type(info.value), str(info.value)
+
+
+def test_long_two_node_family_fails_as_its_first_bad_member():
+    chain = sw.two_node_chain()
+    expected = _raised(_looped_members, chain, 1, 2000)
+    assert expected == (NotStochasticError, "column 1 deviates from unit sum by 1.164e-09")
+    assert _raised(sw.build_family, chain, 1, 2000) == expected
+
+
+@pytest.mark.parametrize("bad", [np.nan, -1e-3, 1 + 2e-12])
+def test_bad_stack_raises_its_first_bad_members_error(hub, bad):
+    stack = np.array([m.g for m in sw.build_family(hub, 1, 5).members])
+    stack[2, 1, 3] = bad
+    stack[3, 0, 0] = np.inf  # a later member's different fault is not the one reported
+    expected = _raised(sw.TransitionMatrix, stack[2])
+    assert _raised(_stacked_members, stack) == expected

@@ -74,6 +74,14 @@ def test_validate_rejects_bad_column_sum():
     assert err.value.deviation == pytest.approx(0.03)
 
 
+def test_validate_numbers_a_stacks_columns_matrix_by_matrix():
+    stack = np.array([np.eye(2), [[0.5, 0.2], [0.47, 0.8]], np.eye(2)])
+    with pytest.raises(NotStochasticError) as err:
+        sw.validate(stack)
+    assert err.value.column == 2  # matrix 1, column 0
+    sw.validate(stack[[0, 2]])
+
+
 def test_transition_matrix_constructor_validates():
     with pytest.raises(NotStochasticError):
         sw.TransitionMatrix(np.array([[0.5, 0.2], [0.47, 0.8]]))
