@@ -70,6 +70,11 @@ class RankingResult:
     ordering: tuple[int, ...]
 
 
+def _check_int(name: str, value, least: int) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 def evolve(m: TransitionMatrix, p0: ProbabilityVector, t: int) -> ProbabilityVector:
     """Distribution after t steps, by repeated matrix-vector products."""
     if p0.n != m.n:
@@ -248,9 +253,9 @@ def sample_trajectories(m: TransitionMatrix, x0: int, steps: int, seed: int, cou
     """
     if not (0 <= x0 < m.n):
         raise IndexOutOfRangeError(f"start node {x0} outside 0..{m.n - 1}")
-    for name, value, least in (("count", count, 1), ("steps", steps, 0), ("seed", seed, 0)):
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
-            raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    _check_int("count", count, 1)
+    _check_int("steps", steps, 0)
+    _check_int("seed", seed, 0)
     count, steps = int(count), int(steps)
     if count * (steps + 1) > MAX_SAMPLES:
         raise TooLargeError(f"count * (steps + 1) = {count * (steps + 1)} nodes "

@@ -47,6 +47,9 @@ from .graphs import ProbabilityVector, TransitionMatrix
 NORM_TOL = 1e-10
 
 DENSE_CAP = 32
+# Entries in each (k, N, N) amplitude grid _eigenphases forms at once (8 MB
+# of float64): all N eigenvectors form one block up to N = 101, 16 at N = 256.
+PHASE_BLOCK = 1 << 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,10 +175,13 @@ class SzegedyOperator:
         """
         g = self.source.g
         _, x = np.linalg.eigh(np.sqrt(g * g.T))
-        b = x.T[:, :, None] * self._sqrt_g.T[None, :, :]  # b[k] = A x_k as an N x N grid
-        bt = b.transpose(0, 2, 1)
-        theta = 2.0 * np.arctan2(np.linalg.norm(b - bt, axis=(1, 2)),
-                                 np.linalg.norm(b + bt, axis=(1, 2)))
+        theta = np.empty(self.n)
+        step = max(1, PHASE_BLOCK // self.n**2)  # eigenvectors per block of grids
+        for lo in range(0, self.n, step):
+            b = x.T[lo:lo + step, :, None] * self._sqrt_g.T[None, :, :]  # b[k] = A x_k, N x N
+            bt = b.transpose(0, 2, 1)
+            theta[lo:lo + step] = 2.0 * np.arctan2(np.linalg.norm(b - bt, axis=(1, 2)),
+                                                   np.linalg.norm(b + bt, axis=(1, 2)))
         return np.append(theta, np.pi) if self.n >= 2 else theta
 
     def uniform_superposition(self) -> EdgeState:

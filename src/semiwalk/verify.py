@@ -1,0 +1,162 @@
+"""The theorem and property suite behind ``semiwalk verify``.
+
+Each check group is a function of its inputs (a corpus, a random generator,
+or nothing for the paper's fixed instances) that returns its checks as
+records ``{"name", "passed", "detail"}``. ``run_verification`` feeds all of
+them from one seed.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from . import circuit as circuit_mod, corpus, cycles, dynamics, family as family_mod, instances
+from .graphs import TransitionMatrix
+from .presets import EXPERIMENT_P0, circuit_deviations, cycle_report
+from .szegedy import EdgeState, SzegedyOperator
+
+# exact node-1 limits of the two-node chain's members t_q = 1, 2, 3
+TWO_NODE_LIMITS = {1: 9 / 11, 2: 153 / 299, 3: 8 / 9}
+
+
+def _record(name: str, passed, detail: str) -> dict:
+    return {"name": name, "passed": bool(passed), "detail": detail}
+
+
+def _below(name: str, value: float, tol: str, what: str = "max dev", fmt: str = ".2e") -> dict:
+    """The check ``value < tol``, detailed as "<what> <value> (tol <tol>)"."""
+    return _record(name, value < float(tol), f"{what} {value:{fmt}} (tol {tol})")
+
+
+def run_verification(count: int = 100, seed: int = 0) -> list[dict]:
+    """The whole suite: 17 checks on a corpus of ``count`` random matrices.
+
+    The corpus and the three later random checks draw from independent
+    streams spawned from ``seed``; the sampler check uses ``seed`` itself.
+    """
+    dynamics._check_int("count", count, 1)
+    dynamics._check_int("seed", seed, 0)
+    corpus_seq, unitarity_seq, uniform_seq, circulant_seq = np.random.SeedSequence(seed).spawn(4)
+    mats = corpus.random_stochastic_corpus(count, corpus_seq)
+    sizes = [3 + k % 8 for k in range(50)]
+    return [
+        *classical_limit_checks(mats),
+        *unitarity_checks(mats, corpus.rng_from_seed(unitarity_seq)),
+        *cycle_checks(range(3, 11)),
+        *graph_breaking_checks(),
+        *fixed_point_checks(corpus.rng_from_seed(uniform_seq), sizes),
+        *homogeneous_symmetry_checks(corpus.rng_from_seed(circulant_seq), sizes),
+        *two_node_checks(),
+        *circuit_checks(),
+        *sampler_checks(seed),
+    ]
+
+
+def classical_limit_checks(mats: list[TransitionMatrix]) -> list[dict]:
+    """Member 1 of class 1 and member 2 of class 2 are G; class 2 lags class 1 by one."""
+    dev1 = dev2 = dev3 = 0.0
+    for g in mats:
+        fam1 = family_mod.build_family(g, 1, 10)
+        fam2 = family_mod.build_family(g, 2, 11)
+        dev1 = max(dev1, float(np.abs(fam1.member(1).g - g.g).max()))
+        dev2 = max(dev2, float(np.abs(fam2.member(2).g - g.g).max()))
+        for t in range(1, 11):
+            dev3 = max(dev3, float(np.abs(fam1.member(t).g - fam2.member(t + 1).g).max()))
+    return [_below("classical-limit-I", dev1, "1e-12"), _below("classical-limit-II", dev2, "1e-12"),
+            _below("class-equivalence", dev3, "1e-12")]
+
+
+def unitarity_checks(mats: list[TransitionMatrix], rng: np.random.Generator) -> list[dict]:
+    """U is unitary, and the matrix-free step matches it on one random state per matrix."""
+    dev_u = dev_mf = 0.0
+    for g in mats:
+        op = SzegedyOperator(g)
+        u = op.dense()
+        dev_u = max(dev_u, float(np.abs(u.conj().T @ u - np.eye(g.n * g.n)).max()))
+        amp = rng.normal(size=g.n * g.n) + 1j * rng.normal(size=g.n * g.n)
+        amp /= np.linalg.norm(amp)
+        state = EdgeState(amp)
+        dev_mf = max(dev_mf, float(np.abs(op.apply(state).amp - u @ amp).max()))
+    return [_below("unitarity", dev_u, "1e-10", "max |U+U - 1|"),
+            _below("matrix-free-vs-dense", dev_mf, "1e-10")]
+
+
+def cycle_checks(ns: range) -> list[dict]:
+    """Each n-cycle family (t_q <= 2n) against its closed form, counts and periods."""
+    reports = [cycle_report(n, 2 * n, family_mod.MATRIX_TOL)[0] for n in ns]
+    worst = max(r["closed_form_max_deviation"] for r in reports)
+    predictions_ok = all(r["measured"] == r["predicted"] for r in reports)
+    return [_below("cycle-closed-form", worst, "1e-12"),
+            _record("cycle-predictions", predictions_ok, f"counts and periods match for n={ns[0]}..{ns[-1]}")]
+
+
+def graph_breaking_checks() -> list[dict]:
+    """Components of 6-cycle members 2, 3, 6 and of 7-cycle member 2."""
+    fam6 = family_mod.build_family(cycles.cycle_graph(6), 1, 6)
+    fam7 = family_mod.build_family(cycles.cycle_graph(7), 1, 2)
+    breaking_ok = (
+        cycles.components(fam6.member(2)) == [[0, 2, 4], [1, 3, 5]]
+        and cycles.components(fam6.member(3)) == [[0, 3], [1, 4], [2, 5]]
+        and cycles.components(fam6.member(6)) == [[i] for i in range(6)]
+        and cycles.components(fam7.member(2)) == [list(range(7))]
+    )
+    return [_record("graph-breaking", breaking_ok, "6-cycle triangles/pairs/singletons, 7-cycle chain")]
+
+
+def fixed_point_checks(rng: np.random.Generator, sizes: list[int]) -> list[dict]:
+    """On random symmetric inputs, G fixes the uniform vector and U the uniform superposition."""
+    dev4 = dev5 = 0.0
+    for n in sizes:
+        g = corpus.random_symmetric_stochastic(n, rng)
+        uniform = np.full(n, 1.0 / n)
+        dev4 = max(dev4, float(np.abs(g.g @ uniform - uniform).max()))
+        op = SzegedyOperator(g)
+        psi = op.uniform_superposition()
+        dev5 = max(dev5, float(np.abs(op.apply(psi).amp - psi.amp).max()))
+    return [_below("uniform-fixed-point", dev4, "1e-12"),
+            _below("uniform-superposition-eigenvector", dev5, "1e-12")]
+
+
+def homogeneous_symmetry_checks(rng: np.random.Generator, sizes: list[int]) -> list[dict]:
+    """On random circulant symmetric inputs, members t_q <= 12 stay symmetric."""
+    dev_sym = 0.0
+    for n in sizes:
+        g = corpus.random_circulant_symmetric(n, rng)
+        for m in family_mod.build_family(g, 1, 12).members:
+            dev_sym = max(dev_sym, dynamics.asymmetry(m))
+    return [_below("homogeneous-symmetry-preserved", dev_sym, "1e-9", "max asymmetry")]
+
+
+def two_node_checks() -> list[dict]:
+    """The paper's two-node series from (0.8, 0.2) and its members' exact limits."""
+    g2 = instances.two_node_chain()
+    series = [float(dynamics.evolve(g2, EXPERIMENT_P0, t).p[1]) for t in range(3)]
+    limits_ok = abs(series[0] - 0.2) < 1e-12 and abs(series[1] - 0.88) < 1e-12 and abs(series[2] - 0.812) < 1e-12
+    worst_limit = 0.0
+    for t_q, target in TWO_NODE_LIMITS.items():
+        member = family_mod.semiclassical_matrix(g2, t_q, 1)
+        res = dynamics.limiting_distribution(member)
+        worst_limit = max(worst_limit, abs(float(res.distribution.p[1]) - target))
+    return [_record("two-node-evolution", limits_ok, f"node-1 series {series}"),
+            _below("two-node-limits", worst_limit, "1e-12", "max gap to exact limits")]
+
+
+def circuit_checks() -> list[dict]:
+    """The two-node circuit's angles, and its gates and channel for t_q = 1, 2, 3."""
+    g2 = instances.two_node_chain()
+    alpha, th0, th1 = circuit_mod.prep_angles(g2, EXPERIMENT_P0)
+    angles_ok = abs(alpha - 0.927) < 5e-4 and abs(th0 - 2.50) < 5e-3 and abs(th1 - 2.21) < 5e-3
+    block_dev, channel_dev = np.max([circuit_deviations(g2, t) for t in (1, 2, 3)], axis=0)
+    return [_record("circuit-angles", angles_ok, f"alpha={alpha:.4f} theta0={th0:.4f} theta1={th1:.4f}"),
+            _below("circuit-block", block_dev, "1e-9"), _below("circuit-channel", channel_dev, "1e-10")]
+
+
+def sampler_checks(seed: int) -> list[dict]:
+    """One-step frequencies of 20000 samples from each two-node start against G."""
+    g2 = instances.two_node_chain()
+    worst_l1 = 0.0
+    for x0 in range(2):
+        nodes = dynamics.sample_trajectories(g2, x0, 1, seed, 20000)
+        freq = np.bincount(nodes[:, 1], minlength=2) / len(nodes)
+        worst_l1 = max(worst_l1, float(np.abs(freq - g2.g[:, x0]).sum()))
+    return [_below("sampler-frequencies", worst_l1, "0.05", "max L1 gap", ".3f")]

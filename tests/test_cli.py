@@ -8,10 +8,12 @@ import pytest
 
 import semiwalk as sw
 from semiwalk.circuit import MAX_WALK_BLOCKS
-from semiwalk.cli import main, run_verification
+from semiwalk.cli import main
 from semiwalk.corpus import random_stochastic
+from semiwalk.dynamics import MAX_SAMPLES
 from semiwalk.family import MAX_ENTRIES
 from semiwalk.graphs import MAX_NODES
+from semiwalk.verify import run_verification
 
 
 def _write_two_node(tmp_path: Path) -> Path:
@@ -375,16 +377,51 @@ def test_bad_config_gives_json_error_and_exit_2(tmp_path, capsys, subcommand, co
     pytest.param(["family", "--input", "{hub}", "--tq-max", "{tq_max}"], "MAX_ENTRIES", id="family-tq-max"),
     pytest.param(["rank", "--input", "{hub}", "--tq-max", "{tq_max}"], "MAX_ENTRIES", id="rank-tq-max"),
     pytest.param(["circuit", "--tq", "{tq}", "--tc", "2"], "MAX_WALK_BLOCKS", id="circuit-tq-tc"),
+    # (steps + 1) * N one past the cap on the 7-node hub
+    pytest.param(["evolve", "--input", "{hub}", "--steps", "{steps}"], "MAX_SAMPLES", id="evolve-steps"),
 ])
 def test_size_caps_exit_2_before_allocating(tmp_path, capsys, argv, cap):
     hub = _write_hub(tmp_path)
-    tq_max = MAX_ENTRIES // sw.symmetric_hub().n ** 2 + 1
+    n = sw.symmetric_hub().n
+    tq_max = MAX_ENTRIES // n ** 2 + 1
     tq = MAX_WALK_BLOCKS // 2 + 1
-    argv = [arg.format(hub=hub, tq_max=tq_max, tq=tq) for arg in argv]
+    steps = MAX_SAMPLES // n
+    argv = [arg.format(hub=hub, tq_max=tq_max, tq=tq, steps=steps) for arg in argv]
     out = tmp_path / "out"
     assert main(argv + ["--out", str(out)]) == 2
     doc = json.loads(capsys.readouterr().err)
     assert doc["error"] == "TooLargeError" and cap in doc["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["family", "--input", "{two}", "--tq-max", "0"], "t_q_max must be >= 1", id="family-tq-max"),
+    pytest.param(["rank", "--input", "{two}", "--tq-max", "0"], "t_q_max must be >= 1", id="rank-tq-max"),
+    pytest.param(["evolve", "--input", "{two}", "--tq", "0"], "t_q_max must be >= 1", id="evolve-tq"),
+    pytest.param(["evolve", "--input", "{two}", "--steps", "-1"],
+                 "steps must be an integer >= 0, got -1", id="evolve-steps"),
+    pytest.param(["sample", "--input", "{two}", "--tq", "0"], "t_q_max must be >= 1", id="sample-tq"),
+    pytest.param(["sample", "--input", "{two}", "--steps", "-1"],
+                 "steps must be an integer >= 0, got -1", id="sample-steps"),
+    pytest.param(["sample", "--input", "{two}", "--x0", "-1"], "start node -1 outside 0..1", id="sample-x0"),
+    pytest.param(["sample", "--input", "{two}", "--count", "0"],
+                 "count must be an integer >= 1, got 0", id="sample-count"),
+    pytest.param(["sample", "--input", "{two}", "--seed", "-1"],
+                 "seed must be an integer >= 0, got -1", id="sample-seed"),
+    pytest.param(["cycle", "--n", "2"], "cycle formulas need n >= 3, got 2", id="cycle-n"),
+    pytest.param(["cycle", "--n", "3", "--tq-max", "0"], "t_q_max must be >= 1", id="cycle-tq-max"),
+    pytest.param(["circuit", "--tq", "0"], "t_q and t_c must be >= 1", id="circuit-tq"),
+    pytest.param(["circuit", "--tc", "0"], "t_q and t_c must be >= 1", id="circuit-tc"),
+    pytest.param(["verify", "--count", "0"], "count must be an integer >= 1, got 0", id="verify-count"),
+    pytest.param(["verify", "--seed", "-1"], "seed must be an integer >= 0, got -1", id="verify-seed"),
+])
+def test_integer_options_below_their_least_value_exit_2(tmp_path, capsys, argv, message):
+    # evolve --steps -1 used to exit 0 with a header-only evolve.csv
+    argv = [arg.format(two=_write_two_node(tmp_path)) for arg in argv]
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 2
+    doc = json.loads(capsys.readouterr().err)
+    assert doc["message"] == message
     assert not out.exists()
 
 

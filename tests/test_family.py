@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from semiwalk.corpus import (
 from semiwalk.errors import InsufficientRangeError, NotStochasticError, TooLargeError
 from semiwalk.family import MAX_ENTRIES
 from semiwalk.graphs import MAX_NODES, _stacked_members
+from semiwalk import szegedy
 from semiwalk.szegedy import SzegedyOperator
 
 # two-node family members frozen from an independent dense-operator computation
@@ -147,6 +149,40 @@ def test_eigenphases_cover_dense_spectrum():
         # the antisymmetric phase 0 is left out of the helper's set
         assert all(np.abs(np.append(phases, 0.0) - d).min() <= 1e-9 for d in dense)
         assert all(np.abs(dense - p).min() <= 1e-9 for p in phases)
+
+
+def _unblocked_eigenphases(op):
+    """Reference: the half-angle formula over all N eigenvector grids at once."""
+    g = op.source.g
+    _, x = np.linalg.eigh(np.sqrt(g * g.T))
+    b = x.T[:, :, None] * np.sqrt(g).T[None, :, :]
+    bt = b.transpose(0, 2, 1)
+    theta = 2.0 * np.arctan2(np.linalg.norm(b - bt, axis=(1, 2)), np.linalg.norm(b + bt, axis=(1, 2)))
+    return np.append(theta, np.pi) if g.shape[0] >= 2 else theta
+
+
+def test_blocked_eigenphases_equal_unblocked_formula(theorem_corpus, monkeypatch):
+    # every block size from one eigenvector per block to all N in one; a
+    # block's (k, N, N) reduction may sum in another order when k = 1
+    for g in theorem_corpus:
+        op = SzegedyOperator(g)
+        reference = _unblocked_eigenphases(op)
+        for step in range(1, g.n + 1):
+            monkeypatch.setattr(szegedy, "PHASE_BLOCK", step * g.n * g.n)
+            assert np.abs(op._eigenphases() - reference).max() <= 1e-14
+
+
+def test_eigenphases_peak_memory_is_blocked():
+    # one (N, N, N) grid at n = 256 is 128 MiB, and the unblocked formula
+    # peaked at 385 MiB; blocks of PHASE_BLOCK entries measured 25.0 MiB
+    g = sw.cycle_graph(256)
+    tracemalloc.start()
+    try:
+        assert sw.unitary_period(g, 1) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * 2**20
 
 
 def test_unitary_period_near_unit_eigenvalues():
