@@ -3,13 +3,16 @@
 The long-time distribution of p <- G p is the Cesaro limit Pi p0, where Pi
 is the spectral projector onto ker(I - G) along range(I - G) (Kemeny and
 Snell, *Finite Markov Chains*, 1960; Meyer, *Matrix Analysis and Applied
-Linear Algebra*, 2000, section 7.10). One SVD of I - G gives both null
-spaces, so Pi p0 is computed exactly instead of being waited for: a slow
-chain costs as much as a fast one, and the answer carries a measured
-residual ||G x - x||_1. The iterates themselves converge to Pi p0 unless p0
-has weight on a peripheral eigenvalue other than 1. Those eigenvalues are
-roots of unity set by the periods of the closed classes, so the class
-structure decides which of the two modes, "converged" or "cesaro", applies.
+Linear Algebra*, 2000, section 7.10). It is computed exactly instead of
+being waited for, so a slow chain costs as much as a fast one, and the
+answer carries a measured residual ||G x - x||_1. When G's support graph is
+strongly connected, ker(I - G) is spanned by the stationary vector pi > 0,
+so Pi p0 = pi for every p0 and one LU solve finds it. Otherwise one SVD of
+I - G gives both null spaces and so Pi. The iterates converge to Pi p0
+unless p0 has weight on a peripheral eigenvalue other than 1. Those
+eigenvalues are roots of unity set by the periods of the closed classes, so
+the class structure decides which of the two modes, "converged" or
+"cesaro", applies.
 
 Node ranking follows the family-averaging scheme: for every quantum time the
 member's limiting distribution is computed from a uniform start, and the
@@ -32,6 +35,10 @@ from .family import SemiclassicalFamily, _check_tol, build_family
 CONVERGED = "converged"
 CESARO = "cesaro"
 FAILED = "failed"
+# how limiting_distribution found x: one LU solve, one SVD, or p0 itself
+SOLVE = "solve"
+SVD = "svd"
+FIXED = "fixed"
 
 DEFAULT_TOL = 1e-8
 # A singular value of I - G counts as zero at or below
@@ -56,6 +63,7 @@ class LimitResult:
     mode: str
     iterations: int  # products with G (or a power of G) the call took
     residual: float  # certified ||G x - x||_1 of the returned x
+    method: str  # SOLVE, SVD or FIXED
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,6 +72,7 @@ class RankingResult:
 
     limits: tuple[ProbabilityVector, ...]
     modes: tuple[str, ...]
+    methods: tuple[str, ...]
     residuals: tuple[float, ...]
     running_averages: np.ndarray
     final_average: ProbabilityVector
@@ -95,12 +104,15 @@ def limiting_distribution(
 ) -> LimitResult:
     """Long-time distribution of the walk started from p0 (uniform by default).
 
-    Returns x = Pi p0, the Cesaro limit, from one SVD of I - G (clipped at 0
-    and renormalised), with its residual ||G x - x||_1. Modes: "failed" when
-    that residual exceeds ``tol``; else "cesaro" when p0 has weight on a
-    peripheral eigenvalue other than 1, so the iterates cycle and only their
-    running average tends to x; else "converged". ``max_iter`` is accepted
-    for callers of the earlier power iteration and ignored.
+    Returns x = Pi p0, the Cesaro limit (clipped at 0 and renormalised), with
+    its residual ||G x - x||_1. When the support graph is strongly connected,
+    Pi p0 = pi for every p0 and x comes from one LU solve ("solve");
+    otherwise from one SVD of I - G ("svd"); a p0 that G already fixes is
+    returned as it is ("fixed"). Modes: "failed" when the residual exceeds
+    ``tol``; else "cesaro" when p0 has weight on a peripheral eigenvalue
+    other than 1, so the iterates cycle and only their running average tends
+    to x; else "converged". ``max_iter`` is accepted for callers of the
+    earlier power iteration and ignored.
     """
     _check_tol(tol)
     if p0 is None:
@@ -110,10 +122,14 @@ def limiting_distribution(
     g = m.g
     residual = float(np.abs(g @ p0.p - p0.p).sum())
     if residual <= NULL_C * m.n * np.finfo(float).eps:
-        # p0 is a fixed point to rounding, so it is its own limit; the SVD
+        # p0 is a fixed point to rounding, so it is its own limit; a solve
         # would return it only to that rounding, and break p0's exact ties
-        return LimitResult(p0, CONVERGED, 1, residual)
-    x, right = _cesaro_limit(g, p0.p)
+        return LimitResult(p0, CONVERGED, 1, residual, FIXED)
+    if _strongly_connected(g > SUPPORT_TOL):
+        x, method = _stationary(g), SOLVE
+        right = x[:, None]
+    else:
+        (x, right), method = _cesaro_limit(g, p0.p), SVD
     x = np.maximum(x, 0.0)
     x /= x.sum()
     residual = float(np.abs(g @ x - x).sum())
@@ -123,14 +139,28 @@ def limiting_distribution(
     if d > 1:
         # G^d has 1 as its only peripheral eigenvalue, so its iterates from p0
         # converge; they tend to x exactly when p0 has no weight on the other
-        # peripheral eigenvalues of G
+        # peripheral eigenvalues of G (G^d of a periodic chain is reducible)
         products += d.bit_length() + bin(d).count("1") - 2
         y, _ = _cesaro_limit(np.linalg.matrix_power(g, d), p0.p)
         if np.abs(y - x).sum() > tol:
             mode = CESARO
     if not residual <= tol:
         mode = FAILED
-    return LimitResult(ProbabilityVector(x), mode, products, residual)
+    return LimitResult(ProbabilityVector(x), mode, products, residual, method)
+
+
+def _stationary(g: np.ndarray) -> np.ndarray:
+    """The stationary vector pi of a g with one closed class spanning all nodes.
+
+    ker(I - g) is then span{pi}, and the rows of I - g sum to zero, so the
+    last row is a combination of the others: replacing it by 1^T leaves a
+    nonsingular system whose solution with right-hand side e_N is pi.
+    """
+    a = np.eye(len(g)) - g
+    a[-1] = 1.0
+    b = np.zeros(len(g))
+    b[-1] = 1.0
+    return np.linalg.solve(a, b)
 
 
 def _cesaro_limit(g: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -150,17 +180,38 @@ def _cesaro_limit(g: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return right @ np.linalg.solve(left.T @ right, left.T @ p), right
 
 
+def _levels(edges: np.ndarray, root: int) -> np.ndarray:
+    """Breadth-first depth of each node from ``root`` along edges[j, i]: i -> j,
+    -1 where it is unreachable."""
+    level = np.full(len(edges), -1)
+    level[root] = 0
+    frontier = level == 0
+    depth = 0
+    while frontier.any():
+        depth += 1
+        frontier = edges[:, frontier].any(axis=1) & (level < 0)
+        level[frontier] = depth
+    return level
+
+
+def _strongly_connected(edges: np.ndarray) -> bool:
+    """Every node is reachable from node 0, and node 0 from every node; at
+    once when every edge is there (most dense members), with no search."""
+    return bool(edges.all() or ((_levels(edges, 0) >= 0).all() and (_levels(edges.T, 0) >= 0).all()))
+
+
 def _period(g: np.ndarray, right: np.ndarray) -> int:
     """The lcm of the periods of g's closed classes, one per column of ``right``.
 
     The squared row norms of the null-space basis ``right`` are the diagonal
     of the orthogonal projector onto span{pi_C}, the closed classes'
     stationary vectors: pi_C,i^2 / ||pi_C||^2 on class C, so at least 1/|C|
-    somewhere in it, and 0 on transient states. So the classes are found
-    one at a time, each by a breadth-first search from the heaviest state
-    not yet placed. A class's period is the gcd of level(i) + 1 - level(j)
-    over its edges i -> j, so an edge i -> i makes it aperiodic; when every
-    state has one (every dense member) there is nothing to search.
+    somewhere in it, and 0 on transient states (a single class spanning
+    every state may pass pi itself). So the classes are found one at a time,
+    each by a breadth-first search from the heaviest state not yet placed. A
+    class's period is the gcd of level(i) + 1 - level(j) over its edges i ->
+    j, so an edge i -> i makes it aperiodic; when every state has one (every
+    dense member) there is nothing to search.
     """
     if (np.diagonal(g) > SUPPORT_TOL).all():
         return 1
@@ -170,14 +221,7 @@ def _period(g: np.ndarray, right: np.ndarray) -> int:
     d = 1
     for _ in range(right.shape[1]):
         root = int(np.argmax(np.where(placed, -1.0, weight)))
-        level = np.full(len(g), -1)
-        level[root] = 0
-        frontier = level == 0
-        depth = 0
-        while frontier.any():
-            depth += 1
-            frontier = edges[:, frontier].any(axis=1) & (level < 0)
-            level[frontier] = depth
+        level = _levels(edges, root)
         members = level >= 0
         placed |= members
         to, fr = np.nonzero(edges[np.ix_(members, members)])
@@ -219,6 +263,7 @@ def rank_family(
     return RankingResult(
         limits=tuple(r.distribution for r in results),
         modes=tuple(r.mode for r in results),
+        methods=tuple(r.method for r in results),
         residuals=tuple(r.residual for r in results),
         running_averages=running,
         final_average=final,

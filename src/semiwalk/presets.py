@@ -87,6 +87,7 @@ def rank_report(g: TransitionMatrix, class_tag: int, t_q_max: int, tol: float) -
         "tq_max": t_q_max,
         "limits": [list(map(float, d.p)) for d in result.limits],
         "modes": list(result.modes),
+        "methods": list(result.methods),
         "residuals": list(result.residuals),
         "running_averages": [list(map(float, row)) for row in result.running_averages],
         "final_average": list(map(float, result.final_average.p)),

@@ -42,9 +42,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, IndexOutOfRangeError, TooLargeError
-from .graphs import ProbabilityVector, TransitionMatrix
+from .graphs import STOCHASTIC_TOL, ProbabilityVector, TransitionMatrix
 
-NORM_TOL = 1e-10
+# A proxy state's norm^2 is its node's column sum, which validate lets sit
+# STOCHASTIC_TOL off one; a tighter bound would reject an accepted matrix.
+NORM_TOL = STOCHASTIC_TOL
 
 DENSE_CAP = 32
 # Entries in each (k, N, N) amplitude grid _eigenphases forms at once (8 MB

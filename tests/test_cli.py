@@ -71,6 +71,8 @@ def test_rank_hub_ordering(tmp_path):
     report = json.loads((out / "rank.json").read_text())
     assert report["ordering"][:2] == [3, 4]
     assert len(report["residuals"]) == 6 and max(report["residuals"]) <= 1e-8
+    # member 1 is the symmetric hub, which fixes the uniform start
+    assert report["methods"] == ["fixed"] + ["solve"] * 5
     assert report["asymmetries"][0] <= 1e-12
     assert min(report["asymmetries"][1:]) > 1e-6
 
@@ -379,6 +381,12 @@ def test_bad_config_gives_json_error_and_exit_2(tmp_path, capsys, subcommand, co
     pytest.param(["circuit", "--tq", "{tq}", "--tc", "2"], "MAX_WALK_BLOCKS", id="circuit-tq-tc"),
     # (steps + 1) * N one past the cap on the 7-node hub
     pytest.param(["evolve", "--input", "{hub}", "--steps", "{steps}"], "MAX_SAMPLES", id="evolve-steps"),
+    # count * (steps + 1) = MAX_SAMPLES + 1
+    pytest.param(["sample", "--input", "{hub}", "--count", "1", "--steps", "{samples}"], "MAX_SAMPLES",
+                 id="sample-count-steps"),
+    # the member at t_q is built from a family of t_q members
+    pytest.param(["evolve", "--input", "{hub}", "--tq", "{tq_max}"], "MAX_ENTRIES", id="evolve-tq"),
+    pytest.param(["sample", "--input", "{hub}", "--tq", "{tq_max}"], "MAX_ENTRIES", id="sample-tq"),
 ])
 def test_size_caps_exit_2_before_allocating(tmp_path, capsys, argv, cap):
     hub = _write_hub(tmp_path)
@@ -386,7 +394,7 @@ def test_size_caps_exit_2_before_allocating(tmp_path, capsys, argv, cap):
     tq_max = MAX_ENTRIES // n ** 2 + 1
     tq = MAX_WALK_BLOCKS // 2 + 1
     steps = MAX_SAMPLES // n
-    argv = [arg.format(hub=hub, tq_max=tq_max, tq=tq, steps=steps) for arg in argv]
+    argv = [arg.format(hub=hub, tq_max=tq_max, tq=tq, steps=steps, samples=MAX_SAMPLES) for arg in argv]
     out = tmp_path / "out"
     assert main(argv + ["--out", str(out)]) == 2
     doc = json.loads(capsys.readouterr().err)

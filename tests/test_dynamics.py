@@ -6,6 +6,7 @@ import pytest
 
 import semiwalk as sw
 from semiwalk.corpus import (
+    random_circulant_symmetric,
     random_stochastic,
     random_stochastic_corpus,
     random_symmetric_stochastic,
@@ -72,7 +73,7 @@ def test_limiting_fixed_point_certificate():
 def test_limiting_symmetric_from_uniform_one_step():
     m = random_symmetric_stochastic(5, rng_from_seed(71))
     res = sw.limiting_distribution(m)
-    assert res.mode == "converged"
+    assert res.mode == "converged" and res.method == "fixed"
     assert res.iterations == 1
     assert np.abs(res.distribution.p - 0.2).max() <= 1e-12
 
@@ -139,9 +140,11 @@ def test_slow_two_state_limit_is_exact(a):
     g = sw.TransitionMatrix(np.array([[1 - a, 3 * a], [a, 1 - 3 * a]]))
     for p0 in (sw.ProbabilityVector.point_mass(2, 0), sw.ProbabilityVector.uniform(2)):
         res = sw.limiting_distribution(g, p0)
-        assert res.mode == "converged"
+        assert res.mode == "converged" and res.method == "solve"
         assert res.residual <= 1e-8
-        assert np.abs(res.distribution.p - stationary_2x2(g.g)).sum() <= 1e-9
+        # the error grows like eps / gap (gap about 4a): measured at most
+        # 2.0e-17 / a (2.0e-10 at a = 1e-7), against 6.9e-18 / a for the SVD
+        assert np.abs(res.distribution.p - stationary_2x2(g.g)).sum() <= 5e-17 / a
         # max_iter is accepted for earlier callers and changes nothing
         again = sw.limiting_distribution(g, p0, max_iter=3)
         assert np.array_equal(again.distribution.p, res.distribution.p)
@@ -454,3 +457,107 @@ def test_running_average_increments_shrink(hub):
     result = sw.semiclassical_rank(hub, 1, 40)
     inc = np.abs(np.diff(result.running_averages, axis=0)).max(axis=1)
     assert inc[30:].max() < inc[:10].max()
+
+
+def _svd_only(monkeypatch):
+    """Route every limit through the SVD projector, the solver used for all
+    chains before the strongly connected ones got an LU solve."""
+    monkeypatch.setattr(dynamics, "_strongly_connected", lambda edges: False)
+
+
+def _solve_cases():
+    rng = rng_from_seed(89)
+    cases = [("hub", sw.symmetric_hub())]
+    for n in (3, 8, 32, 128):
+        cases += [(f"random {n}", random_stochastic(n, rng)),
+                  (f"random symmetric {n}", random_symmetric_stochastic(n, rng)),
+                  (f"circulant {n}", random_circulant_symmetric(n, rng))]
+    return [pytest.param(name, g, id=name) for name, g in cases]
+
+
+@pytest.mark.parametrize("name, g", _solve_cases())
+def test_solve_agrees_with_svd_projector(monkeypatch, name, g):
+    # measured at most 2.8e-13 apart on these members, 5.2e-13 on others
+    rng = rng_from_seed(97)
+    for class_tag in (1, 2):
+        fam = sw.build_family(g, class_tag, 6)
+        for p0 in (sw.ProbabilityVector.uniform(g.n), sw.ProbabilityVector(rng.dirichlet(np.ones(g.n)))):
+            lu = sw.rank_family(fam, p0=p0)
+            with monkeypatch.context() as patch:
+                _svd_only(patch)
+                svd = sw.rank_family(fam, p0=p0)
+            assert set(svd.methods) <= {"svd", "fixed"}
+            assert "solve" in lu.methods or set(lu.methods) == {"fixed"}, name
+            for a, b in zip(lu.limits, svd.limits):
+                assert np.abs(a.p - b.p).max() <= 1e-12, name
+            assert lu.modes == svd.modes, name
+            assert max(lu.residuals) <= 1e-12, name
+            if name.startswith("circulant"):
+                # homogeneous members tie nodes exactly, and rounding orders
+                # the ties: the order must still sort the SVD's averages
+                ranked = svd.final_average.p[list(lu.ordering)]
+                assert (np.diff(ranked) <= 1e-12).all(), name
+            else:
+                assert lu.ordering == svd.ordering, name
+
+
+def test_two_closed_classes_take_svd_and_depend_on_p0():
+    rng = rng_from_seed(101)
+    blocks = [random_stochastic(3, rng).g, random_stochastic(4, rng).g]
+    g = np.zeros((7, 7))
+    g[:3, :3], g[3:, 3:] = blocks
+    m = sw.TransitionMatrix(g)
+    for start, block, nodes in ((0, blocks[0], slice(0, 3)), (5, blocks[1], slice(3, 7))):
+        res = sw.limiting_distribution(m, sw.ProbabilityVector.point_mass(7, start))
+        assert res.method == "svd" and res.mode == "converged"
+        x = res.distribution.p
+        assert x[nodes].sum() == pytest.approx(1.0, abs=1e-12)
+        assert np.abs(block @ x[nodes] - x[nodes]).sum() <= 1e-12
+    # from the uniform start each class keeps the mass it started with
+    split = sw.limiting_distribution(m).distribution.p
+    assert split[:3].sum() == pytest.approx(3 / 7, abs=1e-12)
+
+
+@pytest.mark.parametrize("back", [None, 0.3], ids=["one-way", "strong-way-back"])
+def test_link_at_support_tol_takes_svd(monkeypatch, back):
+    # the only link 0 -> 3 between the blocks is 1e-12 <= SUPPORT_TOL, so the
+    # support graph is not strongly connected, even when 3 -> 0 is strong
+    rng = rng_from_seed(7)
+    g = np.zeros((6, 6))
+    g[:3, :3] = random_stochastic(3, rng).g
+    g[3:, 3:] = random_stochastic(3, rng).g
+    g[3, 0], g[0, 0] = 1e-12, g[0, 0] - 1e-12
+    if back is not None:
+        g[0, 3], g[3, 3] = back * g[3, 3], (1 - back) * g[3, 3]
+    m = sw.TransitionMatrix(g)
+    for p0 in (sw.ProbabilityVector.uniform(6), sw.ProbabilityVector.point_mass(6, 4)):
+        res = sw.limiting_distribution(m, p0)
+        assert res.method == "svd"
+        with monkeypatch.context() as patch:
+            _svd_only(patch)
+            old = sw.limiting_distribution(m, p0)
+        assert np.array_equal(res.distribution.p, old.distribution.p)
+        assert (res.mode, res.residual, res.iterations) == (old.mode, old.residual, old.iterations)
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_periodic_cycle_solves_then_reads_cesaro(n):
+    # pi from the LU solve on G; G^n is reducible, so its check takes the SVD
+    res = sw.limiting_distribution(sw.cycle_graph(n), sw.ProbabilityVector.point_mass(n, 0))
+    assert (res.method, res.mode) == ("solve", "cesaro")
+    assert np.abs(res.distribution.p - 1 / n).max() <= 1e-12
+
+
+def test_strongly_connected_matches_transitive_closure():
+    rng = rng_from_seed(103)
+    seen = set()
+    for k in range(300):
+        n = 1 + k % 9
+        edges = rng.random((n, n)) < rng.uniform(0.05, 0.6)
+        reach = np.eye(n, dtype=bool) | edges
+        for _ in range(n):
+            reach = reach | ((reach.astype(int) @ reach.astype(int)) > 0)
+        expected = bool(reach.all())
+        assert dynamics._strongly_connected(edges) == expected, edges
+        seen.add(expected)
+    assert seen == {True, False}

@@ -196,3 +196,16 @@ def test_edge_state_rejects_unnormalized():
         sw.EdgeState(np.array([1.0, 1.0, 0.0, 0.0]))
     with pytest.raises(DimensionMismatchError):
         sw.EdgeState(np.array([1.0, 0.0, 0.0]))
+
+
+def test_proxy_states_of_any_accepted_matrix_are_states():
+    # column sums 5e-10 off one pass validate (STOCHASTIC_TOL = 1e-9); the
+    # proxy state's norm^2 is that column sum, which NORM_TOL = 1e-10 rejected
+    g = random_stochastic(4, rng_from_seed(3)).g.copy()
+    g[:, 0] *= 1 + 5e-10
+    op = sw.SzegedyOperator(sw.TransitionMatrix(g))
+    assert abs(np.vdot(op.proxy_state(0).amp, op.proxy_state(0).amp).real - g[:, 0].sum()) <= 1e-15
+    assert op.uniform_superposition().n == 4
+    assert sw.szegedy.NORM_TOL == sw.graphs.STOCHASTIC_TOL
+    with pytest.raises(ValueError, match="not 1 within 1e-09"):
+        sw.EdgeState(np.array([1 + 2e-9, 0.0, 0.0, 0.0]) ** 0.5)
