@@ -31,6 +31,7 @@ from .graphs import (
 from .szegedy import EdgeState, SzegedyOperator, register_distribution
 from .family import (
     SemiclassicalFamily,
+    build_families,
     build_family,
     distinct_matrices,
     family_period,

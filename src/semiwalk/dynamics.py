@@ -125,17 +125,19 @@ def limiting_distribution(
         # p0 is a fixed point to rounding, so it is its own limit; a solve
         # would return it only to that rounding, and break p0's exact ties
         return LimitResult(p0, CONVERGED, 1, residual, FIXED)
-    if _strongly_connected(g > SUPPORT_TOL):
+    levels = _strongly_connected(g > SUPPORT_TOL)
+    if levels is not False:
         x, method = _stationary(g), SOLVE
         right = x[:, None]
     else:
         (x, right), method = _cesaro_limit(g, p0.p), SVD
+        levels = None
     x = np.maximum(x, 0.0)
     x /= x.sum()
     residual = float(np.abs(g @ x - x).sum())
     products = 2
     mode = CONVERGED
-    d = _period(g, right)
+    d = _period(g, right, levels)
     if d > 1:
         # G^d has 1 as its only peripheral eigenvalue, so its iterates from p0
         # converge; they tend to x exactly when p0 has no weight on the other
@@ -194,13 +196,19 @@ def _levels(edges: np.ndarray, root: int) -> np.ndarray:
     return level
 
 
-def _strongly_connected(edges: np.ndarray) -> bool:
-    """Every node is reachable from node 0, and node 0 from every node; at
-    once when every edge is there (most dense members), with no search."""
-    return bool(edges.all() or ((_levels(edges, 0) >= 0).all() and (_levels(edges.T, 0) >= 0).all()))
+def _strongly_connected(edges: np.ndarray) -> np.ndarray | bool:
+    """The breadth-first levels from node 0 when every node is reachable from
+    node 0 and node 0 from every node, else False. When every edge is there
+    (most dense members) the levels are 0, 1, ..., 1, with no search."""
+    if edges.all():
+        return np.minimum(np.arange(len(edges)), 1)
+    forward = _levels(edges, 0)
+    if (forward >= 0).all() and (_levels(edges.T, 0) >= 0).all():
+        return forward
+    return False
 
 
-def _period(g: np.ndarray, right: np.ndarray) -> int:
+def _period(g: np.ndarray, right: np.ndarray, levels: np.ndarray | None = None) -> int:
     """The lcm of the periods of g's closed classes, one per column of ``right``.
 
     The squared row norms of the null-space basis ``right`` are the diagonal
@@ -210,12 +218,17 @@ def _period(g: np.ndarray, right: np.ndarray) -> int:
     every state may pass pi itself). So the classes are found one at a time,
     each by a breadth-first search from the heaviest state not yet placed. A
     class's period is the gcd of level(i) + 1 - level(j) over its edges i ->
-    j, so an edge i -> i makes it aperiodic; when every state has one (every
-    dense member) there is nothing to search.
+    j, whatever the root, so an edge i -> i makes it aperiodic; when every
+    state has one (every dense member) there is nothing to search. A single
+    class spanning every state may also pass the ``levels`` of a search from
+    any root, which then replaces the search.
     """
     if (np.diagonal(g) > SUPPORT_TOL).all():
         return 1
     edges = g > SUPPORT_TOL  # edges[j, i]: i -> j
+    if levels is not None:
+        to, fr = np.nonzero(edges)
+        return int(np.gcd.reduce(levels[fr] + 1 - levels[to]))
     weight = np.square(right).sum(axis=1)
     placed = np.zeros(len(g), bool)
     d = 1

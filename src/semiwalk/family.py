@@ -33,8 +33,14 @@ Keeping s (rather than 1) makes these identities exact for the operator as
 applied, so members agree with stepping ``SzegedyOperator.apply`` to rounding
 even when G's columns sum to 1 only within rounding.
 
-A family's members are read-only views of one ``(t_q_max, N, N)`` array, one
-row per step, which is checked once per family rather than once per member.
+The recurrence runs on a ``(..., N, N)`` stack of inputs at once: s, D and
+the coefficients carry the stack's leading axes, and every product is a
+stacked ``matmul``, which numpy evaluates one N x N product at a time, so
+each input's members are bitwise the ones it gets alone. ``build_family``
+passes one matrix; ``build_families`` passes all inputs of one size N as one
+stack. A family's members are read-only views of one ``(t_q_max, N, N)``
+block, one row per step, and each stack is checked once rather than once
+per member.
 
 Two periods are computed. ``family_period`` compares the measured members;
 ``unitary_period`` asks when the walk operator itself returns to the
@@ -48,7 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientRangeError, TooLargeError
+from .errors import InsufficientRangeError, NegativeWeightError, NotStochasticError, TooLargeError
 from .graphs import TransitionMatrix, _stacked_members, serialize
 from .szegedy import SzegedyOperator
 
@@ -127,27 +133,78 @@ def build_family(g: TransitionMatrix, class_tag: int, t_q_max: int) -> Semiclass
     more than ``MAX_ENTRIES`` entries, N^2 * t_q_max, is a TooLargeError
     before anything is allocated.
     """
+    _check_family([g.n], class_tag, t_q_max)
+    return SemiclassicalFamily(g, class_tag, _stacked_members(_member_stack(g.g, class_tag, t_q_max)))
+
+
+def build_families(
+    gs: list[TransitionMatrix], class_tag: int, t_q_max: int
+) -> list[SemiclassicalFamily]:
+    """``[build_family(g, class_tag, t_q_max) for g in gs]``, one stack per size.
+
+    The inputs of one size N run through the recurrence as one (B, N, N)
+    stack, and the resulting (B, t_q_max, N, N) members are checked once, so
+    a corpus of small matrices costs a few numpy calls per size rather than
+    per matrix. Each family's members are bitwise the ones ``build_family``
+    gives it, and they are views of one stack that the size's other families
+    share. A stack above ``MAX_ENTRIES`` entries is split into chunks that
+    fit, so any list whose members ``build_family`` accepts one by one is
+    accepted; a single input above the cap is a TooLargeError. If a stack
+    fails its check, the first bad input raises the error it raises alone.
+    """
+    gs = list(gs)
+    _check_family([g.n for g in gs], class_tag, t_q_max)
+    groups: dict[int, list[int]] = {}
+    for k, g in enumerate(gs):
+        groups.setdefault(g.n, []).append(k)
+    members: list = [None] * len(gs)
+    try:
+        for n, ks in groups.items():
+            per_chunk = MAX_ENTRIES // (n * n * t_q_max)
+            for lo in range(0, len(ks), per_chunk):
+                chunk = ks[lo:lo + per_chunk]
+                stack = _member_stack(np.stack([gs[k].g for k in chunk]), class_tag, t_q_max)
+                for k, family_members in zip(chunk, _stacked_members(stack)):
+                    members[k] = family_members
+    except (NegativeWeightError, NotStochasticError):
+        for g in gs:  # in input order, alone: the first bad input raises
+            _stacked_members(_member_stack(g.g, class_tag, t_q_max))
+        raise
+    return [SemiclassicalFamily(g, class_tag, m) for g, m in zip(gs, members)]
+
+
+def _check_family(sizes: list[int], class_tag: int, t_q_max: int) -> None:
+    """The arguments of a family of each size N in ``sizes``, before anything
+    is allocated."""
     if t_q_max < 1:
         raise ValueError("t_q_max must be >= 1")
     if class_tag not in (1, 2):
         raise ValueError("class_tag must be 1 or 2")
-    n = g.n
-    if n * n * t_q_max > MAX_ENTRIES:
-        raise TooLargeError(f"N^2 * t_q_max = {n * n * t_q_max} entries exceeds MAX_ENTRIES = {MAX_ENTRIES}")
-    d = np.sqrt(g.g * g.g.T)
-    s = g.g.sum(axis=0)[:, None]
+    for n in sizes:
+        if n * n * t_q_max > MAX_ENTRIES:
+            raise TooLargeError(f"N^2 * t_q_max = {n * n * t_q_max} entries exceeds MAX_ENTRIES = {MAX_ENTRIES}")
+
+
+def _member_stack(g: np.ndarray, class_tag: int, t_q_max: int) -> np.ndarray:
+    """Members t_q = 1..t_q_max of each matrix of a (..., N, N) stack, as one
+    (..., t_q_max, N, N) array clipped at 0 (the recurrence of the module
+    docstring)."""
+    n = g.shape[-1]
+    d = np.sqrt(g * np.swapaxes(g, -1, -2))
+    s = g.sum(axis=-2)[..., :, None]
     scale = 2.0 * s - 1.0
-    alpha, beta, d_beta = np.eye(n), np.zeros((n, n)), np.zeros((n, n))
-    stack = np.empty((t_q_max, n, n))
-    for row in stack:
+    alpha, beta, d_beta = np.eye(n), np.zeros(g.shape), np.zeros(g.shape)
+    stack = np.empty(g.shape[:-2] + (t_q_max, n, n))
+    for t in range(t_q_max):
+        row = stack[..., t, :, :]
         alpha, beta, d_alpha = -beta, scale * alpha + 2.0 * d_beta, -d_beta
         d_beta = d @ beta
         if class_tag == 1:
-            np.add(s * alpha * alpha + 2.0 * alpha * d_beta, g.g @ (beta * beta), out=row)
+            np.add(s * alpha * alpha + 2.0 * alpha * d_beta, g @ (beta * beta), out=row)
         else:
-            np.add(g.g @ (alpha * alpha) + 2.0 * beta * d_alpha, s * beta * beta, out=row)
+            np.add(g @ (alpha * alpha) + 2.0 * beta * d_alpha, s * beta * beta, out=row)
     np.maximum(stack, 0.0, out=stack)
-    return SemiclassicalFamily(source=g, class_tag=class_tag, members=_stacked_members(stack))
+    return stack
 
 
 def family_period(f: SemiclassicalFamily, tol: float = MATRIX_TOL) -> int | None:

@@ -83,31 +83,37 @@ class TransitionMatrix:
 
 
 def _check_transition(g: np.ndarray) -> None:
-    """The entry checks of a transition matrix, or of a (T, N, N) stack of them."""
+    """The entry checks of a transition matrix, or of a (..., N, N) stack of them."""
     if np.fmax.reduce(g, axis=None) > 1 + 1e-12:  # fmax skips NaN, as a comparison does
         raise NegativeWeightError("transition probabilities must lie in [0, 1]")
     validate(g)
 
 
-def _stacked_members(stack: np.ndarray) -> tuple[TransitionMatrix, ...]:
-    """Transition matrices viewing the rows of a (T, N, N) float64 stack.
+def _stacked_members(stack: np.ndarray) -> tuple:
+    """Transition matrices viewing the (N, N) matrices of a (..., N, N) float64
+    stack, as nested tuples shaped like its leading axes: a (T, N, N) stack
+    gives T members, a (B, T, N, N) stack B tuples of T.
 
     The stack is made read-only and checked once, with the checks each
     TransitionMatrix makes, and the members wrap views of it. This is the only
-    constructor that skips the per-matrix check. If the stack fails, the
-    members are built one by one through TransitionMatrix, so the first bad
-    member raises the error it raises on its own.
+    constructor that skips the per-matrix check. If the stack fails, its
+    matrices are built one by one through TransitionMatrix, in C order, so the
+    first bad one raises the error it raises on its own.
     """
     stack.setflags(write=False)
     try:
         _check_transition(stack)
     except (NegativeWeightError, NotStochasticError):
-        return tuple(map(TransitionMatrix, stack))
+        for g in stack.reshape(-1, *stack.shape[-2:]):
+            TransitionMatrix(g)
+        raise
     members = []
-    for g in stack:
+    for g in stack.reshape(-1, *stack.shape[-2:]):
         m = object.__new__(TransitionMatrix)
         object.__setattr__(m, "g", g)
         members.append(m)
+    for size in reversed(stack.shape[1:-2]):
+        members = [tuple(members[k:k + size]) for k in range(0, len(members), size)]
     return tuple(members)
 
 
@@ -173,8 +179,8 @@ def validate(m: TransitionMatrix | np.ndarray) -> None:
     one within ``STOCHASTIC_TOL``. A NaN or infinite entry makes its column
     non-stochastic. It is tested for explicitly because every comparison with
     NaN is false. A 1-D array, such as a ``ProbabilityVector``, is checked as
-    a single column. A (T, N, N) stack is checked matrix by matrix; column i
-    of matrix t is then reported as column t * N + i.
+    a single column. A (..., N, N) stack is checked matrix by matrix; column i
+    of the k-th matrix in C order is then reported as column k * N + i.
     """
     g = m.g if isinstance(m, TransitionMatrix) else np.asarray(m, dtype=float)
     if g.ndim == 1:
@@ -263,11 +269,14 @@ def _from_csv(text: str) -> TransitionMatrix:
         fields = ln.split(",")
         if len(fields) != n:
             raise ParseError(f"expected {n} fields, found {len(fields)}", line=r)
-        for c, tok in enumerate(fields):
-            try:
-                g[r - 2, c] = float(tok)
-            except ValueError:
-                raise ParseError(f"bad number {tok.strip()!r}", line=r, field=c) from None
+        try:
+            g[r - 2] = [float(tok) for tok in fields]
+        except ValueError:  # find the bad field only in a row that has one
+            for c, tok in enumerate(fields):
+                try:
+                    float(tok)
+                except ValueError:
+                    raise ParseError(f"bad number {tok.strip()!r}", line=r, field=c) from None
     validate(g)
     return TransitionMatrix(g / g.sum(axis=0))
 

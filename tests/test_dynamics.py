@@ -558,6 +558,60 @@ def test_strongly_connected_matches_transitive_closure():
         for _ in range(n):
             reach = reach | ((reach.astype(int) @ reach.astype(int)) > 0)
         expected = bool(reach.all())
-        assert dynamics._strongly_connected(edges) == expected, edges
+        levels = dynamics._strongly_connected(edges)
+        assert (levels is not False) == expected, edges
+        if expected:  # the levels _period may take in place of its own search
+            assert np.array_equal(levels, dynamics._levels(edges, 0)), edges
         seen.add(expected)
     assert seen == {True, False}
+
+
+def _period_cases():
+    """Cycles 3..33, weighted even cycles and a complete bipartite graph with
+    their members, and the hub with its members."""
+    rng = rng_from_seed(137)
+    cases = [(f"cycle {n}", sw.cycle_graph(n)) for n in range(3, 34)]
+    inputs = []
+    for n in (4, 6, 8):
+        w = rng.uniform(0.1, 0.9, n)
+        inputs.append((f"weighted cycle {n}",
+                       sw.TransitionMatrix(np.roll(np.diag(w), 1, axis=0) + np.roll(np.diag(1 - w), -1, axis=0))))
+    weights = rng.uniform(0.1, 1.0, (7, 7))
+    weights[:3, :3] = weights[3:, 3:] = 0.0
+    inputs += [("bipartite 3+4", sw.from_weights(weights)), ("hub", sw.symmetric_hub())]
+    for name, g in inputs:
+        cases.append((name, g))
+        for class_tag in (1, 2):
+            fam = sw.build_family(g, class_tag, 2 * g.n)
+            cases += [(f"{name} class {class_tag} t_q={t}", m) for t, m in enumerate(fam.members, start=1)]
+    return cases
+
+
+def test_period_from_passed_levels_matches_own_search():
+    seen = set()
+    for name, m in _period_cases():
+        edges = m.g > sw.graphs.SUPPORT_TOL
+        levels = dynamics._strongly_connected(edges)
+        if levels is False:
+            continue
+        right = dynamics._stationary(m.g)[:, None]
+        d = dynamics._period(m.g, right)
+        assert dynamics._period(m.g, right, levels) == d, name
+        for root in range(m.n):  # any root gives the same gcd
+            assert dynamics._period(m.g, right, dynamics._levels(edges, root)) == d, (name, root)
+        seen.add((name.split()[0], d))
+    assert {("cycle", 1), ("cycle", 2), ("weighted", 2), ("bipartite", 2), ("hub", 1)} <= seen, seen
+
+
+def test_solve_path_searches_once_per_direction(monkeypatch):
+    calls = []
+    levels = dynamics._levels
+    monkeypatch.setattr(dynamics, "_levels", lambda edges, root: calls.append(root) or levels(edges, root))
+    for n in (6, 33):  # empty diagonal: forward and backward from node 0, no search from the heaviest state
+        calls.clear()
+        res = sw.limiting_distribution(sw.cycle_graph(n), sw.ProbabilityVector.point_mass(n, 0))
+        assert res.method == "solve"
+        assert calls == [0, 0], n
+    calls.clear()
+    res = sw.limiting_distribution(random_stochastic(8, rng_from_seed(139)))
+    assert res.method == "solve" and calls == []  # every edge: no search at all

@@ -356,3 +356,72 @@ def test_bad_stack_raises_its_first_bad_members_error(hub, bad):
     stack[3, 0, 0] = np.inf  # a later member's different fault is not the one reported
     expected = _raised(sw.TransitionMatrix, stack[2])
     assert _raised(_stacked_members, stack) == expected
+
+
+def _batch_inputs():
+    """Interleaved sizes 2..8 (random, random symmetric, circulant) plus one N = 128."""
+    rng = rng_from_seed(113)
+    gens = (random_stochastic, random_symmetric_stochastic, random_circulant_symmetric)
+    gs = [gens[k % 3](2 + k % 7, rng) for k in range(30)]
+    gs.insert(11, random_stochastic(128, rng))
+    return gs + [sw.symmetric_hub(), sw.two_node_chain(), sw.cycle_graph(6)]
+
+
+@pytest.mark.parametrize("class_tag", [1, 2])
+def test_build_families_equal_build_family_bitwise(class_tag):
+    gs = _batch_inputs()
+    fams = sw.build_families(gs, class_tag, 14)
+    assert len(fams) == len(gs)
+    for g, fam in zip(gs, fams, strict=True):
+        alone = sw.build_family(g, class_tag, 14)
+        assert fam.source is g and fam.class_tag == class_tag and fam.t_q_max == 14
+        for t, (member, expected) in enumerate(zip(fam.members, alone.members, strict=True), start=1):
+            assert np.array_equal(member.g, expected.g), (g.n, t)
+            assert not member.g.flags.writeable
+    assert sw.build_families([], class_tag, 14) == []
+
+
+def _off_sum(n):
+    # ROADMAP item 2's input: column 0 scaled by 1 + 5e-11 fails by t_q = 40
+    g = random_stochastic(n, rng_from_seed(3)).g.copy()
+    g[:, 0] *= 1 + 5e-11
+    return sw.TransitionMatrix(g)
+
+
+@pytest.mark.parametrize("class_tag", [1, 2])
+def test_build_families_bad_input_raises_its_own_error(class_tag):
+    rng = rng_from_seed(127)
+    bad4, bad16 = _off_sum(4), _off_sum(16)
+    expected = _raised(sw.build_family, bad4, class_tag, 40)
+    assert expected[0] in (NotStochasticError, sw.NegativeWeightError)
+    # size 16 is stacked first, and its bad input fails with another number;
+    # the first bad input in input order is the one that raises
+    gs = [random_stochastic(16, rng), random_stochastic(4, rng), bad4,
+          random_stochastic(16, rng), bad16, random_stochastic(4, rng)]
+    if class_tag == 1:
+        assert _raised(sw.build_family, bad16, 1, 40) != expected
+    assert _raised(sw.build_families, gs, class_tag, 40) == expected
+
+
+def test_build_families_split_stacks_above_entry_cap(monkeypatch):
+    from semiwalk import family
+    monkeypatch.setattr(family, "MAX_ENTRIES", 8 * 8 * 16)
+    shapes = []
+    member_stack = family._member_stack
+    monkeypatch.setattr(family, "_member_stack",
+                        lambda g, *args: shapes.append(g.shape) or member_stack(g, *args))
+    rng = rng_from_seed(131)
+    gs = [random_stochastic(8 if k % 3 == 0 else 4, rng) for k in range(9)]  # 3 of N = 8, 6 of N = 4
+    fams = sw.build_families(gs, 1, 16)  # 4608 entries in all, every family fits
+    assert max(s[0] * s[1] ** 2 * 16 for s in shapes) <= family.MAX_ENTRIES
+    assert sorted(shapes) == [(1, 8, 8)] * 3 + [(2, 4, 4), (4, 4, 4)]
+    for g, fam in zip(gs, fams, strict=True):
+        shapes.clear()
+        alone = sw.build_family(g, 1, 16)
+        assert all(np.array_equal(a.g, b.g) for a, b in zip(fam.members, alone.members, strict=True))
+    big = random_stochastic(9, rng)
+    expected = _raised(sw.build_family, big, 1, 16)
+    assert expected[0] is TooLargeError
+    shapes.clear()
+    assert _raised(sw.build_families, gs[:3] + [big], 1, 16) == expected
+    assert shapes == []  # nothing was computed

@@ -11,7 +11,12 @@ from hypothesis import strategies as st
 
 import semiwalk as sw
 from semiwalk.cli import main
-from semiwalk.corpus import random_stochastic, random_symmetric_stochastic, rng_from_seed
+from semiwalk.corpus import (
+    random_stochastic,
+    random_symmetric_corpus,
+    random_symmetric_stochastic,
+    rng_from_seed,
+)
 from semiwalk.errors import (
     DanglingNodeError,
     NegativeWeightError,
@@ -125,6 +130,25 @@ def test_symmetric_matrices_fix_uniform():
         assert np.abs(m.g @ uniform - uniform).max() <= 1e-12
 
 
+
+def test_symmetric_corpus_equals_one_call_per_size_bitwise():
+    sizes = [3 + k % 8 for k in range(50)] + [1, 2, 128, 5]
+    one_by_one, stacked = rng_from_seed(149), rng_from_seed(149)
+    expected = [random_symmetric_stochastic(n, one_by_one) for n in sizes]
+    got = random_symmetric_corpus(sizes, stacked)
+    assert [m.n for m in got] == sizes
+    for a, b in zip(got, expected, strict=True):
+        assert np.array_equal(a.g, b.g)
+    assert np.array_equal(stacked.random(4), one_by_one.random(4))  # the same stream consumed
+    # the matrices of a stack take 42 to 63 rounds; a round limit or a looser
+    # tol stops each one where it stops alone
+    for kwargs in ({"max_rounds": 45}, {"tol": 1e-11}):
+        one_by_one, stacked = rng_from_seed(151), rng_from_seed(151)
+        expected = [random_symmetric_stochastic(n, one_by_one, **kwargs) for n in sizes[:12]]
+        got = random_symmetric_corpus(sizes[:12], stacked, **kwargs)
+        assert all(np.array_equal(a.g, b.g) for a, b in zip(got, expected, strict=True))
+    assert random_symmetric_corpus([], rng_from_seed(1)) == []
+
 def test_csv_round_trip(two_node):
     text = sw.serialize(two_node, "csv")
     assert text.splitlines()[0] == "n=2;orientation=column-stochastic"
@@ -220,6 +244,26 @@ def test_csv_bad_field_locus():
     assert err.value.line == 3
     assert err.value.field == 1
 
+
+
+@pytest.mark.parametrize("row, fields, field", [
+    (2, ["x", "0.5", "0.5"], 0),
+    (3, ["0.5", "1e-3", "nan0"], 2),
+    (4, ["0.2", "", "--1"], 1),  # the first bad field of a row is reported
+])
+def test_csv_bad_field_message_line_and_field(row, fields, field):
+    rows = [["0.5", "0.25", "0.25"], ["0.25", "0.5", "0.25"], ["0.25", "0.25", "0.5"]]
+    rows[row - 2] = fields
+    text = "n=3;orientation=column-stochastic\n" + "\n".join(map(",".join, rows)) + "\n"
+    with pytest.raises(ParseError) as err:
+        sw.deserialize(text, "csv")
+    assert (err.value.line, err.value.field) == (row, field)
+    assert str(err.value).startswith(f"bad number {fields[field].strip()!r}")
+
+
+def test_csv_parse_is_bitwise_round_trip():
+    g = random_stochastic(128, rng_from_seed(157))
+    assert np.array_equal(sw.deserialize(sw.serialize(g, "csv"), "csv").g, g.g / g.g.sum(axis=0))
 
 def test_csv_rejects_off_stochastic():
     text = "n=2;orientation=column-stochastic\n0.5,0.2\n0.47,0.8\n"
