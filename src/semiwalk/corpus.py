@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graphs import TransitionMatrix
+from .graphs import TransitionMatrix, _circulant
 
 
 def rng_from_seed(seed: int | np.random.SeedSequence) -> np.random.Generator:
@@ -67,15 +67,11 @@ def random_symmetric_corpus(
 
 def random_circulant_symmetric(n: int, rng: np.random.Generator) -> TransitionMatrix:
     """Random circulant matrix with palindromic offsets: homogeneous and symmetric."""
-    offsets = np.zeros(n)
     values = rng.uniform(0.1, 1.0, n // 2 + 1)
-    offsets[0] = values[0]
-    for k in range(1, n // 2 + 1):
-        offsets[k] = values[k]
-        offsets[n - k] = values[k]
+    k = np.arange(n)
+    offsets = values[np.minimum(k, n - k)]
     offsets /= offsets.sum()
-    idx = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
-    return TransitionMatrix(offsets[idx])
+    return TransitionMatrix(_circulant(offsets))
 
 
 def random_stochastic_corpus(

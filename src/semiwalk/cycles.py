@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TooLargeError, TooSmallError
-from .graphs import MAX_NODES, SUPPORT_TOL, TransitionMatrix
+from .graphs import MAX_NODES, SUPPORT_TOL, TransitionMatrix, _circulant
 
 
 @dataclass(frozen=True)
@@ -37,11 +37,9 @@ def cycle_graph(n: int) -> TransitionMatrix:
 def cycle_semiclassical(n: int, t_q: int) -> TransitionMatrix:
     """Closed-form family member: node i links to i +/- t_q (mod n).
 
-    When the two targets coincide (2 t_q divisible by n) the entry is an
-    explicit 1 rather than a sum of halves, keeping the formula exact. n = 2
-    is rejected: the two neighbors coincide there, which the cycle formulas
-    do not model. n above ``graphs.MAX_NODES`` is rejected before the n x n
-    matrix is allocated.
+    n = 2 is rejected: the two neighbors coincide there, which the cycle
+    formulas do not model. n above ``graphs.MAX_NODES`` is rejected before
+    the n x n matrix is allocated.
     """
     if n < 3:
         raise TooSmallError(f"cycle formulas need n >= 3, got {n}")
@@ -49,16 +47,17 @@ def cycle_semiclassical(n: int, t_q: int) -> TransitionMatrix:
         raise TooLargeError(f"n = {n} exceeds MAX_NODES = {MAX_NODES}")
     if t_q < 1:
         raise ValueError("t_q must be >= 1")
-    g = np.zeros((n, n))
-    for i in range(n):
-        up = (i + t_q) % n
-        down = (i - t_q) % n
-        if up == down:
-            g[up, i] = 1.0
-        else:
-            g[up, i] = 0.5
-            g[down, i] = 0.5
-    return TransitionMatrix(g)
+    return TransitionMatrix(_cycle_member(n, t_q))
+
+
+def _cycle_member(n: int, t_q: int) -> np.ndarray:
+    """The array of ``cycle_semiclassical(n, t_q)``, unchecked: 1/2 at offsets
+    +t_q and -t_q. Where the two coincide (2 t_q divisible by n) the halves
+    add to exactly 1."""
+    offsets = np.zeros(n)
+    offsets[t_q % n] = 0.5
+    offsets[-t_q % n] += 0.5
+    return _circulant(offsets)
 
 
 def cycle_predictions(n: int) -> CyclePrediction:

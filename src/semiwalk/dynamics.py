@@ -243,9 +243,11 @@ def _period(g: np.ndarray, right: np.ndarray, levels: np.ndarray | None = None) 
     return d
 
 
-def asymmetry(m: TransitionMatrix) -> float:
-    """Largest entrywise gap between m and its transpose; 0 iff symmetric."""
-    return float(np.abs(m.g - m.g.T).max())
+def asymmetry(m: TransitionMatrix | np.ndarray) -> float:
+    """Largest entrywise gap between m and its transpose, over every matrix
+    of a (..., N, N) array; 0 iff symmetric."""
+    g = m.g if isinstance(m, TransitionMatrix) else np.asarray(m, dtype=float)
+    return float(np.abs(g - np.swapaxes(g, -1, -2)).max())
 
 
 def rank_family(

@@ -38,9 +38,9 @@ the coefficients carry the stack's leading axes, and every product is a
 stacked ``matmul``, which numpy evaluates one N x N product at a time, so
 each input's members are bitwise the ones it gets alone. ``build_family``
 passes one matrix; ``build_families`` passes all inputs of one size N as one
-stack. A family's members are read-only views of one ``(t_q_max, N, N)``
-block, one row per step, and each stack is checked once rather than once
-per member.
+stack. A family holds its members as one read-only ``(t_q_max, N, N)``
+array, ``stack``, one row per step; each family checks its own stack once,
+rather than once per member, and its members are views of the rows.
 
 Two periods are computed. ``family_period`` compares the measured members;
 ``unitary_period`` asks when the walk operator itself returns to the
@@ -50,12 +50,12 @@ identity, read off U's eigenphases rather than dense powers of U.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InsufficientRangeError, NegativeWeightError, NotStochasticError, TooLargeError
-from .graphs import TransitionMatrix, _stacked_members, serialize
+from .errors import DimensionMismatchError, InsufficientRangeError, TooLargeError
+from .graphs import TransitionMatrix, _check_transition, _frozen_array, serialize
 from .szegedy import SzegedyOperator
 
 MATRIX_TOL = 1e-9
@@ -71,17 +71,32 @@ def _check_tol(tol: float) -> None:
 
 @dataclass(frozen=True, eq=False)
 class SemiclassicalFamily:
-    """Members indexed by quantum time, member(t_q) for t_q = 1..t_q_max."""
+    """Members indexed by quantum time, member(t_q) for t_q = 1..t_q_max.
+
+    ``stack`` is one read-only (t_q_max, N, N) float64 array, member t_q in row
+    t_q - 1, checked once as a TransitionMatrix checks itself; the first bad
+    member raises its own error. ``members`` are unchecked views of the rows.
+    A stack that is not read-only float64 memory already is copied first.
+    """
 
     source: TransitionMatrix
     class_tag: int
-    members: tuple[TransitionMatrix, ...]
+    stack: np.ndarray
+    members: tuple[TransitionMatrix, ...] = field(init=False)
 
     def __post_init__(self):
         if self.class_tag not in (1, 2):
             raise ValueError("class_tag must be 1 or 2")
-        if not self.members:
-            raise ValueError("a family needs at least one member")
+        stack = self.stack if _is_frozen(self.stack) else _frozen_array(self.stack, float)
+        n = self.source.n
+        if stack.ndim != 3 or stack.shape[0] < 1 or stack.shape[1:] != (n, n):
+            raise DimensionMismatchError(f"family stack must be (t_q_max >= 1, {n}, {n}), got {stack.shape}")
+        _check_transition(stack)
+        members = tuple(object.__new__(TransitionMatrix) for _ in stack)
+        for m, g in zip(members, stack):
+            object.__setattr__(m, "g", g)
+        object.__setattr__(self, "stack", stack)
+        object.__setattr__(self, "members", members)
 
     @property
     def t_q_max(self) -> int:
@@ -101,6 +116,16 @@ class SemiclassicalFamily:
         return json.dumps(doc)
 
 
+def _is_frozen(a) -> bool:
+    """Whether a is read-only float64 memory that no writable array shares:
+    it and every array it views are read-only, down to one owning its data."""
+    while isinstance(a, np.ndarray) and a.dtype == np.float64 and not a.flags.writeable:
+        if a.base is None:
+            return True
+        a = a.base
+    return False
+
+
 def semiclassical_matrix(g: TransitionMatrix, t_q: int, class_tag: int) -> TransitionMatrix:
     """Measurement statistics of t_q walk steps from every proxy state.
 
@@ -118,11 +143,9 @@ def build_family(g: TransitionMatrix, class_tag: int, t_q_max: int) -> Semiclass
     (alpha, beta) of ``U^t |psi_p> = A alpha[:, p] + S A beta[:, p]`` (see the
     module docstring), so each member costs two N x N products and no N^2
     amplitudes are stored. The members are written into one (t_q_max, N, N)
-    array and are read-only views of its rows. Each entry is a sum of squares;
-    rounding can leave it a few ulps below zero, so the array is clipped at 0.
-    It is then checked once for the whole family, with the checks each
-    TransitionMatrix makes; if it fails, the first bad member raises the error
-    it would raise on its own.
+    array, the family's ``stack``, which the family checks once. Each entry
+    is a sum of squares; rounding can leave it a few ulps below zero, so the
+    array is clipped at 0.
 
     In planes where D has an eigenvalue lam = +-1 the coefficients grow
     linearly in t (A x = +-S A x there) while the state does not, so the
@@ -134,7 +157,7 @@ def build_family(g: TransitionMatrix, class_tag: int, t_q_max: int) -> Semiclass
     before anything is allocated.
     """
     _check_family([g.n], class_tag, t_q_max)
-    return SemiclassicalFamily(g, class_tag, _stacked_members(_member_stack(g.g, class_tag, t_q_max)))
+    return SemiclassicalFamily(g, class_tag, _member_stack(g.g, class_tag, t_q_max))
 
 
 def build_families(
@@ -143,34 +166,27 @@ def build_families(
     """``[build_family(g, class_tag, t_q_max) for g in gs]``, one stack per size.
 
     The inputs of one size N run through the recurrence as one (B, N, N)
-    stack, and the resulting (B, t_q_max, N, N) members are checked once, so
-    a corpus of small matrices costs a few numpy calls per size rather than
-    per matrix. Each family's members are bitwise the ones ``build_family``
-    gives it, and they are views of one stack that the size's other families
-    share. A stack above ``MAX_ENTRIES`` entries is split into chunks that
-    fit, so any list whose members ``build_family`` accepts one by one is
-    accepted; a single input above the cap is a TooLargeError. If a stack
-    fails its check, the first bad input raises the error it raises alone.
+    stack, so a corpus of small matrices costs a few numpy calls per size
+    rather than per matrix. Each family's stack is its row of the resulting
+    (B, t_q_max, N, N) array, bitwise the one ``build_family`` gives it; each
+    family checks its own stack once, in input order, so the first bad input
+    raises the error it raises alone. A stack above ``MAX_ENTRIES`` entries is
+    split into chunks that fit, so any list whose members ``build_family``
+    accepts one by one is accepted; a single input above the cap is a
+    TooLargeError.
     """
     gs = list(gs)
     _check_family([g.n for g in gs], class_tag, t_q_max)
     groups: dict[int, list[int]] = {}
     for k, g in enumerate(gs):
         groups.setdefault(g.n, []).append(k)
-    members: list = [None] * len(gs)
-    try:
-        for n, ks in groups.items():
-            per_chunk = MAX_ENTRIES // (n * n * t_q_max)
-            for lo in range(0, len(ks), per_chunk):
-                chunk = ks[lo:lo + per_chunk]
-                stack = _member_stack(np.stack([gs[k].g for k in chunk]), class_tag, t_q_max)
-                for k, family_members in zip(chunk, _stacked_members(stack)):
-                    members[k] = family_members
-    except (NegativeWeightError, NotStochasticError):
-        for g in gs:  # in input order, alone: the first bad input raises
-            _stacked_members(_member_stack(g.g, class_tag, t_q_max))
-        raise
-    return [SemiclassicalFamily(g, class_tag, m) for g, m in zip(gs, members)]
+    stacks: dict[int, np.ndarray] = {}
+    for n, ks in groups.items():
+        per_chunk = MAX_ENTRIES // (n * n * t_q_max)
+        for lo in range(0, len(ks), per_chunk):
+            chunk = ks[lo:lo + per_chunk]
+            stacks.update(zip(chunk, _member_stack(np.stack([gs[k].g for k in chunk]), class_tag, t_q_max)))
+    return [SemiclassicalFamily(g, class_tag, stacks[k]) for k, g in enumerate(gs)]
 
 
 def _check_family(sizes: list[int], class_tag: int, t_q_max: int) -> None:
@@ -187,8 +203,8 @@ def _check_family(sizes: list[int], class_tag: int, t_q_max: int) -> None:
 
 def _member_stack(g: np.ndarray, class_tag: int, t_q_max: int) -> np.ndarray:
     """Members t_q = 1..t_q_max of each matrix of a (..., N, N) stack, as one
-    (..., t_q_max, N, N) array clipped at 0 (the recurrence of the module
-    docstring)."""
+    read-only (..., t_q_max, N, N) array clipped at 0 (the recurrence of the
+    module docstring)."""
     n = g.shape[-1]
     d = np.sqrt(g * np.swapaxes(g, -1, -2))
     s = g.sum(axis=-2)[..., :, None]
@@ -204,6 +220,7 @@ def _member_stack(g: np.ndarray, class_tag: int, t_q_max: int) -> np.ndarray:
         else:
             np.add(g @ (alpha * alpha) + 2.0 * beta * d_alpha, s * beta * beta, out=row)
     np.maximum(stack, 0.0, out=stack)
+    stack.setflags(write=False)
     return stack
 
 

@@ -83,38 +83,25 @@ class TransitionMatrix:
 
 
 def _check_transition(g: np.ndarray) -> None:
-    """The entry checks of a transition matrix, or of a (..., N, N) stack of them."""
-    if np.fmax.reduce(g, axis=None) > 1 + 1e-12:  # fmax skips NaN, as a comparison does
-        raise NegativeWeightError("transition probabilities must lie in [0, 1]")
-    validate(g)
-
-
-def _stacked_members(stack: np.ndarray) -> tuple:
-    """Transition matrices viewing the (N, N) matrices of a (..., N, N) float64
-    stack, as nested tuples shaped like its leading axes: a (T, N, N) stack
-    gives T members, a (B, T, N, N) stack B tuples of T.
-
-    The stack is made read-only and checked once, with the checks each
-    TransitionMatrix makes, and the members wrap views of it. This is the only
-    constructor that skips the per-matrix check. If the stack fails, its
-    matrices are built one by one through TransitionMatrix, in C order, so the
-    first bad one raises the error it raises on its own.
-    """
-    stack.setflags(write=False)
+    """The entry checks of a transition matrix, or of a (..., N, N) stack of
+    them, checked as one array. If a stack fails, its matrices are checked one
+    by one in C order, so the first bad one raises the error it raises on its
+    own."""
     try:
-        _check_transition(stack)
+        if np.fmax.reduce(g, axis=None) > 1 + 1e-12:  # fmax skips NaN, as a comparison does
+            raise NegativeWeightError("transition probabilities must lie in [0, 1]")
+        validate(g)
     except (NegativeWeightError, NotStochasticError):
-        for g in stack.reshape(-1, *stack.shape[-2:]):
-            TransitionMatrix(g)
+        if g.ndim > 2:
+            for m in g.reshape(-1, *g.shape[-2:]):
+                _check_transition(m)
         raise
-    members = []
-    for g in stack.reshape(-1, *stack.shape[-2:]):
-        m = object.__new__(TransitionMatrix)
-        object.__setattr__(m, "g", g)
-        members.append(m)
-    for size in reversed(stack.shape[1:-2]):
-        members = [tuple(members[k:k + size]) for k in range(0, len(members), size)]
-    return tuple(members)
+
+
+def _circulant(offsets: np.ndarray) -> np.ndarray:
+    """The N x N circulant matrix whose entry [j, i] is offsets[(j - i) mod N]."""
+    n = len(offsets)
+    return offsets[(np.arange(n)[:, None] - np.arange(n)[None, :]) % n]
 
 
 @dataclass(frozen=True, eq=False)
@@ -209,10 +196,7 @@ def classify(m: TransitionMatrix, tol: float = STOCHASTIC_TOL) -> Classification
     """
     g = m.g
     symmetric = bool(np.abs(g - g.T).max() <= tol)
-    n = m.n
-    idx = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
-    circulant = g[idx, 0]
-    homogeneous = bool(np.abs(g - circulant).max() <= tol)
+    homogeneous = bool(np.abs(g - _circulant(g[:, 0])).max() <= tol)
     return Classification(symmetric=symmetric, homogeneous=homogeneous)
 
 

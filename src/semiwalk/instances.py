@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graphs import TransitionMatrix
+from .graphs import TransitionMatrix, _circulant
 
 
 def two_node_chain() -> TransitionMatrix:
@@ -50,5 +50,4 @@ def asymmetric_ring(n: int = 7) -> TransitionMatrix:
     offsets[1] = 0.5
     offsets[n - 1] = 0.2
     offsets[3] = 0.3
-    idx = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
-    return TransitionMatrix(offsets[idx])
+    return TransitionMatrix(_circulant(offsets))

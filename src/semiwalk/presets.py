@@ -44,10 +44,8 @@ def cycle_report(n: int, t_q_max: int, tol: float) -> tuple[dict, family_mod.Sem
     }
     pred = cycles.cycle_predictions(n)
     predicted = {key: getattr(pred, key) for key in measured}
-    deviation = max(
-        float(np.abs(cycles.cycle_semiclassical(n, t).g - fam.member(t).g).max())
-        for t in range(1, t_q_max + 1)
-    )
+    closed = np.stack([cycles._cycle_member(n, t) for t in range(1, t_q_max + 1)])
+    deviation = float(np.abs(closed - fam.stack).max())
     report = {
         "n": n,
         "predicted": predicted,
@@ -117,13 +115,14 @@ def periodicity(n: int, t_q_max: int) -> dict[str, str]:
     member matrix and with the same unitary power."""
     g = cycles.cycle_graph(n)
     fam = family_mod.build_family(g, 1, t_q_max)
-    mats = [np.eye(n)] + [m.g for m in fam.members]  # index = t_q; 0 is the identity convention
+    mats = np.concatenate([np.eye(n)[None], fam.stack])  # index = t_q; 0 is the identity convention
     # U^j = U^t for j < t exactly when U^(t-j) = 1, so the first equal power is t mod the period
     period = family_mod.unitary_period(g, t_q_max)
     rows = []
     for t in range(t_q_max + 1):
-        mat_first = next(j for j in range(t + 1)
-                         if np.abs(mats[j] - mats[t]).max() <= family_mod.MATRIX_TOL)
+        # the first j <= t whose matrix is within tol of t's (j = t always is)
+        close = np.abs(mats[:t + 1] - mats[t]).max(axis=(1, 2)) <= family_mod.MATRIX_TOL
+        mat_first = int(np.argmax(close))
         uni_first = t % period if period else t
         rows.append({"t_q": t, "matrix_first_equal": mat_first, "unitary_first_equal": uni_first})
     csv = "t_q,matrix_first_equal,unitary_first_equal\n" + "".join(

@@ -5,7 +5,8 @@ import pytest
 
 import semiwalk as sw
 from semiwalk.errors import TooLargeError, TooSmallError
-from semiwalk.graphs import MAX_NODES
+from semiwalk.corpus import random_circulant_symmetric, rng_from_seed
+from semiwalk.graphs import MAX_NODES, _circulant
 
 
 def _components_by_search(g: np.ndarray, tol: float = 1e-9) -> list[list[int]]:
@@ -85,6 +86,51 @@ def test_closed_form_six_cycle_members():
         assert pairs.g[(i + 3) % 6, i] == 1.0
     identity = sw.cycle_semiclassical(6, 6)
     assert np.array_equal(identity.g, np.eye(6))
+
+
+def _looped_cycle_member(n, t_q):
+    """The closed form as it was first written, one node at a time."""
+    g = np.zeros((n, n))
+    for i in range(n):
+        up = (i + t_q) % n
+        down = (i - t_q) % n
+        if up == down:
+            g[up, i] = 1.0
+        else:
+            g[up, i] = 0.5
+            g[down, i] = 0.5
+    return g
+
+
+def _looped_circulant_symmetric(n, rng):
+    """random_circulant_symmetric as it was first written, one offset at a time."""
+    offsets = np.zeros(n)
+    values = rng.uniform(0.1, 1.0, n // 2 + 1)
+    offsets[0] = values[0]
+    for k in range(1, n // 2 + 1):
+        offsets[k] = values[k]
+        offsets[n - k] = values[k]
+    offsets /= offsets.sum()
+    idx = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
+    return offsets[idx]
+
+
+def test_circulant_constructors_equal_the_looped_ones_bitwise():
+    for n in [*range(3, 41), 64, 127, 199]:
+        for t in range(1, 2 * n + 1):
+            assert np.array_equal(sw.cycle_semiclassical(n, t).g, _looped_cycle_member(n, t)), (n, t)
+    for seed in range(20):
+        rng, ref_rng = rng_from_seed(seed), rng_from_seed(seed)
+        for n in range(1, 40):
+            expected = _looped_circulant_symmetric(n, ref_rng)
+            assert np.array_equal(random_circulant_symmetric(n, rng).g, expected), (seed, n)
+    ring = np.zeros((7, 7))
+    for i in range(7):
+        ring[(i + 1) % 7, i], ring[(i - 1) % 7, i], ring[(i + 3) % 7, i] = 0.5, 0.2, 0.3
+    assert np.array_equal(sw.asymmetric_ring(7).g, ring)
+    g = rng_from_seed(5).random((9, 9))
+    idx = (np.arange(9)[:, None] - np.arange(9)[None, :]) % 9
+    assert np.array_equal(_circulant(g[:, 0]), g[idx, 0])
 
 
 def test_closed_form_matches_pipeline():

@@ -11,9 +11,9 @@ from semiwalk.corpus import (
     random_symmetric_stochastic,
     rng_from_seed,
 )
-from semiwalk.errors import InsufficientRangeError, NotStochasticError, TooLargeError
+from semiwalk.errors import DimensionMismatchError, InsufficientRangeError, NotStochasticError, TooLargeError
 from semiwalk.family import MAX_ENTRIES
-from semiwalk.graphs import MAX_NODES, _stacked_members
+from semiwalk.graphs import MAX_NODES
 from semiwalk import szegedy
 from semiwalk.szegedy import SzegedyOperator
 
@@ -336,6 +336,13 @@ def test_members_and_single_matrices_are_read_only(hub):
     assert np.array_equal(m.g, sw.build_family(hub, 1, 4).member(4).g)
 
 
+def test_asymmetry_of_a_stack_is_its_members_largest(hub):
+    rng = rng_from_seed(137)
+    for g in [hub, sw.two_node_chain(), random_stochastic(6, rng), random_circulant_symmetric(8, rng)]:
+        fam = sw.build_family(g, 1, 12)
+        assert sw.asymmetry(fam.stack) == max(sw.asymmetry(m) for m in fam.members)
+
+
 def _raised(fn, *args):
     with pytest.raises(sw.SemiwalkError) as info:
         fn(*args)
@@ -355,7 +362,45 @@ def test_bad_stack_raises_its_first_bad_members_error(hub, bad):
     stack[2, 1, 3] = bad
     stack[3, 0, 0] = np.inf  # a later member's different fault is not the one reported
     expected = _raised(sw.TransitionMatrix, stack[2])
-    assert _raised(_stacked_members, stack) == expected
+    assert _raised(sw.SemiclassicalFamily, hub, 1, stack) == expected
+
+
+@pytest.mark.parametrize("shape", [(0, 7, 7), (7, 7), (3, 7, 6), (3, 6, 6), (1, 3, 7, 7)])
+def test_wrong_shape_or_empty_stack_is_a_dimension_mismatch(hub, shape):
+    stack = np.full(shape, 1.0 / shape[-2])  # every column of every matrix sums to 1
+    with pytest.raises(DimensionMismatchError):
+        sw.SemiclassicalFamily(hub, 1, stack)
+
+
+def test_family_copies_a_callers_writable_stack(hub):
+    stack = np.array([m.g for m in sw.build_family(hub, 1, 5).members])
+    expected = stack.copy()
+    fam = sw.SemiclassicalFamily(hub, 1, stack)
+    view = stack[1:].view()
+    view.setflags(write=False)  # read-only, but a view of writable memory
+    fam_view = sw.SemiclassicalFamily(hub, 1, view)
+    stack[...] = 0.0
+    assert np.array_equal(fam.stack, expected)
+    assert all(np.array_equal(m.g, e) for m, e in zip(fam.members, expected, strict=True))
+    assert all(np.array_equal(m.g, e) for m, e in zip(fam_view.members, expected[1:], strict=True))
+    assert not fam.stack.flags.writeable and not fam_view.stack.flags.writeable
+
+
+def test_family_keeps_a_frozen_stack_without_a_copy(hub):
+    frozen = sw.build_family(hub, 1, 5).stack
+    assert sw.SemiclassicalFamily(hub, 1, frozen).stack is frozen
+    assert sw.SemiclassicalFamily(hub, 1, frozen[2:]).stack.base is frozen
+
+
+@pytest.mark.parametrize("class_tag", [1, 2])
+def test_members_are_views_of_the_stack(hub, class_tag):
+    fams = [sw.build_family(hub, class_tag, 9)] + sw.build_families(_batch_inputs(), class_tag, 9)
+    for fam in fams:
+        assert fam.stack.shape == (9, fam.source.n, fam.source.n)
+        assert np.array_equal(fam.stack, np.stack([m.g for m in fam.members]))
+        assert not fam.stack.flags.writeable
+        for row, m in zip(fam.stack, fam.members, strict=True):  # same memory, same layout
+            assert not m.g.flags.owndata and m.g.__array_interface__ == row.__array_interface__
 
 
 def _batch_inputs():
