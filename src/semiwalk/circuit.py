@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParseError, TooLargeError, UnsupportedSizeError
-from .graphs import ProbabilityVector, TransitionMatrix, serialize
+from .graphs import ProbabilityVector, TransitionMatrix, _check_int, serialize
 from .szegedy import SzegedyOperator
 
 # cap on the walk blocks t_q * t_c of one circuit. A block is 14 gates, at
@@ -198,6 +198,8 @@ def build_circuit(g: TransitionMatrix, p0: ProbabilityVector, t_q: int,
     node 0 with certainty). More than ``MAX_WALK_BLOCKS`` walk blocks,
     t_q * t_c, is a TooLargeError before any gate is listed.
     """
+    _check_int("t_q", t_q)
+    _check_int("t_c", t_c)
     if t_q < 1 or t_c < 1:
         raise ValueError("t_q and t_c must be >= 1")
     if t_q * t_c > MAX_WALK_BLOCKS:

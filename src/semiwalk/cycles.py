@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TooLargeError, TooSmallError
-from .graphs import MAX_NODES, SUPPORT_TOL, TransitionMatrix, _circulant
+from .graphs import MAX_NODES, SUPPORT_TOL, TransitionMatrix, _check_int, _circulant
 
 
 @dataclass(frozen=True)
@@ -41,12 +41,12 @@ def cycle_semiclassical(n: int, t_q: int) -> TransitionMatrix:
     formulas do not model. n above ``graphs.MAX_NODES`` is rejected before
     the n x n matrix is allocated.
     """
+    _check_int("n", n)
     if n < 3:
         raise TooSmallError(f"cycle formulas need n >= 3, got {n}")
     if n > MAX_NODES:
         raise TooLargeError(f"n = {n} exceeds MAX_NODES = {MAX_NODES}")
-    if t_q < 1:
-        raise ValueError("t_q must be >= 1")
+    _check_int("t_q", t_q, 1)
     return TransitionMatrix(_cycle_member(n, t_q))
 
 
@@ -66,6 +66,7 @@ def cycle_predictions(n: int) -> CyclePrediction:
     floor(n/2) + 1 distinct members, family period n, and the walk operator
     itself repeats after n steps for even n but only after 2n for odd n.
     """
+    _check_int("n", n)
     if n < 3:
         raise TooSmallError(f"cycle formulas need n >= 3, got {n}")
     return CyclePrediction(

@@ -29,8 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, IndexOutOfRangeError, RankFailedError, TooLargeError
-from .graphs import SUPPORT_TOL, ProbabilityVector, TransitionMatrix
-from .family import SemiclassicalFamily, _check_tol, build_family
+from .graphs import SUPPORT_TOL, ProbabilityVector, TransitionMatrix, _check_int, _check_tol
+from .family import SemiclassicalFamily, build_family
 
 CONVERGED = "converged"
 CESARO = "cesaro"
@@ -79,17 +79,11 @@ class RankingResult:
     ordering: tuple[int, ...]
 
 
-def _check_int(name: str, value, least: int) -> None:
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
-        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
-
-
 def evolve(m: TransitionMatrix, p0: ProbabilityVector, t: int) -> ProbabilityVector:
     """Distribution after t steps, by repeated matrix-vector products."""
     if p0.n != m.n:
         raise DimensionMismatchError(f"p0 has n={p0.n}, matrix has n={m.n}")
-    if t < 0:
-        raise ValueError("t must be nonnegative")
+    _check_int("t", t, 0)
     p = p0.p
     for _ in range(t):
         p = m.g @ p

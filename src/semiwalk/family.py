@@ -44,7 +44,9 @@ rather than once per member, and its members are views of the rows.
 
 Two periods are computed. ``family_period`` compares the measured members;
 ``unitary_period`` asks when the walk operator itself returns to the
-identity, read off U's eigenphases rather than dense powers of U.
+identity, read off U's eigenphases rather than dense powers of U. The same
+lemma gives the phases: ``_eigenphases``, beside the member recurrence, reads
+them off one eigendecomposition of D.
 """
 
 from __future__ import annotations
@@ -55,18 +57,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatchError, InsufficientRangeError, TooLargeError
-from .graphs import TransitionMatrix, _check_transition, _frozen_array, serialize
-from .szegedy import SzegedyOperator
+from .graphs import TransitionMatrix, _check_int, _check_tol, _check_transition, _frozen_array, serialize
 
 MATRIX_TOL = 1e-9
 # Cap on N^2 * t_q_max, the float64 entries a family holds (2**24 is 128 MiB).
 MAX_ENTRIES = 2**24
-
-
-def _check_tol(tol: float) -> None:
-    # "not tol > 0" rather than "tol <= 0", which is false for NaN
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol!r}")
+# Entries in each (k, N, N) amplitude grid _eigenphases forms at once (8 MB
+# of float64): all N eigenvectors form one block up to N = 101, 16 at N = 256.
+PHASE_BLOCK = 1 << 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -192,6 +190,7 @@ def build_families(
 def _check_family(sizes: list[int], class_tag: int, t_q_max: int) -> None:
     """The arguments of a family of each size N in ``sizes``, before anything
     is allocated."""
+    _check_int("t_q_max", t_q_max)
     if t_q_max < 1:
         raise ValueError("t_q_max must be >= 1")
     if class_tag not in (1, 2):
@@ -222,6 +221,33 @@ def _member_stack(g: np.ndarray, class_tag: int, t_q_max: int) -> np.ndarray:
     np.maximum(stack, 0.0, out=stack)
     stack.setflags(write=False)
     return stack
+
+
+def _eigenphases(g: np.ndarray) -> np.ndarray:
+    """Eigenphases of U in [0, pi], each standing for the pair e^{+-i phase}.
+
+    Szegedy's spectral lemma: with A x = sum_i x_i |psi_i>, each eigenpair
+    (lam_k, x_k) of D = A^T S A = sqrt(G o G^T) spans a plane
+    {A x_k, S A x_k} that U rotates by theta_k = arccos(lam_k), and the
+    planes of orthonormal x_k are mutually orthogonal. theta_k is read as
+    2 atan2(|b - b^T|, |b + b^T|) on the amplitude grid b = A x_k, which
+    keeps full accuracy near lam = +-1 where arccos loses half the digits.
+    Off the planes Pi = 0 and U = -S: phase pi on the swap-symmetric part,
+    of dimension N(N-1)/2 + #{lam = -1}, so present for every N >= 2, and
+    phase 0 on the antisymmetric part, which never affects a period and is
+    left out.
+    """
+    n = g.shape[0]
+    _, x = np.linalg.eigh(np.sqrt(g * g.T))
+    sqrt_g = np.sqrt(g)
+    theta = np.empty(n)
+    step = max(1, PHASE_BLOCK // n**2)  # eigenvectors per block of grids
+    for lo in range(0, n, step):
+        b = x.T[lo:lo + step, :, None] * sqrt_g.T[None, :, :]  # b[k] = A x_k, N x N
+        bt = b.transpose(0, 2, 1)
+        theta[lo:lo + step] = 2.0 * np.arctan2(np.linalg.norm(b - bt, axis=(1, 2)),
+                                               np.linalg.norm(b + bt, axis=(1, 2)))
+    return np.append(theta, np.pi) if n >= 2 else theta
 
 
 def family_period(f: SemiclassicalFamily, tol: float = MATRIX_TOL) -> int | None:
@@ -272,8 +298,9 @@ def unitary_period(g: TransitionMatrix, t_max: int, tol: float = MATRIX_TOL) -> 
     which bounds every entry, so the test implies max |U^p - 1| <= tol
     entrywise. No dense operator is built, so there is no size cap.
     """
+    _check_int("t_max", t_max)
     _check_tol(tol)
-    theta = SzegedyOperator(g)._eigenphases()
+    theta = _eigenphases(g.g)
     for p in range(1, t_max + 1):
         if np.abs(np.exp(1j * p * theta) - 1.0).max() <= tol:
             return p

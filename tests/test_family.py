@@ -14,7 +14,7 @@ from semiwalk.corpus import (
 from semiwalk.errors import DimensionMismatchError, InsufficientRangeError, NotStochasticError, TooLargeError
 from semiwalk.family import MAX_ENTRIES
 from semiwalk.graphs import MAX_NODES
-from semiwalk import szegedy
+from semiwalk import family, szegedy
 from semiwalk.szegedy import SzegedyOperator
 
 # two-node family members frozen from an independent dense-operator computation
@@ -145,7 +145,7 @@ def test_eigenphases_cover_dense_spectrum():
     for g in _oracle_graphs():
         op = SzegedyOperator(g)
         dense = np.abs(np.angle(np.linalg.eigvals(op.dense())))
-        phases = op._eigenphases()
+        phases = family._eigenphases(g.g)
         # the antisymmetric phase 0 is left out of the helper's set
         assert all(np.abs(np.append(phases, 0.0) - d).min() <= 1e-9 for d in dense)
         assert all(np.abs(dense - p).min() <= 1e-9 for p in phases)
@@ -168,8 +168,39 @@ def test_blocked_eigenphases_equal_unblocked_formula(theorem_corpus, monkeypatch
         op = SzegedyOperator(g)
         reference = _unblocked_eigenphases(op)
         for step in range(1, g.n + 1):
-            monkeypatch.setattr(szegedy, "PHASE_BLOCK", step * g.n * g.n)
-            assert np.abs(op._eigenphases() - reference).max() <= 1e-14
+            monkeypatch.setattr(family, "PHASE_BLOCK", step * g.n * g.n)
+            assert np.abs(family._eigenphases(g.g) - reference).max() <= 1e-14
+
+
+def _operator_eigenphases(op):
+    """Reference: the eigenphases as a method of the N^2 operator computed
+    them, on its cached sqrt(G), with the same block of 1 << 20 entries."""
+    g = op.source.g
+    _, x = np.linalg.eigh(np.sqrt(g * g.T))
+    theta = np.empty(op.n)
+    step = max(1, (1 << 20) // op.n**2)
+    for lo in range(0, op.n, step):
+        b = x.T[lo:lo + step, :, None] * op._sqrt_g.T[None, :, :]
+        bt = b.transpose(0, 2, 1)
+        theta[lo:lo + step] = 2.0 * np.arctan2(np.linalg.norm(b - bt, axis=(1, 2)),
+                                               np.linalg.norm(b + bt, axis=(1, 2)))
+    return np.append(theta, np.pi) if op.n >= 2 else theta
+
+
+def test_eigenphases_bitwise_equal_operator_formula():
+    for g in _oracle_graphs() + [sw.cycle_graph(256)]:
+        assert np.array_equal(family._eigenphases(g.g), _operator_eigenphases(SzegedyOperator(g)))
+
+
+def test_unitary_period_builds_no_operator(monkeypatch):
+    graphs = _oracle_graphs()
+    expected = [sw.unitary_period(g, 2 * g.n * g.n) for g in graphs]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("unitary_period built the N^2 operator")
+
+    monkeypatch.setattr(szegedy.SzegedyOperator, "__init__", refuse)
+    assert [sw.unitary_period(g, 2 * g.n * g.n) for g in graphs] == expected
 
 
 def test_eigenphases_peak_memory_is_blocked():
@@ -281,6 +312,32 @@ def test_family_above_entry_cap_is_too_large(two_node):
         sw.build_family(two_node, 1, MAX_ENTRIES // 4 + 1)
     with pytest.raises(TooLargeError, match="MAX_ENTRIES"):
         sw.semiclassical_matrix(sw.cycle_graph(MAX_NODES), 17, 2)
+
+
+_P0 = sw.ProbabilityVector([0.8, 0.2])
+
+
+@pytest.mark.parametrize("call, name", [
+    pytest.param(lambda g: sw.build_family(g, 1, 2.5), "t_q_max", id="build_family"),
+    pytest.param(lambda g: sw.build_family(g, 1, True), "t_q_max", id="build_family-bool"),
+    pytest.param(lambda g: sw.build_families([g], 1, 2.5), "t_q_max", id="build_families"),
+    pytest.param(lambda g: sw.semiclassical_matrix(g, 2.5, 1), "t_q_max", id="semiclassical_matrix"),
+    pytest.param(lambda g: sw.unitary_period(g, 2.5), "t_max", id="unitary_period"),
+    pytest.param(lambda g: sw.unitary_period(g, True), "t_max", id="unitary_period-bool"),
+    pytest.param(lambda g: sw.evolve(g, _P0, 2.5), "t", id="evolve"),
+    # a bool used to run as one step
+    pytest.param(lambda g: sw.evolve(g, _P0, True), "t", id="evolve-bool"),
+    pytest.param(lambda g: sw.build_circuit(g, _P0, 1.5, 2), "t_q", id="build_circuit"),
+    pytest.param(lambda g: sw.build_circuit(g, _P0, 1, True), "t_c", id="build_circuit-bool"),
+    pytest.param(lambda g: sw.cycle_graph(6.0), "n", id="cycle_graph"),
+    # a float t_q used to raise IndexError
+    pytest.param(lambda g: sw.cycle_semiclassical(6, 1.5), "t_q", id="cycle_semiclassical"),
+    pytest.param(lambda g: sw.cycle_semiclassical(6, False), "t_q", id="cycle_semiclassical-bool"),
+    pytest.param(lambda g: sw.cycle_predictions(7.0), "n", id="cycle_predictions"),
+])
+def test_float_or_bool_integer_arguments_are_value_errors(two_node, call, name):
+    with pytest.raises(ValueError, match=rf"^{name} must be an integer\b"):
+        call(two_node)
 
 
 @pytest.mark.parametrize("tol", [float("nan"), 0.0, -1e-9])
