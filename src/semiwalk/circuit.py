@@ -12,24 +12,32 @@ gates. The leading minus sign is tracked explicitly as a global-phase entry
 so block verification can assert equality up to phase instead of ignoring
 it.
 
-One run alternates quantum evolution with measurement: an initial RY(alpha)
-plus measurement samples the start node, then every classical step resets
-wire 1, re-prepares the proxy conditioned on wire 0, applies t_q walk
-blocks and measures wire 0 again. The proxy preparation uses quantum
-controlled rotations; an export flag swaps these for classically controlled
-gates (untested against hardware).
+One run alternates quantum evolution with measurement. The circuit's head,
+an initial RY(alpha) plus measurement, samples the start node. Then t_c
+identical rounds follow: each resets wire 1, re-prepares the proxy
+conditioned on wire 0, applies t_q walk blocks and measures wire 0 again.
+``CircuitDescription`` holds the head, the preparation and the block once;
+the flat gate sequence is derived from them. The proxy preparation uses
+quantum controlled rotations; an export flag swaps these for classically
+controlled gates (untested against hardware).
 
 Each gate kind is one entry of ``_GATES`` (OpenQASM 2.0 template, 4x4
 unitary), read by the gate matrices, the exporter and the parser. The
 simulator carries the 4x4 density matrix rho of both wires: a gate maps rho
 to U rho U^dagger, a measurement reads its wire's marginal off rho's
 diagonal and dephases the wire, a reset applies the Kraus pair |0><0|,
-|0><1| on it.
+|0><1| on it. The head runs gate by gate. After a round's measurement of
+wire 0 and the next reset of wire 1, rho is diag(p) (x) |0><0| for the node
+distribution p, so every round maps p through one 2x2 column-stochastic
+channel K. K comes from running one round's own gates, its t_q blocks
+composed into one unitary, from each basis start; the t_c rounds are then
+t_c products with K.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 import re
@@ -42,10 +50,10 @@ from .errors import ParseError, TooLargeError, UnsupportedSizeError
 from .graphs import ProbabilityVector, TransitionMatrix, _check_int, serialize
 from .szegedy import SzegedyOperator
 
-# cap on the walk blocks t_q * t_c of one circuit. A block is 14 gates, at
-# most about 330 bytes of OpenQASM and 1.4 kB of gates.json together with its
-# round's reset, preparation and measurement (t_q = 1), so at the cap the
-# OpenQASM stays below about 11 MB and gates.json below about 46 MB.
+# cap on the walk blocks t_q * t_c of one circuit. The OpenQASM lists every
+# gate: a block is 14 gates, at most about 330 bytes of OpenQASM together
+# with its round's reset, preparation and measurement (t_q = 1), so at the
+# cap it stays below about 11 MB. gates.json holds each round once.
 MAX_WALK_BLOCKS = 2**15
 
 _WIRE_OF_REGISTER = {1: 0, 2: 1}
@@ -119,10 +127,27 @@ class GateOp:
 
 _GATE_FIELDS = tuple(f.name for f in dataclasses.fields(GateOp))
 
+# the measurement of register 1 that closes the head and every round
+_MEASURE = GateOp("measure", register=1)
+
+
+def _gate_dicts(gates) -> list[dict]:
+    return [{k: v for k in _GATE_FIELDS if (v := getattr(gate, k)) is not None} for gate in gates]
+
 
 @dataclass(frozen=True, eq=False)
 class CircuitDescription:
-    gates: tuple[GateOp, ...]
+    """The walk circuit by its parts: ``head``, then t_c rounds, each ``prep``,
+    t_q copies of ``block`` and a measurement of register 1.
+
+    ``head`` is the optional RY(alpha) and the first measurement; ``prep`` is
+    the reset of register 2 and the 4-gate proxy preparation; ``block`` is the
+    14-gate walk block.
+    """
+
+    head: tuple[GateOp, ...]
+    prep: tuple[GateOp, ...]
+    block: tuple[GateOp, ...]
     t_q: int
     t_c: int
     source: TransitionMatrix
@@ -131,14 +156,27 @@ class CircuitDescription:
     theta0: float
     theta1: float
 
+    @property
+    def round(self) -> tuple[tuple[tuple[GateOp, ...], int], ...]:
+        """One round as (gates, repeat count) segments, in circuit order."""
+        return (self.prep, 1), (self.block, self.t_q), ((_MEASURE,), 1)
+
+    @property
+    def gates(self) -> tuple[GateOp, ...]:
+        """The flat gate sequence: the head, then the round t_c times."""
+        one_round = tuple(gate for gates, repeat in self.round for gate in gates * repeat)
+        return self.head + one_round * self.t_c
+
     def to_json(self) -> str:
-        """JSON object: sizes, angles, the source matrix as CSV, p0, and each
-        gate with only its set fields."""
+        """JSON object: sizes, angles, the source matrix as CSV, p0, the
+        ``head`` gates and the ``round`` as segments ``{"gates", "repeat"}``.
+        The circuit is the head followed by t_c rounds, and a round is each
+        segment's gates ``repeat`` times; each gate lists only its set fields."""
         doc = {name: getattr(self, name) for name in ("t_q", "t_c", "alpha", "theta0", "theta1")}
         doc["source_csv"] = serialize(self.source, "csv")
         doc["p0"] = list(map(float, self.p0.p))
-        doc["gates"] = [{k: v for k in _GATE_FIELDS if (v := getattr(gate, k)) is not None}
-                        for gate in self.gates]
+        doc["head"] = _gate_dicts(self.head)
+        doc["round"] = [{"gates": _gate_dicts(gates), "repeat": repeat} for gates, repeat in self.round]
         return json.dumps(doc, indent=2, sort_keys=True)
 
 
@@ -196,7 +234,7 @@ def build_circuit(g: TransitionMatrix, p0: ProbabilityVector, t_q: int,
 
     The initial rotation is omitted when alpha is exactly zero (p0 starts at
     node 0 with certainty). More than ``MAX_WALK_BLOCKS`` walk blocks,
-    t_q * t_c, is a TooLargeError before any gate is listed.
+    t_q * t_c, is a TooLargeError, since the OpenQASM lists every gate.
     """
     _check_int("t_q", t_q)
     _check_int("t_c", t_c)
@@ -205,28 +243,28 @@ def build_circuit(g: TransitionMatrix, p0: ProbabilityVector, t_q: int,
     if t_q * t_c > MAX_WALK_BLOCKS:
         raise TooLargeError(f"t_q * t_c = {t_q * t_c} walk blocks exceeds MAX_WALK_BLOCKS = {MAX_WALK_BLOCKS}")
     alpha, theta0, theta1 = prep_angles(g, p0)
-    gates: list[GateOp] = []
-    if alpha != 0.0:
-        gates.append(GateOp("ry", target=0, angle=alpha))
-    gates.append(GateOp("measure", register=1))
-    block = walk_block_gates(theta0, theta1)
-    for _ in range(t_c):
-        gates.append(GateOp("reset", register=2))
-        gates.extend(prep_block_gates(theta0, theta1))
-        gates.extend(block * t_q)
-        gates.append(GateOp("measure", register=1))
-    return CircuitDescription(gates=tuple(gates), t_q=t_q, t_c=t_c, source=g, p0=p0,
-                              alpha=alpha, theta0=theta0, theta1=theta1)
+    rotation = () if alpha == 0.0 else (GateOp("ry", target=0, angle=alpha),)
+    return CircuitDescription(head=(*rotation, _MEASURE),
+                              prep=(GateOp("reset", register=2), *prep_block_gates(theta0, theta1)),
+                              block=walk_block_gates(theta0, theta1), t_q=t_q, t_c=t_c,
+                              source=g, p0=p0, alpha=alpha, theta0=theta0, theta1=theta1)
 
 
 # --- gate matrices and verification ------------------------------------------
 
 def gate_matrix(gate: GateOp) -> np.ndarray:
-    """4x4 unitary of one gate; measure/reset have no matrix."""
-    unitary = _GATES[gate.kind][1]
-    if unitary is None:
+    """4x4 unitary of one gate, read-only and built once per distinct gate;
+    measure/reset have no matrix."""
+    if _GATES[gate.kind][1] is None:
         raise ValueError(f"{gate.kind} has no unitary matrix")
-    return unitary(gate)
+    return _unitary(gate)
+
+
+@functools.lru_cache(maxsize=1024)
+def _unitary(gate: GateOp) -> np.ndarray:
+    u = _GATES[gate.kind][1](gate)
+    u.setflags(write=False)
+    return u
 
 
 def compose_gates(gates) -> np.ndarray:
@@ -248,8 +286,7 @@ def verify_block(g: TransitionMatrix, t_q: int) -> float:
     """Deviation of the composed walk block, to the power t_q, from dense U^t_q."""
     if g.n != 2:
         raise UnsupportedSizeError(f"circuit verification needs n=2, got n={g.n}")
-    if t_q < 0:
-        raise ValueError("t_q must be nonnegative")
+    _check_int("t_q", t_q, least=0)
     block = compose_gates(walk_block_gates(*_proxy_angles(g)))
     dense = SzegedyOperator(g).dense()
     return deviation_up_to_phase(np.linalg.matrix_power(block, t_q),
@@ -262,44 +299,69 @@ def verify_block(g: TransitionMatrix, t_q: int) -> float:
 _KRAUS = {"measure": (_P0, _P1), "reset": (_P0, np.array([[0, 1], [0, 0]], dtype=complex))}
 
 
-def simulate_circuit(c: CircuitDescription) -> list[ProbabilityVector]:
-    """Exact node distribution at every classical step (one per measurement).
+@functools.lru_cache(maxsize=None)
+def _kraus(kind: str, wire: int) -> tuple[np.ndarray, ...]:
+    return tuple(_on_wire(k, wire) for k in _KRAUS[kind])
 
-    Evolves the 4x4 density matrix of both wires from |0,0>. Each
-    measurement records its wire's marginal (rho's diagonal summed over the
-    other wire, rounding below zero clipped) and dephases the wire, so the
-    classical mixture of all outcomes is carried at a fixed cost per gate.
-    """
-    rho = np.zeros((4, 4), dtype=complex)
-    rho[0, 0] = 1.0
-    # each distinct gate once: the walk block repeats t_q * t_c times
-    unitaries = {gate: gate_matrix(gate) for gate in set(c.gates) if gate.kind not in _KRAUS}
-    outcomes: list[ProbabilityVector] = []
-    for gate in c.gates:
+
+def _run(rho: np.ndarray, gates, outcomes: list) -> np.ndarray:
+    """rho after the gates in order. Each measurement appends its wire's
+    marginal (rho's diagonal summed over the other wire, rounding below zero
+    clipped) to ``outcomes`` and dephases the wire."""
+    for gate in gates:
         if gate.kind in _KRAUS:
             wire = _WIRE_OF_REGISTER[gate.register]
             if gate.kind == "measure":
-                marginal = rho.diagonal().real.reshape(2, 2).sum(axis=1 - wire)
-                outcomes.append(ProbabilityVector(np.maximum(marginal, 0.0)))
-            kraus = [_on_wire(k, wire) for k in _KRAUS[gate.kind]]
-            rho = sum(k @ rho @ k.conj().T for k in kraus)
+                outcomes.append(np.maximum(rho.diagonal().real.reshape(2, 2).sum(axis=1 - wire), 0.0))
+            rho = sum(k @ rho @ k.conj().T for k in _kraus(gate.kind, wire))
         else:
-            u = unitaries[gate]
+            u = gate_matrix(gate)
             rho = u @ rho @ u.conj().T
-    return outcomes
+    return rho
+
+
+def _round_channel(c: CircuitDescription) -> np.ndarray:
+    # column x: the node distribution one round after diag(e_x) (x) |0><0|,
+    # from the round's own gates with its t_q blocks composed into one unitary
+    walk = np.linalg.matrix_power(compose_gates(c.block), c.t_q)
+    cols: list[np.ndarray] = []
+    for x in (0, 1):
+        rho = np.zeros((4, 4), dtype=complex)
+        rho[2 * x, 2 * x] = 1.0  # |x>|0>
+        rho = _run(rho, c.prep, cols)
+        _run(walk @ rho @ walk.conj().T, (_MEASURE,), cols)
+    return np.column_stack(cols)
+
+
+def simulate_circuit(c: CircuitDescription) -> list[ProbabilityVector]:
+    """Exact node distribution at every classical step (one per measurement).
+
+    Runs the head gate by gate on the 4x4 density matrix of both wires from
+    |0,0>; its measurement gives the first distribution. Each round then maps
+    the distribution through the round channel K (``segment_channel``), so
+    the classical mixture of all outcomes costs one round's gates plus t_c
+    products with K, not t_q * t_c walk blocks.
+    """
+    rho = np.zeros((4, 4), dtype=complex)
+    rho[0, 0] = 1.0
+    outcomes: list[np.ndarray] = []
+    _run(rho, c.head, outcomes)
+    k = _round_channel(c)
+    p = outcomes[-1]
+    for _ in range(c.t_c):
+        p = k @ p
+        outcomes.append(p)
+    return [ProbabilityVector(p) for p in outcomes]
 
 
 def segment_channel(g: TransitionMatrix, t_q: int) -> np.ndarray:
-    """Outcome distribution of one circuit segment per start node, as columns.
+    """Round channel K of g's circuit with t_q walk blocks: column x is the
+    node distribution one round after node x.
 
-    Runs the synthesized gate list through the density-matrix simulator from
+    Runs one round's own gates through the density-matrix simulator from
     each basis start, so it checks the circuit rather than re-deriving it.
     """
-    cols = []
-    for x in (0, 1):
-        c = build_circuit(g, ProbabilityVector.point_mass(2, x), t_q, 1)
-        cols.append(simulate_circuit(c)[1].p)
-    return np.column_stack(cols)
+    return _round_channel(build_circuit(g, ProbabilityVector.point_mass(2, 0), t_q, 1))
 
 
 # --- OpenQASM export and import -----------------------------------------------
@@ -318,35 +380,33 @@ def export_openqasm(c: CircuitDescription, classical_control: bool = False) -> s
     preparation rotations are conditioned on the preceding measurement's own
     one-bit register instead (shallower, but untested against hardware).
     Angles are printed with 12 significant digits; output is byte-stable for
-    identical inputs.
+    identical inputs. Each distinct line is formatted once per call.
     """
-    lines = ["OPENQASM 2.0;", 'include "qelib1.inc";', "qreg q[2];"]
-    n_meas = sum(1 for gate in c.gates if gate.kind == "measure")
-    if classical_control:
-        lines += [f"creg c{k}[1];" for k in range(n_meas)]
-    else:
-        lines.append(f"creg c[{n_meas}];")
+    def clbit(k: int) -> str:
+        return f"c{k}[0]" if classical_control else f"c[{k}]"
 
-    meas_index = 0
-    idx = 0
-    while idx < len(c.gates):
-        gate = c.gates[idx]
-        clbit = ""
-        if gate.kind == "measure":
-            clbit = f"c{meas_index}[0]" if classical_control else f"c[{meas_index}]"
-            meas_index += 1
-        lines.append(_qasm_line(gate, clbit))
-        idx += 1
-        if classical_control and gate.kind == "reset":
-            # replace the 4-gate controlled preparation after each reset
-            prep = c.gates[idx: idx + 4]
-            if [g.kind for g in prep] != ["x", "controlled-ry", "x", "controlled-ry"]:
-                raise ValueError("unexpected circuit structure for classical control")
-            for value, rot in ((0, prep[1]), (1, prep[3])):
-                ry = GateOp("ry", target=rot.target, angle=rot.angle)
-                lines.append(f"if(c{meas_index - 1}=={value}) " + _qasm_line(ry))
-            idx += 4
-    return "\n".join(lines) + "\n"
+    lines = ["OPENQASM 2.0;", 'include "qelib1.inc";', "qreg q[2];"]
+    # one measurement closes the head and each round
+    if classical_control:
+        lines += [f"creg c{k}[1];" for k in range(c.t_c + 1)]
+    else:
+        lines.append(f"creg c[{c.t_c + 1}];")
+    lines += [_qasm_line(gate, clbit(0)) for gate in c.head]
+    if classical_control:
+        # after the reset, two rotations conditioned on the preceding
+        # measurement replace the 4-gate controlled preparation
+        prep = [_qasm_line(c.prep[0])]
+        rotations = [_qasm_line(GateOp("ry", target=1, angle=theta)) for theta in (c.theta0, c.theta1)]
+    else:
+        prep = ["\n".join(map(_qasm_line, c.prep))]
+        rotations = []
+    walk = "\n".join(["\n".join(map(_qasm_line, c.block))] * c.t_q)
+    for k in range(1, c.t_c + 1):
+        lines += prep
+        lines += [f"if(c{k - 1}=={v}) {rot}" for v, rot in enumerate(rotations)]
+        lines += [walk, _qasm_line(_MEASURE, clbit(k))]
+    lines.append("")  # the final newline, without a second copy of the text
+    return "\n".join(lines)
 
 
 # what each template field matches when parsing; {clbit} matches only the

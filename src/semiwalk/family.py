@@ -83,8 +83,7 @@ class SemiclassicalFamily:
     members: tuple[TransitionMatrix, ...] = field(init=False)
 
     def __post_init__(self):
-        if self.class_tag not in (1, 2):
-            raise ValueError("class_tag must be 1 or 2")
+        _check_class(self.class_tag)
         stack = self.stack if _is_frozen(self.stack) else _frozen_array(self.stack, float)
         n = self.source.n
         if stack.ndim != 3 or stack.shape[0] < 1 or stack.shape[1:] != (n, n):
@@ -187,14 +186,19 @@ def build_families(
     return [SemiclassicalFamily(g, class_tag, stacks[k]) for k, g in enumerate(gs)]
 
 
+def _check_class(class_tag) -> None:
+    # a bool or a float equals 1 or 2 too, but is no class tag
+    if isinstance(class_tag, bool) or not isinstance(class_tag, (int, np.integer)) or class_tag not in (1, 2):
+        raise ValueError("class_tag must be 1 or 2")
+
+
 def _check_family(sizes: list[int], class_tag: int, t_q_max: int) -> None:
     """The arguments of a family of each size N in ``sizes``, before anything
     is allocated."""
     _check_int("t_q_max", t_q_max)
     if t_q_max < 1:
         raise ValueError("t_q_max must be >= 1")
-    if class_tag not in (1, 2):
-        raise ValueError("class_tag must be 1 or 2")
+    _check_class(class_tag)
     for n in sizes:
         if n * n * t_q_max > MAX_ENTRIES:
             raise TooLargeError(f"N^2 * t_q_max = {n * n * t_q_max} entries exceeds MAX_ENTRIES = {MAX_ENTRIES}")

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, IndexOutOfRangeError, TooLargeError
-from .graphs import STOCHASTIC_TOL, ProbabilityVector, TransitionMatrix
+from .graphs import STOCHASTIC_TOL, ProbabilityVector, TransitionMatrix, _check_int
 
 # A proxy state's norm^2 is its node's column sum, which validate lets sit
 # STOCHASTIC_TOL off one; a tighter bound would reject an accepted matrix.
@@ -120,8 +120,7 @@ class SzegedyOperator:
 
     def apply(self, state: EdgeState, steps: int = 1) -> EdgeState:
         """Apply U = S (2 Pi - 1) the given number of times, matrix-free."""
-        if steps < 0:
-            raise ValueError("steps must be nonnegative")
+        _check_int("steps", steps, least=0)
         a = self._check(state)
         for _ in range(steps):
             a = self._reflect_raw(a).T.copy()  # transpose = register swap

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,9 @@ from hypothesis import strategies as st
 
 import semiwalk as sw
 from semiwalk.circuit import (
+    MAX_WALK_BLOCKS,
     GateOp,
+    _qasm_line,
     compose_gates,
     deviation_up_to_phase,
     gate_matrix,
@@ -197,36 +200,45 @@ def test_export_parse_round_trip_random_two_node(a, b, p, t_q, t_c):
     assert sw.parse_openqasm(sw.export_openqasm(c)) == expected
 
 
+def _expand(doc):
+    """The flat gate sequence a gates.json document describes."""
+    one_round = tuple(GateOp(**entry) for segment in doc["round"]
+                      for entry in segment["gates"] * segment["repeat"])
+    return tuple(GateOp(**entry) for entry in doc["head"]) + one_round * doc["t_c"]
+
+
 def test_to_json_lists_set_fields_of_each_gate(two_node, p0_experiment):
     c = sw.build_circuit(two_node, p0_experiment, 2, 2)
     doc = json.loads(c.to_json())
-    assert tuple(GateOp(**entry) for entry in doc["gates"]) == c.gates
-    assert all(None not in entry.values() for entry in doc["gates"])
+    assert _expand(doc) == c.gates
+    entries = doc["head"] + [entry for segment in doc["round"] for entry in segment["gates"]]
+    assert all(None not in entry.values() for entry in entries)
     assert (doc["t_q"], doc["t_c"], doc["theta0"], doc["p0"]) == (2, 2, c.theta0, [0.8, 0.2])
 
 
-def _asdict_json(c):
-    """Reference: to_json with one dataclasses.asdict per gate."""
-    doc = {name: getattr(c, name) for name in ("t_q", "t_c", "alpha", "theta0", "theta1")}
-    doc["source_csv"] = sw.serialize(c.source, "csv")
-    doc["p0"] = list(map(float, c.p0.p))
-    doc["gates"] = [{k: v for k, v in dataclasses.asdict(gate).items() if v is not None}
-                    for gate in c.gates]
-    return json.dumps(doc, indent=2, sort_keys=True)
+def _signs(gates):
+    return [math.copysign(1.0, gate.angle) for gate in gates if gate.angle is not None]
 
 
-def test_to_json_bytes_match_asdict_reference(two_node, p0_experiment):
+def test_to_json_round_expands_to_gates(two_node, p0_experiment):
+    # each round is written once: the block's repeat count is t_q, and the
+    # document expands back to the flat gate sequence
     for t_q in (1, 2, 3):
-        c = sw.build_circuit(two_node, p0_experiment, t_q, 20)
-        assert c.to_json() == _asdict_json(c)
+        for t_c in (1, 2, 20):
+            c = sw.build_circuit(two_node, p0_experiment, t_q, t_c)
+            doc = json.loads(c.to_json())
+            assert [segment["repeat"] for segment in doc["round"]] == [1, t_q, 1]
+            assert _expand(doc) == c.gates
     # g[0, 0] = 1 gives theta0 = 0 and ry(-0.0) gates, equal to ry(0.0) but
     # written with their sign
     corner = sw.TransitionMatrix(np.array([[1.0, 0.3], [0.0, 0.7]]))
     c = sw.build_circuit(corner, p0_experiment, 2, 3)
     assert any(g.angle == 0.0 and math.copysign(1.0, g.angle) < 0 for g in c.gates)
     text = c.to_json()
-    assert text == _asdict_json(c)
     assert '"angle": -0.0' in text
+    expanded = _expand(json.loads(text))
+    assert expanded == c.gates
+    assert _signs(expanded) == _signs(c.gates)
 
 
 def test_export_deterministic(two_node, p0_experiment):
@@ -242,6 +254,84 @@ def test_export_classical_control_variant(two_node, p0_experiment):
     assert "if(c0==0) ry(" in text
     assert "if(c0==1) ry(" in text
     assert "cry(" not in text
+
+
+def _flat_openqasm(c, classical_control=False):
+    """Reference: the exporter that walks the flat gate list one gate at a time."""
+    lines = ["OPENQASM 2.0;", 'include "qelib1.inc";', "qreg q[2];"]
+    n_meas = sum(1 for gate in c.gates if gate.kind == "measure")
+    if classical_control:
+        lines += [f"creg c{k}[1];" for k in range(n_meas)]
+    else:
+        lines.append(f"creg c[{n_meas}];")
+    meas_index = 0
+    idx = 0
+    while idx < len(c.gates):
+        gate = c.gates[idx]
+        clbit = ""
+        if gate.kind == "measure":
+            clbit = f"c{meas_index}[0]" if classical_control else f"c[{meas_index}]"
+            meas_index += 1
+        lines.append(_qasm_line(gate, clbit))
+        idx += 1
+        if classical_control and gate.kind == "reset":
+            # replace the 4-gate controlled preparation after each reset
+            prep = c.gates[idx: idx + 4]
+            assert [g.kind for g in prep] == ["x", "controlled-ry", "x", "controlled-ry"]
+            for value, rot in ((0, prep[1]), (1, prep[3])):
+                ry = GateOp("ry", target=rot.target, angle=rot.angle)
+                lines.append(f"if(c{meas_index - 1}=={value}) " + _qasm_line(ry))
+            idx += 4
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("classical_control", [False, True])
+def test_export_bytes_match_flat_reference(two_node, p0_experiment, classical_control):
+    # the corner input has theta0 = 0, so its ry(-0.0) lines print as "-0"
+    corner = sw.TransitionMatrix(np.array([[1.0, 0.3], [0.0, 0.7]]))
+    for g, p0 in ((two_node, p0_experiment), (two_node, sw.ProbabilityVector.point_mass(2, 0)),
+                  (corner, p0_experiment)):
+        for t_q in (1, 2, 3):
+            for t_c in (1, 2, 20):
+                c = sw.build_circuit(g, p0, t_q, t_c)
+                text = sw.export_openqasm(c, classical_control=classical_control)
+                assert text == _flat_openqasm(c, classical_control)
+    assert "ry(-0) q[1];" in text
+
+
+def test_circuit_at_walk_block_cap_stays_small():
+    # t_q * t_c = MAX_WALK_BLOCKS: no step may hold the flat gate list; the
+    # OpenQASM (about 11 MB) and the simulated series are the only outputs
+    # that grow with t_c. Peaks measured: build 3 kB, to_json 25 kB, export
+    # 14 and 21 MB, simulate 12 MB
+    g = sw.two_node_chain()
+    p0 = sw.ProbabilityVector([0.8, 0.2])
+    bounds = {"build": 64 << 10, "to_json": 256 << 10, "export": 32 << 20,
+              "export-classical": 32 << 20, "simulate": 24 << 20}
+    out, peaks = {}, {}
+    tracemalloc.start()
+    try:
+        for name, step in (("build", lambda: sw.build_circuit(g, p0, 1, MAX_WALK_BLOCKS)),
+                           ("to_json", lambda: out["build"].to_json()),
+                           ("export", lambda: sw.export_openqasm(out["build"])),
+                           ("export-classical",
+                            lambda: sw.export_openqasm(out["build"], classical_control=True)),
+                           ("simulate", lambda: sw.simulate_circuit(out["build"]))):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            out[name] = step()
+            peaks[name] = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert all(peaks[name] <= bound for name, bound in bounds.items()), peaks
+    # at t_q = 1 the round channel is the chain itself, whose second
+    # eigenvalue is -0.1: node 1 follows pi + (p0 - pi)(-0.1)^t every round
+    dists = out["simulate"]
+    assert len(dists) == MAX_WALK_BLOCKS + 1
+    pi1 = 0.9 / 1.1
+    t = np.arange(MAX_WALK_BLOCKS + 1)
+    series = np.array([d.p[1] for d in dists])
+    assert np.abs(series - (pi1 + (0.2 - pi1) * (-0.1) ** t)).max() <= 1e-12
 
 
 def test_parse_rejects_unknown_statement():

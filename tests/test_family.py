@@ -317,6 +317,11 @@ def test_family_above_entry_cap_is_too_large(two_node):
 _P0 = sw.ProbabilityVector([0.8, 0.2])
 
 
+def _apply(g, steps):
+    op = SzegedyOperator(g)
+    return op.apply(op.proxy_state(0), steps)
+
+
 @pytest.mark.parametrize("call, name", [
     pytest.param(lambda g: sw.build_family(g, 1, 2.5), "t_q_max", id="build_family"),
     pytest.param(lambda g: sw.build_family(g, 1, True), "t_q_max", id="build_family-bool"),
@@ -334,10 +339,25 @@ _P0 = sw.ProbabilityVector([0.8, 0.2])
     pytest.param(lambda g: sw.cycle_semiclassical(6, 1.5), "t_q", id="cycle_semiclassical"),
     pytest.param(lambda g: sw.cycle_semiclassical(6, False), "t_q", id="cycle_semiclassical-bool"),
     pytest.param(lambda g: sw.cycle_predictions(7.0), "n", id="cycle_predictions"),
+    # a float used to raise numpy's TypeError, a bool to run as one step
+    pytest.param(lambda g: sw.verify_block(g, 1.5), "t_q", id="verify_block"),
+    pytest.param(lambda g: sw.verify_block(g, True), "t_q", id="verify_block-bool"),
+    pytest.param(lambda g: _apply(g, 1.5), "steps", id="apply"),
+    pytest.param(lambda g: _apply(g, True), "steps", id="apply-bool"),
 ])
 def test_float_or_bool_integer_arguments_are_value_errors(two_node, call, name):
     with pytest.raises(ValueError, match=rf"^{name} must be an integer\b"):
         call(two_node)
+
+
+@pytest.mark.parametrize("tag", [True, 1.0, 2.0, np.float64(1.0)], ids=["bool", "float-1", "float-2", "numpy-float"])
+def test_class_tag_is_the_integer_1_or_2(two_node, tag):
+    # a bool or a float compares equal to 1 or 2 and used to be stored
+    with pytest.raises(ValueError, match="^class_tag must be 1 or 2$"):
+        sw.build_family(two_node, tag, 2)
+    stack = sw.build_family(two_node, 1, 2).stack
+    with pytest.raises(ValueError, match="^class_tag must be 1 or 2$"):
+        sw.SemiclassicalFamily(two_node, tag, stack)
 
 
 @pytest.mark.parametrize("tol", [float("nan"), 0.0, -1e-9])
