@@ -47,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParseError, TooLargeError, UnsupportedSizeError
-from .graphs import ProbabilityVector, TransitionMatrix, _check_int, serialize
+from .graphs import ProbabilityVector, TransitionMatrix, _check_int, serialize, validate
 from .szegedy import SzegedyOperator
 
 # cap on the walk blocks t_q * t_c of one circuit. The OpenQASM lists every
@@ -340,18 +340,24 @@ def simulate_circuit(c: CircuitDescription) -> list[ProbabilityVector]:
     |0,0>; its measurement gives the first distribution. Each round then maps
     the distribution through the round channel K (``segment_channel``), so
     the classical mixture of all outcomes costs one round's gates plus t_c
-    products with K, not t_q * t_c walk blocks.
+    products with K, not t_q * t_c walk blocks. The (t_c + 1, 2) series is
+    checked once; the distributions are unchecked views of its rows.
     """
     rho = np.zeros((4, 4), dtype=complex)
     rho[0, 0] = 1.0
-    outcomes: list[np.ndarray] = []
-    _run(rho, c.head, outcomes)
+    head: list[np.ndarray] = []
+    _run(rho, c.head, head)
     k = _round_channel(c)
-    p = outcomes[-1]
-    for _ in range(c.t_c):
-        p = k @ p
-        outcomes.append(p)
-    return [ProbabilityVector(p) for p in outcomes]
+    series = np.empty((c.t_c + 1, 2))
+    series[0] = head[0]
+    for t in range(c.t_c):
+        series[t + 1] = k @ series[t]
+    series.setflags(write=False)
+    validate(series.T)  # column t is step t's distribution
+    dists = [object.__new__(ProbabilityVector) for _ in series]
+    for pv, p in zip(dists, series):
+        object.__setattr__(pv, "p", p)
+    return dists
 
 
 def segment_channel(g: TransitionMatrix, t_q: int) -> np.ndarray:

@@ -81,8 +81,8 @@ def components(m: TransitionMatrix, tol: float = SUPPORT_TOL) -> list[list[int]]
     """Strongly connected components of the support digraph of m.
 
     Edge i -> j exists iff g[j, i] > tol. Components are returned sorted,
-    each sorted internally. Computed by boolean reachability closure; dense
-    is fine at the node counts this package targets.
+    each sorted internally. Squaring a uint8 reachability matrix (no BLAS)
+    takes 3-26 ms a call at N = 128, 2 s of ``cycle --n 128`` (ROADMAP item 12).
     """
     n = m.n
     adj = (m.g.T > tol).astype(np.uint8)  # adj[i, j]: edge i -> j

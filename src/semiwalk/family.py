@@ -24,14 +24,16 @@ once,
 
 one N x N product per step (``s o alpha`` scales row i by s_i). Summing
 ``|(A a + S A b)[i, k]|^2 = a_i^2 G[k, i] + 2 a_i b_k sqrt(G[k, i] G[i, k])
-+ b_k^2 G[i, k]`` over k (class 1) or over i (class 2) gives the members:
++ b_k^2 G[i, k]`` over k gives the class-1 members,
 
-    class 1:  s o alpha o alpha + 2 alpha o (D beta) + G (beta o beta)
-    class 2:  G (alpha o alpha) + 2 beta o (D alpha) + s o beta o beta
+    s o alpha o alpha + 2 alpha o (D beta) + G (beta o beta),
 
-Keeping s (rather than 1) makes these identities exact for the operator as
-applied, so members agree with stepping ``SzegedyOperator.apply`` to rounding
-even when G's columns sum to 1 only within rounding.
+which keep s (rather than 1) to agree with stepping ``SzegedyOperator.apply``
+to rounding even when G's columns sum to 1 only within rounding. Class 2 is
+class 1 one quantum step later: ``2 Pi - 1`` acts block by block on register
+1, so it keeps register 1's distribution, and S moves that to register 2.
+So class-2 member t + 1 is class-1 member t, and member 1 is I. For s off 1
+(within ``STOCHASTIC_TOL``) this defines class 2, O(|s - 1|) from stepping U.
 
 The recurrence runs on a ``(..., N, N)`` stack of inputs at once: s, D and
 the coefficients carry the stack's leading axes, and every product is a
@@ -126,9 +128,9 @@ def _is_frozen(a) -> bool:
 def semiclassical_matrix(g: TransitionMatrix, t_q: int, class_tag: int) -> TransitionMatrix:
     """Measurement statistics of t_q walk steps from every proxy state.
 
-    Column i is the distribution of the measured register of U^t_q |psi_i>;
-    this is member t_q of :func:`build_family`, copied so that the family's
-    other t_q - 1 members are not kept alive with it.
+    Column i is the measured register's distribution of U^t_q |psi_i>: member
+    t_q of :func:`build_family` (class 2 runs t_q - 1 steps; its member 1 is
+    I), copied so that the family's other t_q - 1 members are not kept alive.
     """
     return TransitionMatrix(build_family(g, class_tag, t_q).member(t_q).g)
 
@@ -137,12 +139,11 @@ def build_family(g: TransitionMatrix, class_tag: int, t_q_max: int) -> Semiclass
     """Members for t_q = 1..t_q_max from the 2N-dimensional walk subspace.
 
     The N proxy states are advanced together as the coefficient matrices
-    (alpha, beta) of ``U^t |psi_p> = A alpha[:, p] + S A beta[:, p]`` (see the
-    module docstring), so each member costs two N x N products and no N^2
-    amplitudes are stored. The members are written into one (t_q_max, N, N)
-    array, the family's ``stack``, which the family checks once. Each entry
-    is a sum of squares; rounding can leave it a few ulps below zero, so the
-    array is clipped at 0.
+    (alpha, beta) of ``U^t |psi_p> = A alpha[:, p] + S A beta[:, p]``, so each
+    member costs two N x N products and no N^2 amplitudes are stored. Class 2
+    runs t_q_max - 1 steps: its member 1 is I and its member t_q is class 1's
+    member t_q - 1. Each entry is a sum of squares; rounding can leave it a
+    few ulps below zero, so the family's ``stack`` is clipped at 0.
 
     In planes where D has an eigenvalue lam = +-1 the coefficients grow
     linearly in t (A x = +-S A x there) while the state does not, so the
@@ -207,21 +208,18 @@ def _check_family(sizes: list[int], class_tag: int, t_q_max: int) -> None:
 def _member_stack(g: np.ndarray, class_tag: int, t_q_max: int) -> np.ndarray:
     """Members t_q = 1..t_q_max of each matrix of a (..., N, N) stack, as one
     read-only (..., t_q_max, N, N) array clipped at 0 (the recurrence of the
-    module docstring)."""
+    module docstring). Class 2 is I, then class 1's members 1..t_q_max - 1."""
     n = g.shape[-1]
     d = np.sqrt(g * np.swapaxes(g, -1, -2))
     s = g.sum(axis=-2)[..., :, None]
     scale = 2.0 * s - 1.0
     alpha, beta, d_beta = np.eye(n), np.zeros(g.shape), np.zeros(g.shape)
     stack = np.empty(g.shape[:-2] + (t_q_max, n, n))
-    for t in range(t_q_max):
-        row = stack[..., t, :, :]
-        alpha, beta, d_alpha = -beta, scale * alpha + 2.0 * d_beta, -d_beta
+    stack[..., 0, :, :] = alpha  # I, class 2's member 1; class 2's steps start a row later
+    for t in range(class_tag - 1, t_q_max):
+        alpha, beta = -beta, scale * alpha + 2.0 * d_beta
         d_beta = d @ beta
-        if class_tag == 1:
-            np.add(s * alpha * alpha + 2.0 * alpha * d_beta, g @ (beta * beta), out=row)
-        else:
-            np.add(g @ (alpha * alpha) + 2.0 * beta * d_alpha, s * beta * beta, out=row)
+        np.add(s * alpha * alpha + 2.0 * alpha * d_beta, g @ (beta * beta), out=stack[..., t, :, :])
     np.maximum(stack, 0.0, out=stack)
     stack.setflags(write=False)
     return stack

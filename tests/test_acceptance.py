@@ -40,13 +40,13 @@ def test_criterion_01_theorem_suite(theorem_corpus):
     start = time.monotonic()
     checks = verify.classical_limit_checks(theorem_corpus)
     elapsed = time.monotonic() - start
-    _report_checks("criterion 1 (classical limits and class equivalence)", checks,
+    _report_checks("criterion 1 (classical limits)", checks,
                    elapsed < 30, f"{len(theorem_corpus)} matrices in {elapsed:.1f}s (budget 30s)")
 
 
 def test_criterion_02_unitarity_and_matrix_free(theorem_corpus):
     checks = verify.unitarity_checks(theorem_corpus, rng_from_seed(1))
-    _report_checks("criterion 2 (unitarity, matrix-free agreement)", checks)
+    _report_checks("criterion 2 (class equivalence, unitarity, matrix-free agreement)", checks)
 
 
 def test_criterion_03_cycle_oracle_equivalence():

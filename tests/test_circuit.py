@@ -18,6 +18,7 @@ from semiwalk.circuit import (
     gate_matrix,
     prep_block_gates,
 )
+from semiwalk import circuit
 from semiwalk.corpus import rng_from_seed
 from semiwalk.errors import ParseError, UnsupportedSizeError
 from semiwalk.szegedy import SzegedyOperator
@@ -140,6 +141,16 @@ def test_simulated_circuit_matches_classical_evolution(two_node, p0_experiment):
         for t, dist in enumerate(dists):
             expected = sw.evolve(member, p0_experiment, t)
             assert np.abs(dist.p - expected.p).max() <= 1e-10
+
+
+def test_simulated_series_is_checked_once(two_node, p0_experiment, monkeypatch):
+    c = sw.build_circuit(two_node, p0_experiment, 1, t_c=4)
+    dists = sw.simulate_circuit(c)
+    assert all(not d.p.flags.writeable and d.p.base is dists[0].p.base for d in dists)
+    # a channel that gains mass: the series fails at its worst step, step 4
+    monkeypatch.setattr(circuit, "_round_channel", lambda _: np.array([[1.0, 0.0], [0.01, 1.0]]))
+    with pytest.raises(sw.NotStochasticError, match="column 4 "):
+        sw.simulate_circuit(c)
 
 
 def test_gate_matrices_are_unitary(two_node, p0_experiment):
