@@ -47,7 +47,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParseError, TooLargeError, UnsupportedSizeError
-from .graphs import ProbabilityVector, TransitionMatrix, _check_int, serialize, validate
+from .dynamics import _series
+from .graphs import ProbabilityVector, TransitionMatrix, _check_int, serialize
 from .szegedy import SzegedyOperator
 
 # cap on the walk blocks t_q * t_c of one circuit. The OpenQASM lists every
@@ -347,13 +348,7 @@ def simulate_circuit(c: CircuitDescription) -> list[ProbabilityVector]:
     rho[0, 0] = 1.0
     head: list[np.ndarray] = []
     _run(rho, c.head, head)
-    k = _round_channel(c)
-    series = np.empty((c.t_c + 1, 2))
-    series[0] = head[0]
-    for t in range(c.t_c):
-        series[t + 1] = k @ series[t]
-    series.setflags(write=False)
-    validate(series.T)  # column t is step t's distribution
+    series = _series(_round_channel(c), head[0], c.t_c)
     dists = [object.__new__(ProbabilityVector) for _ in series]
     for pv, p in zip(dists, series):
         object.__setattr__(pv, "p", p)

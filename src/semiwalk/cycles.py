@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TooLargeError, TooSmallError
-from .graphs import MAX_NODES, SUPPORT_TOL, TransitionMatrix, _check_int, _circulant
+from .graphs import MAX_NODES, SUPPORT_TOL, TransitionMatrix, _check_int, _circulant, _reach
 
 
 @dataclass(frozen=True)
@@ -80,25 +80,10 @@ def cycle_predictions(n: int) -> CyclePrediction:
 def components(m: TransitionMatrix, tol: float = SUPPORT_TOL) -> list[list[int]]:
     """Strongly connected components of the support digraph of m.
 
-    Edge i -> j exists iff g[j, i] > tol. Components are returned sorted,
-    each sorted internally. Squaring a uint8 reachability matrix (no BLAS)
-    takes 3-26 ms a call at N = 128, 2 s of ``cycle --n 128`` (ROADMAP item 12).
+    Edge i -> j exists iff g[j, i] > tol; i and j share a component when
+    each reaches the other. Components are returned in order of their lowest
+    node, each sorted internally.
     """
-    n = m.n
-    adj = (m.g.T > tol).astype(np.uint8)  # adj[i, j]: edge i -> j
-    reach = adj | np.eye(n, dtype=np.uint8)
-    while True:
-        nxt = ((reach @ reach) > 0).astype(np.uint8) | reach
-        if (nxt == reach).all():
-            break
-        reach = nxt
-    mutual = (reach & reach.T).astype(bool)
-    seen: set[int] = set()
-    out: list[list[int]] = []
-    for i in range(n):
-        if i in seen:
-            continue
-        group = sorted(int(k) for k in np.flatnonzero(mutual[i]))
-        seen.update(group)
-        out.append(group)
-    return out
+    reach = _reach(m.g > tol)
+    # row i of reach & reach.T is i's component; i is its lowest node iff i is the row's first
+    return [np.flatnonzero(row).tolist() for i, row in enumerate(reach & reach.T) if row.argmax() == i]

@@ -12,7 +12,8 @@ I - G gives both null spaces and so Pi. The iterates converge to Pi p0
 unless p0 has weight on a peripheral eigenvalue other than 1. Those
 eigenvalues are roots of unity set by the periods of the closed classes, so
 the class structure decides which of the two modes, "converged" or
-"cesaro", applies.
+"cesaro", applies. Both are read off the support graph's reachability
+closure, ``graphs._reach``.
 
 Node ranking follows the family-averaging scheme: for every quantum time the
 member's limiting distribution is computed from a uniform start, and the
@@ -29,7 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, IndexOutOfRangeError, RankFailedError, TooLargeError
-from .graphs import SUPPORT_TOL, ProbabilityVector, TransitionMatrix, _check_int, _check_tol
+from .graphs import (SUPPORT_TOL, ProbabilityVector, TransitionMatrix, _check_int, _check_tol, _levels,
+                     _reach, validate)
 from .family import SemiclassicalFamily, build_family
 
 CONVERGED = "converged"
@@ -90,6 +92,18 @@ def evolve(m: TransitionMatrix, p0: ProbabilityVector, t: int) -> ProbabilityVec
     return ProbabilityVector(p)
 
 
+def _series(k: np.ndarray, p: np.ndarray, steps: int) -> np.ndarray:
+    """The rows p, K p, ..., K^steps p as one read-only (steps + 1, N) array,
+    checked once: each row, a column of its transpose, is a distribution."""
+    series = np.empty((steps + 1, len(p)))
+    series[0] = p
+    for t in range(steps):
+        series[t + 1] = k @ series[t]
+    series.setflags(write=False)
+    validate(series.T)
+    return series
+
+
 def limiting_distribution(
     m: TransitionMatrix,
     p0: ProbabilityVector | None = None,
@@ -119,25 +133,24 @@ def limiting_distribution(
         # p0 is a fixed point to rounding, so it is its own limit; a solve
         # would return it only to that rounding, and break p0's exact ties
         return LimitResult(p0, CONVERGED, 1, residual, FIXED)
-    levels = _strongly_connected(g > SUPPORT_TOL)
-    if levels is not False:
+    edges = g > SUPPORT_TOL  # edges[j, i]: i -> j
+    reach = _reach(edges)
+    if reach.all():
         x, method = _stationary(g), SOLVE
-        right = x[:, None]
     else:
-        (x, right), method = _cesaro_limit(g, p0.p), SVD
-        levels = None
+        x, method = _cesaro_limit(g, p0.p), SVD
     x = np.maximum(x, 0.0)
     x /= x.sum()
     residual = float(np.abs(g @ x - x).sum())
     products = 2
     mode = CONVERGED
-    d = _period(g, right, levels)
+    d = _period(edges, reach)
     if d > 1:
         # G^d has 1 as its only peripheral eigenvalue, so its iterates from p0
         # converge; they tend to x exactly when p0 has no weight on the other
         # peripheral eigenvalues of G (G^d of a periodic chain is reducible)
         products += d.bit_length() + bin(d).count("1") - 2
-        y, _ = _cesaro_limit(np.linalg.matrix_power(g, d), p0.p)
+        y = _cesaro_limit(np.linalg.matrix_power(g, d), p0.p)
         if np.abs(y - x).sum() > tol:
             mode = CESARO
     if not residual <= tol:
@@ -159,13 +172,13 @@ def _stationary(g: np.ndarray) -> np.ndarray:
     return np.linalg.solve(a, b)
 
 
-def _cesaro_limit(g: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _cesaro_limit(g: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Pi p for the projector Pi onto ker(I - g) along range(I - g).
 
     With I - g = U S V^T and k the number of zero singular values (at least
     one: the columns of a stochastic g sum to one), K = V's and L = U's
     trailing k columns span the right and left null spaces, and
-    Pi = K (L^T K)^-1 L^T. Returns Pi p and K.
+    Pi = K (L^T K)^-1 L^T. Returns Pi p.
     """
     n = len(g)
     a = np.eye(n) - g
@@ -173,66 +186,29 @@ def _cesaro_limit(g: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     cut = NULL_C * n * np.finfo(float).eps * max(s[0], 1.0) + np.linalg.norm(a.sum(axis=0))
     k = max(1, int((s <= cut).sum()))
     right, left = vt[-k:].T, u[:, -k:]
-    return right @ np.linalg.solve(left.T @ right, left.T @ p), right
+    return right @ np.linalg.solve(left.T @ right, left.T @ p)
 
 
-def _levels(edges: np.ndarray, root: int) -> np.ndarray:
-    """Breadth-first depth of each node from ``root`` along edges[j, i]: i -> j,
-    -1 where it is unreachable."""
-    level = np.full(len(edges), -1)
-    level[root] = 0
-    frontier = level == 0
-    depth = 0
-    while frontier.any():
-        depth += 1
-        frontier = edges[:, frontier].any(axis=1) & (level < 0)
-        level[frontier] = depth
-    return level
+def _period(edges: np.ndarray, reach: np.ndarray) -> int:
+    """The lcm of the periods of the closed classes of the support digraph
+    ``edges`` (edges[j, i]: i -> j), whose closure is ``reach``.
 
-
-def _strongly_connected(edges: np.ndarray) -> np.ndarray | bool:
-    """The breadth-first levels from node 0 when every node is reachable from
-    node 0 and node 0 from every node, else False. When every edge is there
-    (most dense members) the levels are 0, 1, ..., 1, with no search."""
-    if edges.all():
-        return np.minimum(np.arange(len(edges)), 1)
-    forward = _levels(edges, 0)
-    if (forward >= 0).all() and (_levels(edges.T, 0) >= 0).all():
-        return forward
-    return False
-
-
-def _period(g: np.ndarray, right: np.ndarray, levels: np.ndarray | None = None) -> int:
-    """The lcm of the periods of g's closed classes, one per column of ``right``.
-
-    The squared row norms of the null-space basis ``right`` are the diagonal
-    of the orthogonal projector onto span{pi_C}, the closed classes'
-    stationary vectors: pi_C,i^2 / ||pi_C||^2 on class C, so at least 1/|C|
-    somewhere in it, and 0 on transient states (a single class spanning
-    every state may pass pi itself). So the classes are found one at a time,
-    each by a breadth-first search from the heaviest state not yet placed. A
-    class's period is the gcd of level(i) + 1 - level(j) over its edges i ->
-    j, whatever the root, so an edge i -> i makes it aperiodic; when every
-    state has one (every dense member) there is nothing to search. A single
-    class spanning every state may also pass the ``levels`` of a search from
-    any root, which then replaces the search.
+    A strong component is a closed class when everything reachable from it
+    lies inside it. Its period is the gcd of level(i) + 1 - level(j) over its
+    edges i -> j, with the levels of one breadth-first search from its lowest
+    node, so an edge i -> i makes it aperiodic; when every node has one
+    (every dense member) there is nothing to search.
     """
-    if (np.diagonal(g) > SUPPORT_TOL).all():
+    if np.diagonal(edges).all():
         return 1
-    edges = g > SUPPORT_TOL  # edges[j, i]: i -> j
-    if levels is not None:
-        to, fr = np.nonzero(edges)
-        return int(np.gcd.reduce(levels[fr] + 1 - levels[to]))
-    weight = np.square(right).sum(axis=1)
-    placed = np.zeros(len(g), bool)
+    mutual = reach & reach.T  # column i: i's component
+    # the lowest node of each component that reaches nothing outside itself
+    roots = ~(reach > mutual).any(axis=0) & (mutual.argmax(axis=0) == np.arange(len(edges)))
     d = 1
-    for _ in range(right.shape[1]):
-        root = int(np.argmax(np.where(placed, -1.0, weight)))
-        level = _levels(edges, root)
-        members = level >= 0
-        placed |= members
-        to, fr = np.nonzero(edges[np.ix_(members, members)])
-        lv = level[members]
+    for root in np.flatnonzero(roots):
+        cls = reach[:, root]
+        to, fr = np.nonzero(edges[np.ix_(cls, cls)])
+        lv = _levels(edges, root)[cls]
         d = math.lcm(d, int(np.gcd.reduce(lv[fr] + 1 - lv[to])))  # may pass int64
     return d
 

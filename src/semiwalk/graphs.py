@@ -113,6 +113,37 @@ def _check_transition(g: np.ndarray) -> None:
         raise
 
 
+def _reach(edges: np.ndarray) -> np.ndarray:
+    """Reachability closure of a support digraph: r[j, i] is whether j is
+    reachable from i in zero or more steps along edges[j, i]: i -> j.
+
+    Squares edges | I until nothing changes, each step one float64 product:
+    its entries count paths, at most N, so they are exact. A complete graph
+    is its own closure, with no product.
+    """
+    r = edges | np.eye(len(edges), dtype=bool)
+    while not r.all():
+        nxt = r.astype(float) @ r.astype(float) > 0
+        if (nxt == r).all():
+            break
+        r = nxt
+    return r
+
+
+def _levels(edges: np.ndarray, root: int) -> np.ndarray:
+    """Breadth-first depth of each node from ``root`` along edges[j, i]: i -> j,
+    -1 where it is unreachable."""
+    level = np.full(len(edges), -1)
+    level[root] = 0
+    frontier = level == 0
+    depth = 0
+    while frontier.any():
+        depth += 1
+        frontier = edges[:, frontier].any(axis=1) & (level < 0)
+        level[frontier] = depth
+    return level
+
+
 def _circulant(offsets: np.ndarray) -> np.ndarray:
     """The N x N circulant matrix whose entry [j, i] is offsets[(j - i) mod N]."""
     n = len(offsets)

@@ -44,8 +44,11 @@ def cycle_report(n: int, t_q_max: int, tol: float) -> tuple[dict, family_mod.Sem
     }
     pred = cycles.cycle_predictions(n)
     predicted = {key: getattr(pred, key) for key in measured}
-    closed = np.stack([cycles._cycle_member(n, t) for t in range(1, t_q_max + 1)])
-    deviation = float(np.abs(closed - fam.stack).max())
+    dev = np.empty_like(fam.stack)  # the closed-form members, then |closed - measured| in place
+    for t in range(1, t_q_max + 1):
+        dev[t - 1] = cycles._cycle_member(n, t)
+    dev -= fam.stack
+    deviation = float(np.abs(dev, out=dev).max())
     report = {
         "n": n,
         "predicted": predicted,
@@ -67,11 +70,7 @@ def evolve_csv(member: TransitionMatrix, p0: ProbabilityVector, steps: int) -> s
     if (steps + 1) * member.n > dynamics.MAX_SAMPLES:
         raise TooLargeError(f"(steps + 1) * N = {(steps + 1) * member.n} entries "
                             f"exceeds MAX_SAMPLES = {dynamics.MAX_SAMPLES}")
-    table = np.empty((steps + 1, member.n))
-    table[0] = p0.p
-    for t in range(steps):
-        table[t + 1] = member.g @ table[t]
-    graphs.validate(table.T)  # each row, a column of table.T, is a distribution
+    table = dynamics._series(member.g, p0.p, steps)
     header = "t," + ",".join(f"node{i}" for i in range(member.n))
     rows = [f"{t}," + ",".join(map(repr, row)) for t, row in enumerate(table.tolist())]
     return "\n".join([header, *rows]) + "\n"

@@ -31,3 +31,18 @@ def stationary_2x2(g: np.ndarray) -> np.ndarray:
     """Independent closed-form stationary vector of a 2x2 column-stochastic matrix."""
     b, c = g[0, 1], g[1, 0]
     return np.array([b, c]) / (b + c)
+
+
+def closure_by_squaring(edges: np.ndarray) -> np.ndarray:
+    """Independent reachability oracle: r[j, i] is whether j is reachable from
+    i along edges[j, i]: i -> j. Squares a uint8 matrix (no BLAS) until
+    nothing changes; its path counts stay exact below n = 256."""
+    n = len(edges)
+    adj = edges.T.astype(np.uint8)  # adj[i, j]: edge i -> j
+    reach = adj | np.eye(n, dtype=np.uint8)
+    while True:
+        nxt = ((reach @ reach) > 0).astype(np.uint8) | reach
+        if (nxt == reach).all():
+            break
+        reach = nxt
+    return reach.T.astype(bool)

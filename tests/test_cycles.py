@@ -1,12 +1,16 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import semiwalk as sw
+from semiwalk import presets
 from semiwalk.errors import TooLargeError, TooSmallError
 from semiwalk.corpus import random_circulant_symmetric, rng_from_seed
-from semiwalk.graphs import MAX_NODES, _circulant
+from semiwalk.graphs import MAX_NODES, SUPPORT_TOL, _circulant, _reach
+
+from conftest import closure_by_squaring
 
 
 def _components_by_search(g: np.ndarray, tol: float = 1e-9) -> list[list[int]]:
@@ -141,6 +145,27 @@ def test_closed_form_matches_pipeline():
             assert dev <= 1e-12, (n, t, dev)
 
 
+def test_cycle_report_deviation_is_the_stacked_difference_bitwise():
+    for n in (7, 32):
+        report, fam = presets.cycle_report(n, 2 * n, sw.family.MATRIX_TOL)
+        closed = np.stack([sw.cycle_semiclassical(n, t).g for t in range(1, 2 * n + 1)])
+        assert report["closed_form_max_deviation"] == float(np.abs(closed - fam.stack).max())
+
+
+def test_cycle_report_peak_memory_is_two_stacks():
+    # the family's stack and one more for the closed forms, taken to their
+    # deviation in place
+    n = 128
+    tracemalloc.start()
+    try:
+        _, fam = presets.cycle_report(n, 2 * n, sw.family.MATRIX_TOL)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # slack: the input and one member's temporaries, measured 0.44 MiB
+    assert peak <= 2 * fam.stack.nbytes + 8 * n * n * 8
+
+
 def test_predictions_values():
     assert sw.cycle_predictions(6) == sw.CyclePrediction(6, 4, 6, 6)
     assert sw.cycle_predictions(7) == sw.CyclePrediction(7, 4, 7, 14)
@@ -179,12 +204,36 @@ def test_component_partition_matches_search_oracle():
             assert sw.components(m) == _components_by_search(m.g)
 
 
+def test_reach_matches_closure_oracles():
+    rng = rng_from_seed(149)
+    seen = set()
+    for k in range(240):
+        n = 1 + k % 12
+        edges = rng.random((n, n)) < rng.uniform(0.05, 0.6)
+        reach = _reach(edges)
+        assert reach.dtype == bool and np.array_equal(reach, closure_by_squaring(edges)), edges
+        m = sw.from_weights(np.where(edges, rng.uniform(0.1, 1.0, (n, n)), 0.0), patch_dangling=True)
+        assert np.array_equal(_reach(m.g > SUPPORT_TOL), closure_by_squaring(m.g > SUPPORT_TOL))
+        assert sw.components(m) == _components_by_search(m.g)
+        seen.add(bool(reach.all()))
+    assert seen == {True, False}
+
+
+@pytest.mark.parametrize("n", [64, 128, 200])
+def test_reach_on_large_cycle_members(n):
+    for t in (1, 2, n // 4, n // 2, n):
+        m = sw.cycle_semiclassical(n, t)
+        assert np.array_equal(_reach(m.g > SUPPORT_TOL), closure_by_squaring(m.g > SUPPORT_TOL)), t
+        assert sw.components(m) == _components_by_search(m.g), t
+
+
 def test_component_count_follows_gcd():
     # checked conjecture: the member at t_q splits into gcd(n, t_q) pieces
-    for n in range(3, 11):
-        for t in range(1, 2 * n + 1):
-            count = len(sw.components(sw.cycle_semiclassical(n, t)))
-            assert count == math.gcd(n, t % n if t % n else n)
+    cases = [(n, t) for n in range(3, 11) for t in range(1, 2 * n + 1)]
+    cases += [(128, t) for t in (1, 2, 32, 64, 128)]
+    for n, t in cases:
+        count = len(sw.components(sw.cycle_semiclassical(n, t)))
+        assert count == math.gcd(n, t % n if t % n else n), (n, t)
 
 
 def test_components_on_general_matrix(hub):

@@ -1,4 +1,5 @@
 import json
+import math
 from collections import deque
 
 import numpy as np
@@ -22,7 +23,7 @@ from semiwalk.errors import (
     TooLargeError,
 )
 
-from conftest import stationary_2x2
+from conftest import closure_by_squaring, stationary_2x2
 
 
 def test_evolve_zero_steps(two_node, p0_experiment):
@@ -459,10 +460,22 @@ def test_running_average_increments_shrink(hub):
     assert inc[30:].max() < inc[:10].max()
 
 
+class _IncompleteClosure(np.ndarray):
+    """A reachability closure that reads as incomplete as a whole, and is
+    exact in every row and column."""
+
+    def all(self, axis=None, **kwargs):
+        if axis is None and self.ndim == 2:
+            return np.False_
+        return super().all(axis=axis, **kwargs)
+
+
 def _svd_only(monkeypatch):
     """Route every limit through the SVD projector, the solver used for all
-    chains before the strongly connected ones got an LU solve."""
-    monkeypatch.setattr(dynamics, "_strongly_connected", lambda edges: False)
+    chains before the strongly connected ones got an LU solve: the support
+    graph's closure reads as incomplete to the solve decision, and the
+    closed classes and periods are read off it as before."""
+    monkeypatch.setattr(dynamics, "_reach", lambda edges: sw.graphs._reach(edges).view(_IncompleteClosure))
 
 
 def _solve_cases():
@@ -548,7 +561,7 @@ def test_periodic_cycle_solves_then_reads_cesaro(n):
     assert np.abs(res.distribution.p - 1 / n).max() <= 1e-12
 
 
-def test_strongly_connected_matches_transitive_closure():
+def test_solve_decision_matches_transitive_closure():
     rng = rng_from_seed(103)
     seen = set()
     for k in range(300):
@@ -558,11 +571,16 @@ def test_strongly_connected_matches_transitive_closure():
         for _ in range(n):
             reach = reach | ((reach.astype(int) @ reach.astype(int)) > 0)
         expected = bool(reach.all())
-        levels = dynamics._strongly_connected(edges)
-        assert (levels is not False) == expected, edges
-        if expected:  # the levels _period may take in place of its own search
-            assert np.array_equal(levels, dynamics._levels(edges, 0)), edges
-        seen.add(expected)
+        assert np.array_equal(sw.graphs._reach(edges), reach), edges
+        # the same support, with a loop on each node that has no edge out:
+        # a loop changes no reachability
+        w = np.where(edges, rng.uniform(0.1, 1.0, (n, n)), 0.0)
+        lonely = np.flatnonzero(~edges.any(axis=0))
+        w[lonely, lonely] = 1.0
+        res = sw.limiting_distribution(sw.from_weights(w), sw.ProbabilityVector.point_mass(n, 0))
+        if res.method != "fixed":
+            assert (res.method == "solve") == expected, edges
+            seen.add(expected)
     assert seen == {True, False}
 
 
@@ -587,31 +605,56 @@ def _period_cases():
     return cases
 
 
-def test_period_from_passed_levels_matches_own_search():
+def _period_by_powers(edges: np.ndarray) -> int:
+    """Independent period oracle: over the closed classes, the lcm of the gcd
+    of the return lengths k <= 2n, read off boolean matrix powers."""
+    n = len(edges)
+    reach = closure_by_squaring(edges)
+    power = np.eye(n, dtype=bool)
+    returns = []  # returns[k - 1][i]: a closed walk of length k through i
+    for _ in range(2 * n):
+        power = (edges.astype(np.int64) @ power.astype(np.int64)) > 0
+        returns.append(np.diagonal(power).copy())
+    d = 1
+    for i in range(n):
+        ahead, cls = reach[:, i], reach[:, i] & reach[i]
+        if np.argmax(cls) == i and not (ahead & ~cls).any():  # lowest node of a closed class
+            d = math.lcm(d, math.gcd(*(k for k, r in enumerate(returns, start=1) if r[cls].any())))
+    return d
+
+
+def test_period_matches_return_length_oracle():
     seen = set()
     for name, m in _period_cases():
         edges = m.g > sw.graphs.SUPPORT_TOL
-        levels = dynamics._strongly_connected(edges)
-        if levels is False:
-            continue
-        right = dynamics._stationary(m.g)[:, None]
-        d = dynamics._period(m.g, right)
-        assert dynamics._period(m.g, right, levels) == d, name
-        for root in range(m.n):  # any root gives the same gcd
-            assert dynamics._period(m.g, right, dynamics._levels(edges, root)) == d, (name, root)
+        reach = sw.graphs._reach(edges)
+        d = dynamics._period(edges, reach)
+        assert d == _period_by_powers(edges), name
         seen.add((name.split()[0], d))
+        seen.add(bool(reach.all()))
     assert {("cycle", 1), ("cycle", 2), ("weighted", 2), ("bipartite", 2), ("hub", 1)} <= seen, seen
+    assert {True, False} <= seen  # strongly connected and reducible members
 
 
-def test_solve_path_searches_once_per_direction(monkeypatch):
+def test_period_searches_once_per_closed_class(monkeypatch):
     calls = []
     levels = dynamics._levels
     monkeypatch.setattr(dynamics, "_levels", lambda edges, root: calls.append(root) or levels(edges, root))
-    for n in (6, 33):  # empty diagonal: forward and backward from node 0, no search from the heaviest state
+    for n in (6, 33):  # strongly connected, empty diagonal: one search, from node 0
         calls.clear()
         res = sw.limiting_distribution(sw.cycle_graph(n), sw.ProbabilityVector.point_mass(n, 0))
         assert res.method == "solve"
-        assert calls == [0, 0], n
+        assert calls == [0], n
+    # node 0 feeds the closed 3-cycle 1 -> 2 -> 3 -> 1 and the closed
+    # 2-cycle 4 <-> 5: one search from each class's lowest node
+    g = np.zeros((6, 6))
+    g[1, 0] = g[4, 0] = 0.5
+    g[2, 1] = g[3, 2] = g[1, 3] = g[5, 4] = g[4, 5] = 1.0
+    calls.clear()
+    res = sw.limiting_distribution(sw.TransitionMatrix(g))
+    assert (res.method, res.mode) == ("svd", "cesaro")
+    assert calls == [1, 4]
+    assert dynamics._period(g > 0, sw.graphs._reach(g > 0)) == 6
     calls.clear()
     res = sw.limiting_distribution(random_stochastic(8, rng_from_seed(139)))
     assert res.method == "solve" and calls == []  # every edge: no search at all
