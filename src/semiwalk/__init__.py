@@ -21,7 +21,6 @@ from .graphs import (
     Classification,
     ProbabilityVector,
     TransitionMatrix,
-    WeightedGraph,
     classify,
     deserialize,
     from_weights,

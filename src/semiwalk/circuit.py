@@ -48,7 +48,7 @@ import numpy as np
 
 from .errors import ParseError, TooLargeError, UnsupportedSizeError
 from .dynamics import _series
-from .graphs import ProbabilityVector, TransitionMatrix, _check_int, serialize
+from .graphs import ProbabilityVector, TransitionMatrix, _check_int, _views, serialize
 from .szegedy import SzegedyOperator
 
 # cap on the walk blocks t_q * t_c of one circuit. The OpenQASM lists every
@@ -348,11 +348,7 @@ def simulate_circuit(c: CircuitDescription) -> list[ProbabilityVector]:
     rho[0, 0] = 1.0
     head: list[np.ndarray] = []
     _run(rho, c.head, head)
-    series = _series(_round_channel(c), head[0], c.t_c)
-    dists = [object.__new__(ProbabilityVector) for _ in series]
-    for pv, p in zip(dists, series):
-        object.__setattr__(pv, "p", p)
-    return dists
+    return _views(ProbabilityVector, _series(_round_channel(c), head[0], c.t_c))
 
 
 def segment_channel(g: TransitionMatrix, t_q: int) -> np.ndarray:

@@ -79,7 +79,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _resolve(options: list[tuple], args: dict) -> dict:
     """Each option's value: its flag, else the config file, else its default."""
-    cfg = json.loads(Path(args["config"]).read_text()) if args["config"] else {}
+    try:
+        cfg = json.loads(Path(args["config"]).read_text()) if args["config"] else {}
+    except RecursionError:
+        raise ValueError("config file nests too deeply") from None
     if not isinstance(cfg, dict):
         raise ValueError("config file must hold a JSON object")
     options = [*options, _OUT]

@@ -74,10 +74,7 @@ def random_circulant_symmetric(n: int, rng: np.random.Generator) -> TransitionMa
     return TransitionMatrix(_circulant(offsets))
 
 
-def random_stochastic_corpus(
-    count: int, seed: int | np.random.SeedSequence, n_min: int = 2, n_max: int = 8
-) -> list[TransitionMatrix]:
-    """Deterministic corpus cycling through sizes n_min..n_max."""
+def random_stochastic_corpus(count: int, seed: int | np.random.SeedSequence) -> list[TransitionMatrix]:
+    """Deterministic corpus cycling through sizes 2..8."""
     rng = rng_from_seed(seed)
-    sizes = list(range(n_min, n_max + 1))
-    return [random_stochastic(sizes[k % len(sizes)], rng) for k in range(count)]
+    return [random_stochastic(2 + k % 7, rng) for k in range(count)]

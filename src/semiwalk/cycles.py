@@ -77,13 +77,13 @@ def cycle_predictions(n: int) -> CyclePrediction:
     )
 
 
-def components(m: TransitionMatrix, tol: float = SUPPORT_TOL) -> list[list[int]]:
+def components(m: TransitionMatrix) -> list[list[int]]:
     """Strongly connected components of the support digraph of m.
 
-    Edge i -> j exists iff g[j, i] > tol; i and j share a component when
+    Edge i -> j exists iff g[j, i] > SUPPORT_TOL; i and j share a component when
     each reaches the other. Components are returned in order of their lowest
     node, each sorted internally.
     """
-    reach = _reach(m.g > tol)
+    reach = _reach(m.g > SUPPORT_TOL)
     # row i of reach & reach.T is i's component; i is its lowest node iff i is the row's first
     return [np.flatnonzero(row).tolist() for i, row in enumerate(reach & reach.T) if row.argmax() == i]

@@ -43,6 +43,8 @@ passes one matrix; ``build_families`` passes all inputs of one size N as one
 stack. A family holds its members as one read-only ``(t_q_max, N, N)``
 array, ``stack``, one row per step; each family checks its own stack once,
 rather than once per member, and its members are views of the rows.
+``semiclassical_matrix`` keeps one row: it steps to t_q and forms and checks
+that member alone.
 
 Two periods are computed. ``family_period`` compares the measured members;
 ``unitary_period`` asks when the walk operator itself returns to the
@@ -59,10 +61,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatchError, InsufficientRangeError, TooLargeError
-from .graphs import TransitionMatrix, _check_int, _check_tol, _check_transition, _frozen_array, serialize
+from .graphs import TransitionMatrix, _check_int, _check_tol, _check_transition, _frozen_array, _views, serialize
 
 MATRIX_TOL = 1e-9
-# Cap on N^2 * t_q_max, the float64 entries a family holds (2**24 is 128 MiB).
+# Cap on N^2 * t_q_max, the float64 entries a family holds (2**24 is 128 MiB);
+# for a single member, on N^2 * t_q, which bounds the steps to it.
 MAX_ENTRIES = 2**24
 # Entries in each (k, N, N) amplitude grid _eigenphases forms at once (8 MB
 # of float64): all N eigenvectors form one block up to N = 101, 16 at N = 256.
@@ -91,11 +94,8 @@ class SemiclassicalFamily:
         if stack.ndim != 3 or stack.shape[0] < 1 or stack.shape[1:] != (n, n):
             raise DimensionMismatchError(f"family stack must be (t_q_max >= 1, {n}, {n}), got {stack.shape}")
         _check_transition(stack)
-        members = tuple(object.__new__(TransitionMatrix) for _ in stack)
-        for m, g in zip(members, stack):
-            object.__setattr__(m, "g", g)
         object.__setattr__(self, "stack", stack)
-        object.__setattr__(self, "members", members)
+        object.__setattr__(self, "members", tuple(_views(TransitionMatrix, stack)))
 
     @property
     def t_q_max(self) -> int:
@@ -128,11 +128,14 @@ def _is_frozen(a) -> bool:
 def semiclassical_matrix(g: TransitionMatrix, t_q: int, class_tag: int) -> TransitionMatrix:
     """Measurement statistics of t_q walk steps from every proxy state.
 
-    Column i is the measured register's distribution of U^t_q |psi_i>: member
-    t_q of :func:`build_family` (class 2 runs t_q - 1 steps; its member 1 is
-    I), copied so that the family's other t_q - 1 members are not kept alive.
+    Column i is the measured register's distribution of U^t_q |psi_i>,
+    bitwise member t_q of :func:`build_family`. The recurrence steps to t_q
+    (class 2 runs t_q - 1 steps; its member 1 is I) and forms that member
+    only, so no other member is computed, kept or checked. ``MAX_ENTRIES``
+    caps N^2 * t_q as it caps a family, which bounds the steps.
     """
-    return TransitionMatrix(build_family(g, class_tag, t_q).member(t_q).g)
+    _check_family([g.n], class_tag, t_q)
+    return TransitionMatrix(_member_stack(g.g, class_tag, range(t_q - 1, t_q))[0])
 
 
 def build_family(g: TransitionMatrix, class_tag: int, t_q_max: int) -> SemiclassicalFamily:
@@ -155,7 +158,7 @@ def build_family(g: TransitionMatrix, class_tag: int, t_q_max: int) -> Semiclass
     before anything is allocated.
     """
     _check_family([g.n], class_tag, t_q_max)
-    return SemiclassicalFamily(g, class_tag, _member_stack(g.g, class_tag, t_q_max))
+    return SemiclassicalFamily(g, class_tag, _member_stack(g.g, class_tag, range(t_q_max)))
 
 
 def build_families(
@@ -183,7 +186,7 @@ def build_families(
         per_chunk = MAX_ENTRIES // (n * n * t_q_max)
         for lo in range(0, len(ks), per_chunk):
             chunk = ks[lo:lo + per_chunk]
-            stacks.update(zip(chunk, _member_stack(np.stack([gs[k].g for k in chunk]), class_tag, t_q_max)))
+            stacks.update(zip(chunk, _member_stack(np.stack([gs[k].g for k in chunk]), class_tag, range(t_q_max))))
     return [SemiclassicalFamily(g, class_tag, stacks[k]) for k, g in enumerate(gs)]
 
 
@@ -205,21 +208,26 @@ def _check_family(sizes: list[int], class_tag: int, t_q_max: int) -> None:
             raise TooLargeError(f"N^2 * t_q_max = {n * n * t_q_max} entries exceeds MAX_ENTRIES = {MAX_ENTRIES}")
 
 
-def _member_stack(g: np.ndarray, class_tag: int, t_q_max: int) -> np.ndarray:
-    """Members t_q = 1..t_q_max of each matrix of a (..., N, N) stack, as one
-    read-only (..., t_q_max, N, N) array clipped at 0 (the recurrence of the
-    module docstring). Class 2 is I, then class 1's members 1..t_q_max - 1."""
+def _member_stack(g: np.ndarray, class_tag: int, rows: range) -> np.ndarray:
+    """Members t_q = r + 1 for the rows r in ``rows``, a range of step 1, of
+    each matrix of a (..., N, N) stack: one read-only (..., len(rows), N, N)
+    array clipped at 0 (the recurrence of the module docstring). Class 2 is I,
+    then class 1's members 1, 2, ... The recurrence steps to the last row and
+    forms the kept rows' members only; a member's bits do not depend on which
+    other rows are kept."""
     n = g.shape[-1]
     d = np.sqrt(g * np.swapaxes(g, -1, -2))
     s = g.sum(axis=-2)[..., :, None]
     scale = 2.0 * s - 1.0
     alpha, beta, d_beta = np.eye(n), np.zeros(g.shape), np.zeros(g.shape)
-    stack = np.empty(g.shape[:-2] + (t_q_max, n, n))
-    stack[..., 0, :, :] = alpha  # I, class 2's member 1; class 2's steps start a row later
-    for t in range(class_tag - 1, t_q_max):
+    stack = np.empty(g.shape[:-2] + (len(rows), n, n))
+    if rows.start == 0:
+        stack[..., 0, :, :] = alpha  # I, class 2's member 1; class 2's steps start a row later
+    for t in range(class_tag - 1, rows.stop):
         alpha, beta = -beta, scale * alpha + 2.0 * d_beta
         d_beta = d @ beta
-        np.add(s * alpha * alpha + 2.0 * alpha * d_beta, g @ (beta * beta), out=stack[..., t, :, :])
+        if t >= rows.start:
+            np.add(s * alpha * alpha + 2.0 * alpha * d_beta, g @ (beta * beta), out=stack[..., t - rows.start, :, :])
     np.maximum(stack, 0.0, out=stack)
     stack.setflags(write=False)
     return stack

@@ -59,27 +59,6 @@ def _frozen_array(a, dtype) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class WeightedGraph:
-    """Nonnegative edge weights; ``weights[j, i]`` is the weight of edge i -> j."""
-
-    weights: np.ndarray
-
-    def __post_init__(self):
-        w = _frozen_array(self.weights, float)
-        if w.ndim != 2 or w.shape[0] != w.shape[1]:
-            raise DimensionMismatchError(f"weights must be square, got {w.shape}")
-        if w.shape[0] < 1:
-            raise DimensionMismatchError("graph needs at least one node")
-        if (w < 0).any():
-            raise NegativeWeightError("graph weights must be nonnegative")
-        object.__setattr__(self, "weights", w)
-
-    @property
-    def n(self) -> int:
-        return self.weights.shape[0]
-
-
-@dataclass(frozen=True, eq=False)
 class TransitionMatrix:
     """Column-stochastic matrix; ``g[j, i]`` is the probability of i -> j."""
 
@@ -95,6 +74,19 @@ class TransitionMatrix:
     @property
     def n(self) -> int:
         return self.g.shape[0]
+
+
+def _views(cls, rows) -> list:
+    """One ``cls``, a frozen dataclass with one array field, per row of
+    ``rows``, holding that row as it is: a view, not checked again. For the
+    rows of a read-only array that the caller has checked as a whole."""
+    (name,) = cls.__dataclass_fields__  # the type's one field, its array
+    views = []
+    for row in rows:
+        view = object.__new__(cls)
+        object.__setattr__(view, name, row)
+        views.append(view)
+    return views
 
 
 def _check_transition(g: np.ndarray) -> None:
@@ -184,24 +176,27 @@ class Classification:
     homogeneous: bool
 
 
-def from_weights(w: WeightedGraph | np.ndarray, patch_dangling: bool = False) -> TransitionMatrix:
+def from_weights(w: np.ndarray, patch_dangling: bool = False) -> TransitionMatrix:
     """Normalize the columns of a weighted graph into a transition matrix.
 
-    A zero column (dangling node) is an error unless ``patch_dangling`` is
-    set, in which case it is replaced by the uniform column. Patching is
-    opt-in because it silently changes the walk semantics.
+    ``w[j, i]`` is the nonnegative weight of edge i -> j. A zero column
+    (dangling node) is an error unless ``patch_dangling`` is set, in which
+    case it is replaced by the uniform column. Patching is opt-in because it
+    silently changes the walk semantics.
     """
-    if not isinstance(w, WeightedGraph):
-        w = WeightedGraph(np.asarray(w, dtype=float))
-    sums = w.weights.sum(axis=0)
+    w = np.asarray(w, dtype=float)
+    if w.ndim != 2 or w.shape[0] != w.shape[1]:
+        raise DimensionMismatchError(f"weights must be square, got {w.shape}")
+    if w.shape[0] < 1:
+        raise DimensionMismatchError("graph needs at least one node")
+    if (w < 0).any():
+        raise NegativeWeightError("graph weights must be nonnegative")
+    sums = w.sum(axis=0)
     dangling = np.flatnonzero(sums == 0.0)
     if dangling.size and not patch_dangling:
         raise DanglingNodeError(int(dangling[0]))
-    safe = np.where(sums == 0.0, 1.0, sums)
-    g = w.weights / safe
-    if dangling.size:
-        g = g.copy()
-        g[:, dangling] = 1.0 / w.n
+    g = w / np.where(sums == 0.0, 1.0, sums)
+    g[:, dangling] = 1.0 / len(w)
     return TransitionMatrix(g)
 
 
@@ -234,15 +229,15 @@ def validate(m: TransitionMatrix | np.ndarray) -> None:
         raise NotStochasticError(worst, float(dev[worst]))
 
 
-def classify(m: TransitionMatrix, tol: float = STOCHASTIC_TOL) -> Classification:
-    """Detect symmetry (g == g^T) and homogeneity.
+def classify(m: TransitionMatrix) -> Classification:
+    """Detect symmetry (g == g^T) and homogeneity, each within ``STOCHASTIC_TOL``.
 
     Homogeneity is operationalized as the matrix being circulant under the
     given node labeling: every entry depends only on (j - i) mod N.
     """
     g = m.g
-    symmetric = bool(np.abs(g - g.T).max() <= tol)
-    homogeneous = bool(np.abs(g - _circulant(g[:, 0])).max() <= tol)
+    symmetric = bool(np.abs(g - g.T).max() <= STOCHASTIC_TOL)
+    homogeneous = bool(np.abs(g - _circulant(g[:, 0])).max() <= STOCHASTIC_TOL)
     return Classification(symmetric=symmetric, homogeneous=homogeneous)
 
 
@@ -262,12 +257,12 @@ def serialize(m: TransitionMatrix, fmt: str) -> str:
     raise ValueError(f"unknown format {fmt!r}")
 
 
-def deserialize(text: str, fmt: str, patch_dangling: bool = False) -> TransitionMatrix:
+def deserialize(text: str, fmt: str) -> TransitionMatrix:
     """Parse ``csv`` or ``json`` text produced by :func:`serialize`."""
     if fmt == "csv":
         return _from_csv(text)
     if fmt == "json":
-        return _from_json(text, patch_dangling)
+        return _from_json(text)
     if fmt == "dot":
         raise ValueError("dot is export-only")
     raise ValueError(f"unknown format {fmt!r}")
@@ -329,7 +324,7 @@ def _node_count(n, line: int | None = None) -> int:
     return n
 
 
-def _from_json(text: str, patch_dangling: bool) -> TransitionMatrix:
+def _from_json(text: str) -> TransitionMatrix:
     if not text.strip():
         raise ParseError("empty input", line=1)
     try:
@@ -364,7 +359,7 @@ def _from_json(text: str, patch_dangling: bool) -> TransitionMatrix:
     with np.errstate(over="ignore"):
         if not np.isfinite(weights.sum(axis=0)).all():
             raise ParseError("edge weights overflow a column sum", field="edges")
-    return from_weights(weights, patch_dangling=patch_dangling)
+    return from_weights(weights)
 
 
 def _to_dot(m: TransitionMatrix) -> str:

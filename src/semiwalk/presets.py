@@ -44,11 +44,8 @@ def cycle_report(n: int, t_q_max: int, tol: float) -> tuple[dict, family_mod.Sem
     }
     pred = cycles.cycle_predictions(n)
     predicted = {key: getattr(pred, key) for key in measured}
-    dev = np.empty_like(fam.stack)  # the closed-form members, then |closed - measured| in place
-    for t in range(1, t_q_max + 1):
-        dev[t - 1] = cycles._cycle_member(n, t)
-    dev -= fam.stack
-    deviation = float(np.abs(dev, out=dev).max())
+    deviation = max(float(np.abs(cycles._cycle_member(n, t) - fam.stack[t - 1]).max())
+                    for t in range(1, t_q_max + 1))
     report = {
         "n": n,
         "predicted": predicted,

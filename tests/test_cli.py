@@ -434,6 +434,16 @@ def test_integer_options_below_their_least_value_exit_2(tmp_path, capsys, argv, 
     assert not out.exists()
 
 
+def test_deeply_nested_config_exits_2(tmp_path, capsys):
+    # json.loads raised RecursionError here: a traceback and exit 1
+    path = tmp_path / "run.json"
+    path.write_text("[" * 100_000)
+    out = tmp_path / "out"
+    assert main(["verify", "--config", str(path), "--out", str(out)]) == 2
+    assert json.loads(capsys.readouterr().err) == {"error": "ValueError", "message": "config file nests too deeply"}
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("seed", range(10))
 def test_verify_checks_pass_across_seeds(seed):
     checks = run_verification(count=100, seed=seed)

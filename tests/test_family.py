@@ -14,7 +14,7 @@ from semiwalk.corpus import (
 from semiwalk.errors import DimensionMismatchError, InsufficientRangeError, NotStochasticError, TooLargeError
 from semiwalk.family import MAX_ENTRIES
 from semiwalk.graphs import MAX_NODES
-from semiwalk import family, szegedy
+from semiwalk import family, graphs, szegedy, verify
 from semiwalk.szegedy import SzegedyOperator
 
 # two-node family members frozen from an independent dense-operator computation
@@ -283,6 +283,59 @@ def test_class_two_member_one_is_the_identity(hub):
         assert np.array_equal(sw.build_family(g, 2, 3).member(1).g, np.eye(g.n))
         assert np.array_equal(sw.build_families([g], 2, 1)[0].member(1).g, np.eye(g.n))
         assert np.array_equal(sw.semiclassical_matrix(g, 1, 2).g, np.eye(g.n))
+
+
+def test_semiclassical_matrix_is_the_family_member_bitwise():
+    rng = rng_from_seed(137)
+    for g in [sw.two_node_chain(), sw.symmetric_hub(), random_stochastic(16, rng), random_stochastic(128, rng)]:
+        for class_tag in (1, 2):
+            for t in (1, 2, 17, 200):
+                single = sw.semiclassical_matrix(g, t, class_tag).g
+                assert single.tobytes() == sw.build_family(g, class_tag, t).member(t).g.tobytes(), (g.n, class_tag, t)
+
+
+def test_semiclassical_matrix_forms_and_checks_one_member(monkeypatch):
+    # through a whole family this peaked at 127.9 MiB, 1000 members of 128 KiB,
+    # and checked the member twice: in the family's stack and on its own
+    g = random_stochastic(128, rng_from_seed(3))
+    checked = []
+    check = graphs._check_transition
+    for module in (graphs, family):
+        monkeypatch.setattr(module, "_check_transition", lambda a: checked.append(a.shape) or check(a))
+    tracemalloc.start()
+    try:
+        sw.semiclassical_matrix(g, 1000, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert checked == [(128, 128)]
+    assert peak < 4 * 2**20  # measured 1.1 MiB
+
+
+def _swap_index(n):
+    return np.arange(n * n).reshape(n, n).T.reshape(-1)
+
+
+def test_classical_limit_two_reads_the_dense_operator(monkeypatch, theorem_corpus):
+    # classical-limit-II once read class 2's member 2 off the recurrence, where
+    # it is class 1's member 1 bitwise, so it repeated classical-limit-I
+    mats = theorem_corpus[:14]
+    dense = szegedy.SzegedyOperator.dense
+
+    def passed():
+        return {c["name"]: c["passed"] for c in verify.unitarity_checks(mats, rng_from_seed(1))}
+
+    assert all(passed().values())
+    # (2 Pi - 1) S, the factors of U in the wrong order: S U = 2 Pi - 1
+    monkeypatch.setattr(szegedy.SzegedyOperator, "dense",
+                        lambda op, max_n=szegedy.DENSE_CAP: dense(op, max_n)[_swap_index(op.n)][:, _swap_index(op.n)])
+    assert not passed()["classical-limit-II"]
+    # without the swap U is 2 Pi - 1, which fixes each |psi_i>, so register 2
+    # of U^2 |psi_i> is still G[:, i]; class-equivalence is the check that fails
+    monkeypatch.setattr(szegedy.SzegedyOperator, "dense",
+                        lambda op, max_n=szegedy.DENSE_CAP: dense(op, max_n)[_swap_index(op.n)])
+    checks = passed()
+    assert checks["classical-limit-II"] and not checks["class-equivalence"]
 
 
 def test_family_json_export_round_trips(two_node):

@@ -17,8 +17,10 @@ from semiwalk.corpus import (
     random_symmetric_stochastic,
     rng_from_seed,
 )
+from semiwalk import graphs
 from semiwalk.errors import (
     DanglingNodeError,
+    DimensionMismatchError,
     NegativeWeightError,
     NotStochasticError,
     ParseError,
@@ -53,8 +55,34 @@ def test_from_weights_dangling_column():
 
 
 def test_from_weights_rejects_negative():
-    with pytest.raises(NegativeWeightError):
+    with pytest.raises(NegativeWeightError, match="^graph weights must be nonnegative$"):
         sw.from_weights(np.array([[1.0, -0.1], [0.5, 0.5]]))
+
+
+@pytest.mark.parametrize("w, message", [
+    pytest.param(np.ones((2, 3)), "weights must be square, got (2, 3)", id="non-square"),
+    pytest.param(np.ones(3), "weights must be square, got (3,)", id="one-dimensional"),
+    pytest.param(np.zeros((0, 0)), "graph needs at least one node", id="empty"),
+])
+def test_from_weights_rejects_non_square_or_empty(w, message):
+    with pytest.raises(DimensionMismatchError) as err:
+        sw.from_weights(w)
+    assert str(err.value) == message
+
+
+def test_views_share_rows_read_only_and_unchecked():
+    stack = sw.build_family(sw.symmetric_hub(), 1, 4).stack
+    views = graphs._views(sw.TransitionMatrix, stack)
+    assert [type(v) for v in views] == [sw.TransitionMatrix] * 4
+    for view, row in zip(views, stack):
+        assert np.shares_memory(view.g, stack) and np.array_equal(view.g, row)
+        assert not view.g.flags.writeable
+    # rows that no check would pass are wrapped as they are
+    bad = np.full((2, 3), 0.5)
+    bad.setflags(write=False)
+    vectors = graphs._views(sw.ProbabilityVector, bad)
+    assert [v.p.sum() for v in vectors] == [1.5, 1.5]
+    assert all(np.shares_memory(v.p, bad) for v in vectors)
 
 
 def test_from_weights_idempotent():
