@@ -281,6 +281,7 @@ def sample_trajectories(m: TransitionMatrix, x0: int, steps: int, seed: int, cou
     with c[j] > u[k, t], reading c[N - 1] as +inf against rounding. That is
     searchsorted(c, u[k, t], side="right") capped at N - 1.
     """
+    _check_int("x0", x0)
     if not (0 <= x0 < m.n):
         raise IndexOutOfRangeError(f"start node {x0} outside 0..{m.n - 1}")
     _check_int("count", count, 1)

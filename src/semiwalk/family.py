@@ -6,51 +6,40 @@ ordered collection over ``t_q = 1..t_q_max`` is the walk family of the input
 matrix. Class 1 measures the first register, class 2 the second. ``t_q = 0``
 (the identity, no evolution at all) is not a walk and is never a member.
 
-Members are computed without stepping N^2 amplitudes. Let ``A x = sum_i x_i
-|psi_i>`` (amplitude grid ``(A x)[i, k] = x_i sqrt(G[k, i])``), so that ``(S A
-x)[i, k] = x_k sqrt(G[i, k])``, and let ``s`` be G's column sums (1 for a
-column-stochastic G). Then ``A^T A = diag(s)``, ``A^T S A = D = sqrt(G o G^T)``
-and ``U = S (2 A A^T - 1)``, which gives
+Members come in closed form from one eigendecomposition ``D = sqrt(G o G^T)
+= X diag(cos theta) X^T``. Let ``A x = sum_i x_i |psi_i>`` (amplitude grid
+``(A x)[i, k] = x_i sqrt(G[k, i])``). For a column-stochastic G, ``A^T A =
+I``, ``A^T S A = D`` and ``U = S (2 A A^T - 1)``, so ``U A a = S A a`` and ``U
+S A b = 2 S A D b - A b``: span{A, SA} is invariant (Szegedy's spectral
+lemma), and ``U^t |psi_p> = A alpha_t[:, p] + S A beta_t[:, p]`` for all N
+proxies at once, with Chebyshev's ``beta_t = X diag(sin(t theta) / sin
+theta) X^T`` and ``alpha_t = -beta_{t-1}``. On D's lines lam = +-1 (theta =
+0 or pi) ``A x = +-S A x``, so beta_t is 0 there and ``alpha_t = P_t -
+beta_{t-1}``, with ``P_t = P_+ + (-1)^t P_-`` the projectors onto the lines.
+Summing ``|(A a + S A b)[i, k]|^2 = a_i^2 G[k, i] + 2 a_i b_k sqrt(G[k, i]
+G[i, k]) + b_k^2 G[i, k]`` over k, with ``alpha_t + 2 D beta_t = P_t +
+beta_{t+1}``, gives the class-1 members
 
-    U A a     = S A (2 s o a - a)
-    U S A b   = 2 S A D b - A b
+    (P_t - beta_{t-1}) o (P_t + beta_{t+1}) + G (beta_t o beta_t)
 
-so span{A, SA} is invariant (Szegedy's spectral lemma) and, writing
-``U^t |psi_p> = A alpha_t[:, p] + S A beta_t[:, p]`` for all N proxies at
-once,
+at the same cost for every t. On an input whose columns sum to 1 only within
+``STOCHASTIC_TOL``, the members are those of D's spectrum, as if the sums
+were 1. Class 2 is class 1 one quantum step later: ``2 Pi - 1`` keeps
+register 1's distribution and S moves it to register 2, so class-2 member
+t + 1 is class-1 member t, and member 1 is I.
 
-    alpha_0 = I,  beta_0 = 0,
-    (alpha, beta) <- (-beta, (2 s - 1) o alpha + 2 D beta),
-
-one N x N product per step (``s o alpha`` scales row i by s_i). Summing
-``|(A a + S A b)[i, k]|^2 = a_i^2 G[k, i] + 2 a_i b_k sqrt(G[k, i] G[i, k])
-+ b_k^2 G[i, k]`` over k gives the class-1 members,
-
-    s o alpha o alpha + 2 alpha o (D beta) + G (beta o beta),
-
-which keep s (rather than 1) to agree with stepping ``SzegedyOperator.apply``
-to rounding even when G's columns sum to 1 only within rounding. Class 2 is
-class 1 one quantum step later: ``2 Pi - 1`` acts block by block on register
-1, so it keeps register 1's distribution, and S moves that to register 2.
-So class-2 member t + 1 is class-1 member t, and member 1 is I. For s off 1
-(within ``STOCHASTIC_TOL``) this defines class 2, O(|s - 1|) from stepping U.
-
-The recurrence runs on a ``(..., N, N)`` stack of inputs at once: s, D and
-the coefficients carry the stack's leading axes, and every product is a
-stacked ``matmul``, which numpy evaluates one N x N product at a time, so
-each input's members are bitwise the ones it gets alone. ``build_family``
-passes one matrix; ``build_families`` passes all inputs of one size N as one
-stack. A family holds its members as one read-only ``(t_q_max, N, N)``
-array, ``stack``, one row per step; each family checks its own stack once,
-rather than once per member, and its members are views of the rows.
-``semiclassical_matrix`` keeps one row: it steps to t_q and forms and checks
-that member alone.
+The formula runs on a ``(..., N, N)`` stack of inputs at once, and every
+product is a stacked ``matmul``, which numpy evaluates one N x N product at a
+time, so each input's members are bitwise the ones it gets alone, whichever
+other members are formed with them. ``build_family`` passes one matrix;
+``build_families`` all inputs of one size N. A family holds its members as
+one read-only ``(t_q_max, N, N)`` array, ``stack``, checked once; its members
+are views of the rows. ``semiclassical_matrix`` forms and checks one member.
 
 Two periods are computed. ``family_period`` compares the measured members;
 ``unitary_period`` asks when the walk operator itself returns to the
-identity, read off U's eigenphases rather than dense powers of U. The same
-lemma gives the phases: ``_eigenphases``, beside the member recurrence, reads
-them off one eigendecomposition of D.
+identity, read off U's eigenphases (``_spectrum``, as the members are) rather
+than dense powers of U.
 """
 
 from __future__ import annotations
@@ -65,11 +54,13 @@ from .graphs import TransitionMatrix, _check_int, _check_tol, _check_transition,
 
 MATRIX_TOL = 1e-9
 # Cap on N^2 * t_q_max, the float64 entries a family holds (2**24 is 128 MiB);
-# for a single member, on N^2 * t_q, which bounds the steps to it.
+# for one member, on N^2 * t_q, which bounds the rounding of its phases t theta.
 MAX_ENTRIES = 2**24
-# Entries in each (k, N, N) amplitude grid _eigenphases forms at once (8 MB
-# of float64): all N eigenvectors form one block up to N = 101, 16 at N = 256.
+# Entries in each (k, N, N) block of amplitude grids or member matrices formed
+# at once (8 MB of float64), e.g. 64 grids or members at N = 128.
 PHASE_BLOCK = 1 << 20
+# theta within this of 0 or pi is an eigenvalue lam = +-1 of D
+LINE_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,10 +120,9 @@ def semiclassical_matrix(g: TransitionMatrix, t_q: int, class_tag: int) -> Trans
     """Measurement statistics of t_q walk steps from every proxy state.
 
     Column i is the measured register's distribution of U^t_q |psi_i>,
-    bitwise member t_q of :func:`build_family`. The recurrence steps to t_q
-    (class 2 runs t_q - 1 steps; its member 1 is I) and forms that member
-    only, so no other member is computed, kept or checked. ``MAX_ENTRIES``
-    caps N^2 * t_q as it caps a family, which bounds the steps.
+    bitwise member t_q of :func:`build_family`. Only that member is formed and
+    checked, at the same cost for every t_q. ``MAX_ENTRIES`` caps N^2 * t_q as
+    it caps a family, which bounds the rounding of the phases t_q theta.
     """
     _check_family([g.n], class_tag, t_q)
     return TransitionMatrix(_member_stack(g.g, class_tag, range(t_q - 1, t_q))[0])
@@ -141,21 +131,11 @@ def semiclassical_matrix(g: TransitionMatrix, t_q: int, class_tag: int) -> Trans
 def build_family(g: TransitionMatrix, class_tag: int, t_q_max: int) -> SemiclassicalFamily:
     """Members for t_q = 1..t_q_max from the 2N-dimensional walk subspace.
 
-    The N proxy states are advanced together as the coefficient matrices
-    (alpha, beta) of ``U^t |psi_p> = A alpha[:, p] + S A beta[:, p]``, so each
-    member costs two N x N products and no N^2 amplitudes are stored. Class 2
-    runs t_q_max - 1 steps: its member 1 is I and its member t_q is class 1's
-    member t_q - 1. Each entry is a sum of squares; rounding can leave it a
-    few ulps below zero, so the family's ``stack`` is clipped at 0.
-
-    In planes where D has an eigenvalue lam = +-1 the coefficients grow
-    linearly in t (A x = +-S A x there) while the state does not, so the
-    rounding error of a member grows like t^2 * eps there. Two-node chains,
-    which always have lam = 1, show 6e-13 at t_q = 60 and 2e-10 at t_q = 1000;
-    from t_q = 1855 their column sums drift past the 1e-9 that ``validate``
-    allows and the member is rejected with NotStochasticError. A family of
-    more than ``MAX_ENTRIES`` entries, N^2 * t_q_max, is a TooLargeError
-    before anything is allocated.
+    Each member costs two N x N products after one eigendecomposition of D,
+    and no N^2 amplitudes are stored. Each entry is a sum of squares; rounding
+    can leave it a few ulps below zero, so the family's ``stack`` is clipped
+    at 0. A family of more than ``MAX_ENTRIES`` entries, N^2 * t_q_max, is a
+    TooLargeError before anything is allocated.
     """
     _check_family([g.n], class_tag, t_q_max)
     return SemiclassicalFamily(g, class_tag, _member_stack(g.g, class_tag, range(t_q_max)))
@@ -166,15 +146,12 @@ def build_families(
 ) -> list[SemiclassicalFamily]:
     """``[build_family(g, class_tag, t_q_max) for g in gs]``, one stack per size.
 
-    The inputs of one size N run through the recurrence as one (B, N, N)
-    stack, so a corpus of small matrices costs a few numpy calls per size
-    rather than per matrix. Each family's stack is its row of the resulting
-    (B, t_q_max, N, N) array, bitwise the one ``build_family`` gives it; each
-    family checks its own stack once, in input order, so the first bad input
-    raises the error it raises alone. A stack above ``MAX_ENTRIES`` entries is
-    split into chunks that fit, so any list whose members ``build_family``
-    accepts one by one is accepted; a single input above the cap is a
-    TooLargeError.
+    The inputs of one size N run as one (B, N, N) stack, a few numpy calls per
+    size rather than per matrix. Each family's stack is its row of the
+    resulting (B, t_q_max, N, N) array, bitwise the one ``build_family`` gives
+    it, checked once in input order, so the first bad input raises the error
+    it raises alone. A stack above ``MAX_ENTRIES`` entries is split into
+    chunks that fit; a single input above the cap is a TooLargeError.
     """
     gs = list(gs)
     _check_family([g.n for g in gs], class_tag, t_q_max)
@@ -211,53 +188,71 @@ def _check_family(sizes: list[int], class_tag: int, t_q_max: int) -> None:
 def _member_stack(g: np.ndarray, class_tag: int, rows: range) -> np.ndarray:
     """Members t_q = r + 1 for the rows r in ``rows``, a range of step 1, of
     each matrix of a (..., N, N) stack: one read-only (..., len(rows), N, N)
-    array clipped at 0 (the recurrence of the module docstring). Class 2 is I,
-    then class 1's members 1, 2, ... The recurrence steps to the last row and
-    forms the kept rows' members only; a member's bits do not depend on which
+    array clipped at 0 (the module docstring's formula; class 2 is I, then
+    class 1's members), formed in blocks of about ``PHASE_BLOCK`` entries with
+    a fixed number of numpy calls each. A member's bits do not depend on which
     other rows are kept."""
     n = g.shape[-1]
-    d = np.sqrt(g * np.swapaxes(g, -1, -2))
-    s = g.sum(axis=-2)[..., :, None]
-    scale = 2.0 * s - 1.0
-    alpha, beta, d_beta = np.eye(n), np.zeros(g.shape), np.zeros(g.shape)
+    theta, x = _spectrum(g)
+    plus, minus = theta < LINE_TOL, theta > np.pi - LINE_TOL
+    line = plus | minus
+    sin = np.where(line, 1.0, np.sin(theta))
+    parity = np.stack([line, 1.0 * plus - minus], axis=-2)  # P_t = X diag(parity[t % 2]) X^T
+    xt = np.swapaxes(x, -1, -2)[..., None, :, :]
     stack = np.empty(g.shape[:-2] + (len(rows), n, n))
-    if rows.start == 0:
-        stack[..., 0, :, :] = alpha  # I, class 2's member 1; class 2's steps start a row later
-    for t in range(class_tag - 1, rows.stop):
-        alpha, beta = -beta, scale * alpha + 2.0 * d_beta
-        d_beta = d @ beta
-        if t >= rows.start:
-            np.add(s * alpha * alpha + 2.0 * alpha * d_beta, g @ (beta * beta), out=stack[..., t - rows.start, :, :])
+    if class_tag == 2 and rows.start == 0:
+        stack[..., 0, :, :] = np.eye(n)  # I, class 2's member 1
+    step = max(1, min(PHASE_BLOCK // (theta.size * n), len(rows)))  # members per block
+    mats = np.empty(g.shape[:-2] + (step + 4, n, n))  # one block's X diag(c) X^T
+    for r in range(max(rows.start, class_tag - 1), rows.stop, step):
+        t = r + 2 - class_tag  # class-1 time of row r
+        k = min(step, rows.stop - r)
+        ts = np.arange(t - 1, t + k + 1)[:, None] * theta[..., None, :]  # (t - 1 .. t + k) theta
+        d = np.where(line[..., None, :], 0.0, np.sin(ts) / sin[..., None, :])
+        np.matmul(x[..., None, :, :] * np.concatenate([d, parity], axis=-2)[..., None, :], xt,
+                  out=mats[..., :k + 4, :, :])
+        beta = mats[..., :k + 2, :, :]  # beta_{t-1} .. beta_{t+k}
+        out = stack[..., r - rows.start:r - rows.start + k, :, :]
+        np.matmul(g[..., None, :, :], np.square(beta[..., 1:-1, :, :]), out=out)
+        for j in range(min(2, k)):  # the members of one parity of t
+            p = mats[..., k + 2 + (t + j) % 2, None, :, :]
+            out[..., j::2, :, :] += (p - beta[..., j:k:2, :, :]) * (p + beta[..., j + 2::2, :, :])
     np.maximum(stack, 0.0, out=stack)
     stack.setflags(write=False)
     return stack
 
 
-def _eigenphases(g: np.ndarray) -> np.ndarray:
-    """Eigenphases of U in [0, pi], each standing for the pair e^{+-i phase}.
-
-    Szegedy's spectral lemma: with A x = sum_i x_i |psi_i>, each eigenpair
-    (lam_k, x_k) of D = A^T S A = sqrt(G o G^T) spans a plane
-    {A x_k, S A x_k} that U rotates by theta_k = arccos(lam_k), and the
-    planes of orthonormal x_k are mutually orthogonal. theta_k is read as
-    2 atan2(|b - b^T|, |b + b^T|) on the amplitude grid b = A x_k, which
-    keeps full accuracy near lam = +-1 where arccos loses half the digits.
-    Off the planes Pi = 0 and U = -S: phase pi on the swap-symmetric part,
-    of dimension N(N-1)/2 + #{lam = -1}, so present for every N >= 2, and
-    phase 0 on the antisymmetric part, which never affects a period and is
-    left out.
-    """
-    n = g.shape[0]
-    _, x = np.linalg.eigh(np.sqrt(g * g.T))
-    sqrt_g = np.sqrt(g)
-    theta = np.empty(n)
+def _spectrum(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """theta and X of D = X diag(cos theta) X^T, one ``eigh`` per matrix of a
+    (..., N, N) stack. Each eigenpair (lam_k, x_k) spans a plane {A x_k, S A
+    x_k} that U rotates by theta_k = arccos(lam_k). Where |lam| > 1/2, the
+    only range where arccos loses digits (half of them at lam = +-1), theta_k
+    is 2 atan2(|b - b^T|, |b + b^T|) on the grid b = A x_k, in blocks of
+    ``PHASE_BLOCK`` entries."""
+    n = g.shape[-1]
+    lam, x = np.linalg.eigh(np.sqrt(g * np.swapaxes(g, -1, -2)))
+    theta = np.arccos(np.clip(lam, -1.0, 1.0))
+    mats, ks = np.nonzero(np.abs(lam.reshape(-1, n)) > 0.5)
+    sqrt_gt = np.sqrt(np.swapaxes(g, -1, -2)).reshape(-1, n, n)
+    vecs = x.reshape(-1, n, n)
     step = max(1, PHASE_BLOCK // n**2)  # eigenvectors per block of grids
-    for lo in range(0, n, step):
-        b = x.T[lo:lo + step, :, None] * sqrt_g.T[None, :, :]  # b[k] = A x_k, N x N
+    for lo in range(0, len(ks), step):
+        m, k = mats[lo:lo + step], ks[lo:lo + step]
+        b = sqrt_gt[m]
+        b *= vecs[m, :, k][:, :, None]  # b[j] = A x_k of matrix m, N x N
         bt = b.transpose(0, 2, 1)
-        theta[lo:lo + step] = 2.0 * np.arctan2(np.linalg.norm(b - bt, axis=(1, 2)),
-                                               np.linalg.norm(b + bt, axis=(1, 2)))
-    return np.append(theta, np.pi) if n >= 2 else theta
+        theta.reshape(-1, n)[m, k] = 2.0 * np.arctan2(np.linalg.norm(b - bt, axis=(1, 2)),
+                                                      np.linalg.norm(b + bt, axis=(1, 2)))
+    return theta, x
+
+
+def _eigenphases(g: np.ndarray) -> np.ndarray:
+    """Eigenphases of U in [0, pi], each standing for the pair e^{+-i phase}:
+    the planes' theta, and pi. Off the planes U = -S: phase pi on the
+    swap-symmetric part, present for every N >= 2, and phase 0 on the
+    antisymmetric part, which never affects a period and is left out."""
+    theta = _spectrum(g)[0]
+    return np.append(theta, np.pi) if g.shape[-1] >= 2 else theta
 
 
 def family_period(f: SemiclassicalFamily, tol: float = MATRIX_TOL) -> int | None:
@@ -302,13 +297,12 @@ def distinct_matrices(f: SemiclassicalFamily, tol: float = MATRIX_TOL) -> int:
 def unitary_period(g: TransitionMatrix, t_max: int, tol: float = MATRIX_TOL) -> int | None:
     """Smallest p <= t_max with U^p equal to the identity, or None.
 
-    Reads U's eigenphases theta off the N x N matrix sqrt(G o G^T), one O(N^3)
-    eigendecomposition, and returns the first p with max |e^{i p theta} - 1|
-    <= tol. For the unitary U that maximum is the spectral norm of U^p - 1,
-    which bounds every entry, so the test implies max |U^p - 1| <= tol
-    entrywise. No dense operator is built, so there is no size cap.
+    Reads U's eigenphases theta off one O(N^3) eigendecomposition of D and
+    returns the first p with max |e^{i p theta} - 1| <= tol: for the unitary U
+    that is the spectral norm of U^p - 1, which bounds every entry of U^p - 1.
+    No dense operator is built, so there is no size cap.
     """
-    _check_int("t_max", t_max)
+    _check_int("t_max", t_max, 0)
     _check_tol(tol)
     theta = _eigenphases(g.g)
     for p in range(1, t_max + 1):

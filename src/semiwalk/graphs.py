@@ -22,6 +22,7 @@ import numpy as np
 from .errors import (
     DanglingNodeError,
     DimensionMismatchError,
+    IndexOutOfRangeError,
     NegativeWeightError,
     NotStochasticError,
     ParseError,
@@ -165,6 +166,9 @@ class ProbabilityVector:
 
     @classmethod
     def point_mass(cls, n: int, i: int) -> "ProbabilityVector":
+        _check_int("i", i)
+        if not (0 <= i < n):
+            raise IndexOutOfRangeError(f"node {i} outside 0..{n - 1}")
         p = np.zeros(n)
         p[i] = 1.0
         return cls(p)

@@ -102,6 +102,18 @@ def test_circuit_subcommand(tmp_path):
     assert gates["t_q"] == 2 and gates["t_c"] == 2
 
 
+def test_long_circuit_and_family_pass(tmp_path, capsys):
+    # the stepped members were 1.43e-10 off the channel at t_q = 1000 and
+    # failed the unit-sum check from t_q = 1855 on the two-node chain
+    out = tmp_path / "circuit"
+    assert main(["circuit", "--tq", "1000", "--out", str(out)]) == 0
+    assert capsys.readouterr().out.startswith("PASS circuit t_q=1000")
+    assert json.loads((out / "verify.json").read_text())["channel_deviation"] < 1e-12  # measured 1.46e-13
+    graph = _write_two_node(tmp_path)
+    assert main(["family", "--input", str(graph), "--tq-max", "2000", "--out", str(tmp_path / "family")]) == 0
+    assert len(json.loads((tmp_path / "family" / "family.json").read_text())) == 2000
+
+
 def test_verify_subcommand_passes(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["verify", "--count", "7", "--seed", "0", "--out", str(out)]) == 0

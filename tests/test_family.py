@@ -1,4 +1,5 @@
 import json
+import time
 import tracemalloc
 
 import numpy as np
@@ -174,7 +175,8 @@ def test_blocked_eigenphases_equal_unblocked_formula(theorem_corpus, monkeypatch
 
 def _operator_eigenphases(op):
     """Reference: the eigenphases as a method of the N^2 operator computed
-    them, on its cached sqrt(G), with the same block of 1 << 20 entries."""
+    them, on its cached sqrt(G), with the half-angle formula for every
+    eigenvector in blocks of 1 << 20 entries."""
     g = op.source.g
     _, x = np.linalg.eigh(np.sqrt(g * g.T))
     theta = np.empty(op.n)
@@ -187,9 +189,11 @@ def _operator_eigenphases(op):
     return np.append(theta, np.pi) if op.n >= 2 else theta
 
 
-def test_eigenphases_bitwise_equal_operator_formula():
+def test_eigenphases_match_operator_formula():
+    # arccos where |lam| <= 1/2 and the half-angle grids elsewhere: measured
+    # 2.7e-15 off the half-angle formula everywhere
     for g in _oracle_graphs() + [sw.cycle_graph(256)]:
-        assert np.array_equal(family._eigenphases(g.g), _operator_eigenphases(SzegedyOperator(g)))
+        assert np.abs(family._eigenphases(g.g) - _operator_eigenphases(SzegedyOperator(g))).max() <= 1e-14
 
 
 def test_unitary_period_builds_no_operator(monkeypatch):
@@ -267,6 +271,30 @@ def test_build_family_matches_stepping_oracle():
                 assert dev <= 1e-12, (g.n, class_tag, t, dev)
 
 
+@pytest.mark.parametrize("make, bound", [
+    # measured 4.8e-13, 4.0e-13 and 1.5e-12; the recurrence raised on the
+    # chain and was 1.2e-11 off on the hub by t_q = 1000
+    (sw.two_node_chain, 1e-12),
+    (sw.symmetric_hub, 1e-12),
+    (lambda: random_symmetric_stochastic(16, rng_from_seed(7)), 3e-12),
+], ids=["two-node", "hub", "symmetric-16"])
+def test_long_families_match_stepping_oracle(make, bound):
+    g = make()
+    stepped = _stepped_members(g, 2000)
+    for class_tag in (1, 2):
+        fam = sw.build_family(g, class_tag, 2000)
+        dev = max(np.abs(m.g - ref).max() for m, ref in zip(fam.members, stepped[class_tag], strict=True))
+        assert dev <= bound, (class_tag, dev)
+
+
+def test_single_member_costs_the_same_at_every_t():
+    # stepping to t_q = 200 000 took 1.1 s and then raised NotStochasticError
+    start = time.perf_counter()
+    member = sw.semiclassical_matrix(sw.two_node_chain(), 200000, 1)  # checked on construction
+    assert time.perf_counter() - start < 0.25  # measured 0.6 ms
+    assert member.n == 2
+
+
 def test_class_equivalence_shifted_by_one():
     rng = rng_from_seed(53)
     gs = [random_stochastic(2 + k % 5, rng) for k in range(10)] + [sw.symmetric_hub(), sw.cycle_graph(7)]
@@ -289,7 +317,8 @@ def test_semiclassical_matrix_is_the_family_member_bitwise():
     rng = rng_from_seed(137)
     for g in [sw.two_node_chain(), sw.symmetric_hub(), random_stochastic(16, rng), random_stochastic(128, rng)]:
         for class_tag in (1, 2):
-            for t in (1, 2, 17, 200):
+            # a whole family of 1000 members at N = 128 would be 128 MiB
+            for t in (1, 2, 17, 200) + ((1000,) if g.n < 128 else ()):
                 single = sw.semiclassical_matrix(g, t, class_tag).g
                 assert single.tobytes() == sw.build_family(g, class_tag, t).member(t).g.tobytes(), (g.n, class_tag, t)
 
@@ -362,6 +391,9 @@ def test_family_argument_validation(two_node):
         sw.build_family(two_node, 1, 0)
     with pytest.raises(ValueError):
         sw.semiclassical_matrix(two_node, 0, 1)
+    # a negative t_max used to return None
+    with pytest.raises(ValueError, match=r"^t_max must be an integer >= 0, got -5$"):
+        sw.unitary_period(two_node, -5)
     fam = sw.build_family(two_node, 1, 2)
     with pytest.raises(IndexError):
         fam.member(3)
@@ -405,6 +437,9 @@ def _apply(g, steps):
     pytest.param(lambda g: sw.verify_block(g, True), "t_q", id="verify_block-bool"),
     pytest.param(lambda g: _apply(g, 1.5), "steps", id="apply"),
     pytest.param(lambda g: _apply(g, True), "steps", id="apply-bool"),
+    # both used to start at node 1
+    pytest.param(lambda g: sw.sample_trajectories(g, 1.5, 3, seed=0, count=1), "x0", id="sample_trajectories"),
+    pytest.param(lambda g: sw.sample_trajectories(g, True, 3, seed=0, count=1), "x0", id="sample_trajectories-bool"),
 ])
 def test_float_or_bool_integer_arguments_are_value_errors(two_node, call, name):
     with pytest.raises(ValueError, match=rf"^{name} must be an integer\b"):
@@ -459,7 +494,8 @@ def _looped_graphs():
     return graphs + [sw.symmetric_hub(), sw.two_node_chain()] + [sw.cycle_graph(n) for n in range(3, 17)]
 
 
-def test_stacked_members_equal_looped_members_bitwise():
+def test_members_match_looped_members():
+    # the closed form against the recurrence it replaced: 4.7e-14 at most here
     for g in _looped_graphs():
         t_q_max = max(20, 2 * g.n)
         looped = [m.g for m in _looped_members(g, 1, t_q_max)]
@@ -467,7 +503,7 @@ def test_stacked_members_equal_looped_members_bitwise():
         for class_tag, ref in refs.items():
             fam = sw.build_family(g, class_tag, t_q_max)
             for t, (member, expected) in enumerate(zip(fam.members, ref, strict=True), start=1):
-                assert np.array_equal(member.g, expected), (g.n, class_tag, t)
+                assert np.abs(member.g - expected).max() <= 1e-12, (g.n, class_tag, t)
 
 
 def test_shifted_class_two_matches_its_own_formula():
@@ -503,11 +539,15 @@ def _raised(fn, *args):
     return type(info.value), str(info.value)
 
 
-def test_long_two_node_family_fails_as_its_first_bad_member():
+def test_long_two_node_family_is_valid():
+    # the recurrence's rounding grows like t^2 eps on D's lam = 1 line, and
+    # its member 1855 fails the unit-sum check; the closed form has no such line
     chain = sw.two_node_chain()
-    expected = _raised(_looped_members, chain, 1, 2000)
-    assert expected == (NotStochasticError, "column 1 deviates from unit sum by 1.164e-09")
-    assert _raised(sw.build_family, chain, 1, 2000) == expected
+    assert _raised(_looped_members, chain, 1, 2000) == (
+        NotStochasticError, "column 1 deviates from unit sum by 1.164e-09")
+    fam = sw.build_family(chain, 1, 2000)  # checked as a whole
+    stepped = _stepped_members(chain, 2000)[1]
+    assert max(np.abs(m.g - ref).max() for m, ref in zip(fam.members, stepped, strict=True)) <= 1e-12
 
 
 @pytest.mark.parametrize("bad", [np.nan, -1e-3, 1 + 2e-12])
@@ -581,24 +621,46 @@ def test_build_families_equal_build_family_bitwise(class_tag):
 
 
 def _off_sum(n):
-    # ROADMAP item 2's input: column 0 scaled by 1 + 5e-11 fails by t_q = 40
+    # column 0 scaled by 1 + 5e-11: the recurrence, which kept the column sums,
+    # failed on it by t_q = 40
     g = random_stochastic(n, rng_from_seed(3)).g.copy()
     g[:, 0] *= 1 + 5e-11
     return sw.TransitionMatrix(g)
 
 
+def test_off_sum_input_members_stay_valid():
+    # its members are checked as a whole and drift from the normalised input's
+    # with the phase error t * O(5e-11): 2.1e-9 at most by t_q = 400
+    for n in (4, 16):
+        g = _off_sum(n)
+        fam = sw.build_family(g, 1, 400)
+        ref = sw.build_family(sw.TransitionMatrix(g.g / g.g.sum(axis=0)), 1, 400)
+        assert max(np.abs(a.g - b.g).max() for a, b in zip(fam.members, ref.members, strict=True)) <= 1e-8
+
+
 @pytest.mark.parametrize("class_tag", [1, 2])
-def test_build_families_bad_input_raises_its_own_error(class_tag):
+def test_build_families_bad_input_raises_its_own_error(class_tag, monkeypatch):
     rng = rng_from_seed(127)
-    bad4, bad16 = _off_sum(4), _off_sum(16)
+    bad4, bad16 = random_stochastic(4, rng), random_stochastic(16, rng)
+    member_stack = family._member_stack
+
+    def faulty(g, class_tag, rows):
+        # off-sum member 6 of bad4 and of bad16, whether alone or in a stack
+        stack = member_stack(g, class_tag, rows).copy()
+        for idx in np.ndindex(g.shape[:-2]):
+            for bad, fault in ((bad4, 1e-6), (bad16, 2e-6)):
+                if np.array_equal(g[idx], bad.g):
+                    stack[idx + (5, 1, 0)] += fault
+        return stack
+
+    monkeypatch.setattr(family, "_member_stack", faulty)
     expected = _raised(sw.build_family, bad4, class_tag, 40)
-    assert expected[0] in (NotStochasticError, sw.NegativeWeightError)
+    assert expected == (NotStochasticError, "column 0 deviates from unit sum by 1.000e-06")
     # size 16 is stacked first, and its bad input fails with another number;
     # the first bad input in input order is the one that raises
     gs = [random_stochastic(16, rng), random_stochastic(4, rng), bad4,
           random_stochastic(16, rng), bad16, random_stochastic(4, rng)]
-    if class_tag == 1:
-        assert _raised(sw.build_family, bad16, 1, 40) != expected
+    assert _raised(sw.build_family, bad16, class_tag, 40) != expected
     assert _raised(sw.build_families, gs, class_tag, 40) == expected
 
 

@@ -437,6 +437,9 @@ def test_probability_vector_invariants():
         sw.ProbabilityVector(np.array([np.nan, 1.0]))
     assert sw.ProbabilityVector.uniform(4).p.tolist() == [0.25] * 4
     assert sw.ProbabilityVector.point_mass(3, 1).p.tolist() == [0.0, 1.0, 0.0]
+    for i in (-1, 3):  # -1 used to give node 2
+        with pytest.raises(sw.IndexOutOfRangeError, match=rf"^node {i} outside 0\.\.2$"):
+            sw.ProbabilityVector.point_mass(3, i)
 
 
 def test_types_are_immutable(two_node):
