@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
+import itertools
 import json
 import os
 import sys
@@ -149,12 +150,33 @@ def _start(opts: dict, n: int) -> ProbabilityVector:
     return p0
 
 
-def _emit(outdir: Path, subcommand: str, config: dict, artifacts: dict[str, str]) -> None:
+class _Chunks:
+    """Artifact text made chunk by chunk each time it is read: ``_emit``
+    writes each chunk as it comes, so the whole text is never held;
+    ``encode()`` gives it whole, as a str artifact's does."""
+
+    def __init__(self, chunks):  # a callable returning an iterable of str
+        self._chunks = chunks
+
+    def __iter__(self):
+        return iter(self._chunks())
+
+    def encode(self) -> bytes:
+        return "".join(self).encode()
+
+
+def _emit(outdir: Path, subcommand: str, config: dict, artifacts: dict) -> None:
+    """Write each artifact, a str or an iterable of str chunks, and the
+    manifest of their sha256 checksums, each taken as its chunks are written."""
     checksums = {}
     for name, text in artifacts.items():
-        data = text.encode()
-        (outdir / name).write_bytes(data)
-        checksums[name] = hashlib.sha256(data).hexdigest()
+        digest = hashlib.sha256()
+        with open(outdir / name, "wb") as fh:
+            for chunk in [text] if isinstance(text, str) else text:
+                data = chunk.encode()
+                fh.write(data)
+                digest.update(data)
+        checksums[name] = digest.hexdigest()
     manifest = {"subcommand": subcommand, "config": config, "artifacts": checksums,
                 "versions": {"semiwalk": __version__, "numpy": np.__version__}}
     (outdir / "manifest.json").write_bytes(
@@ -166,10 +188,10 @@ def _emit(outdir: Path, subcommand: str, config: dict, artifacts: dict[str, str]
 # A handler takes the resolved options, writes back any value it derives, and
 # returns (exit code, artifacts); ``main`` records the options in the manifest.
 
-def _cmd_family(opts: dict) -> tuple[int, dict[str, str]]:
+def _cmd_family(opts: dict) -> tuple[int, dict]:
     g = _load_matrix(opts)
     fam = family_mod.build_family(g, opts["class"], opts["tq_max"])
-    return 0, {"family.json": fam.to_json() + "\n"}
+    return 0, {"family.json": _Chunks(lambda: itertools.chain(fam.json_chunks(), ["\n"]))}
 
 
 def _cmd_cycle(opts: dict) -> tuple[int, dict[str, str]]:

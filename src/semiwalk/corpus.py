@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graphs import TransitionMatrix, _circulant
+from .family import PHASE_BLOCK
+from .graphs import TransitionMatrix, _check_transition, _chunks, _circulant, _views
 
 
 def rng_from_seed(seed: int | np.random.SeedSequence) -> np.random.Generator:
@@ -34,17 +35,23 @@ def random_symmetric_corpus(
     Each matrix's uniform entries are drawn in input order, so the corpus
     takes the stream of one ``random_symmetric_stochastic`` call per size.
     D A D scaling rounds (Sinkhorn and Knopp, 1967) converge fast on strictly
-    positive matrices; the matrices of one size are scaled as one stack, and
-    a matrix leaves it at the first round whose column sums lie within
-    ``tol`` of 1. A final (A + A^T)/2 makes the symmetry exact in floating
-    point.
+    positive matrices. The matrices are scaled in one loop, as one stack
+    padded to the largest size with identity blocks: a padded column sums to
+    1, so its scale is 1 and no real entry sees it. Sizes far apart, whose
+    padding would more than quadruple the entries, and stacks above
+    ``PHASE_BLOCK`` entries are split into runs of increasing size, one loop
+    each. A matrix leaves the stack at the first round whose column sums lie
+    within ``tol`` of 1, the round it would leave it alone, so each matrix is
+    bitwise the one that call gives. A final (A + A^T)/2 makes the symmetry
+    exact in floating point. The matrices are checked once per size, as
+    ``random_stochastic_corpus``'s are.
     """
     drawn = [rng.uniform(0.1, 1.0, (n, n)) for n in sizes]
-    groups: dict[int, list[int]] = {}
-    for k, n in enumerate(sizes):
-        groups.setdefault(n, []).append(k)
-    for ks in groups.values():
-        a = np.stack([drawn[k] for k in ks])
+    for ks in _padded_runs(sizes):
+        top = sizes[ks[-1]]
+        a = np.broadcast_to(np.eye(top), (len(ks), top, top)).copy()
+        for row, k in zip(a, ks):
+            row[:sizes[k], :sizes[k]] = drawn[k]
         a = 0.5 * (a + np.swapaxes(a, -1, -2))
         live, work = np.arange(len(ks)), a  # the matrices still being scaled
         for _ in range(max_rounds):
@@ -60,21 +67,67 @@ def random_symmetric_corpus(
         else:
             a[live] = work
         a = 0.5 * (a + np.swapaxes(a, -1, -2))
-        for k, m in zip(ks, a):
-            drawn[k] = m
-    return [TransitionMatrix(m) for m in drawn]
+        for row, k in zip(a, ks):
+            drawn[k] = row[:sizes[k], :sizes[k]]
+    return _checked(drawn)
+
+
+def _padded_runs(sizes: list[int]) -> list[list[int]]:
+    """The indices of ``sizes`` in order of increasing size, cut into runs
+    whose stack, padded to the run's largest size, holds at most
+    ``PHASE_BLOCK`` entries and at most four times its matrices' own."""
+    runs, run, own = [], [], 0
+    for k in sorted(range(len(sizes)), key=sizes.__getitem__):
+        entries = sizes[k] ** 2
+        if run and (len(run) + 1) * entries > min(PHASE_BLOCK, 4 * (own + entries)):
+            runs.append(run)
+            run, own = [], 0
+        run.append(k)
+        own += entries
+    return runs + [run] if run else runs
 
 
 def random_circulant_symmetric(n: int, rng: np.random.Generator) -> TransitionMatrix:
-    """Random circulant matrix with palindromic offsets: homogeneous and symmetric."""
-    values = rng.uniform(0.1, 1.0, n // 2 + 1)
-    k = np.arange(n)
-    offsets = values[np.minimum(k, n - k)]
-    offsets /= offsets.sum()
-    return TransitionMatrix(_circulant(offsets))
+    """Random circulant matrix with palindromic offsets: homogeneous and
+    symmetric; one matrix of :func:`random_circulant_corpus`."""
+    return random_circulant_corpus([n], rng)[0]
+
+
+def random_circulant_corpus(sizes: list[int], rng: np.random.Generator) -> list[TransitionMatrix]:
+    """Random circulant symmetric matrices of the given sizes, each drawn in
+    input order as one ``random_circulant_symmetric`` call draws it, checked
+    once per size as ``random_stochastic_corpus``'s are."""
+    mats = []
+    for n in sizes:
+        values = rng.uniform(0.1, 1.0, n // 2 + 1)
+        k = np.arange(n)
+        offsets = values[np.minimum(k, n - k)]
+        offsets /= offsets.sum()
+        mats.append(_circulant(offsets))
+    return _checked(mats)
 
 
 def random_stochastic_corpus(count: int, seed: int | np.random.SeedSequence) -> list[TransitionMatrix]:
-    """Deterministic corpus cycling through sizes 2..8."""
+    """Deterministic corpus cycling through sizes 2..8, bitwise one
+    ``random_stochastic`` call per matrix: each is drawn in input order from
+    one stream, then each size's matrices are normalised and checked as one
+    stack."""
     rng = rng_from_seed(seed)
-    return [random_stochastic(2 + k % 7, rng) for k in range(count)]
+    return _checked([rng.random((2 + k % 7, 2 + k % 7)) for k in range(count)], normalise=True)
+
+
+def _checked(mats: list[np.ndarray], normalise: bool = False) -> list[TransitionMatrix]:
+    """The matrices as TransitionMatrix views of one read-only stack per size
+    (in chunks of ``PHASE_BLOCK`` entries), each stack checked once. With
+    ``normalise`` each column is first divided by its sum, as
+    ``random_stochastic`` divides it."""
+    out: list[TransitionMatrix] = [None] * len(mats)
+    for ks in _chunks([len(m) for m in mats], PHASE_BLOCK, lambda n: n * n):
+        a = np.stack([mats[k] for k in ks])
+        if normalise:
+            a /= a.sum(axis=-2, keepdims=True)
+        a.setflags(write=False)
+        _check_transition(a)
+        for k, view in zip(ks, _views(TransitionMatrix, a)):
+            out[k] = view
+    return out

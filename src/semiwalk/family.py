@@ -32,11 +32,13 @@ The formula runs on a ``(..., N, N)`` stack of inputs at once, and every
 product is a stacked ``matmul``, which numpy evaluates one N x N product at a
 time, so each input's members are bitwise the ones it gets alone, whichever
 other members are formed with them. ``build_family`` passes one matrix;
-``build_families`` all inputs of one size N. A family holds its members as
-one read-only ``(t_q_max, N, N)`` array, ``stack``, checked once; its members
-are views of the rows. ``semiclassical_matrix`` forms and checks one member.
+``build_families`` all inputs of one size N, and checks the resulting array
+once. A family holds its members as one read-only ``(t_q_max, N, N)`` array,
+``stack``, checked once; its members are views of the rows.
+``semiclassical_matrix`` forms and checks one member.
 
-Two periods are computed. ``family_period`` compares the measured members;
+Two periods are computed. ``family_period`` compares the measured members,
+on their column 0 first and in full only where that matches;
 ``unitary_period`` asks when the walk operator itself returns to the
 identity, read off U's eigenphases (``_spectrum``, as the members are) rather
 than dense powers of U.
@@ -49,8 +51,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InsufficientRangeError, TooLargeError
-from .graphs import TransitionMatrix, _check_int, _check_tol, _check_transition, _frozen_array, _views, serialize
+from .errors import (DimensionMismatchError, InsufficientRangeError, NegativeWeightError, NotStochasticError,
+                     TooLargeError)
+from .graphs import (TransitionMatrix, _check_int, _check_tol, _check_transition, _chunks, _frozen_array, _views,
+                     serialize)
 
 MATRIX_TOL = 1e-9
 # Cap on N^2 * t_q_max, the float64 entries a family holds (2**24 is 128 MiB);
@@ -98,12 +102,16 @@ class SemiclassicalFamily:
         return self.members[t_q - 1]
 
     def to_json(self) -> str:
-        """JSON array of {"t_q", "matrix_csv"} entries."""
-        doc = [
-            {"t_q": t + 1, "matrix_csv": serialize(m, "csv")}
-            for t, m in enumerate(self.members)
-        ]
-        return json.dumps(doc)
+        """JSON array of {"t_q", "matrix_csv"} entries: the chunks of
+        :meth:`json_chunks` joined."""
+        return "".join(self.json_chunks())
+
+    def json_chunks(self):
+        """The text of :meth:`to_json`, one member per chunk, then the
+        closing bracket, so the whole text need never be held at once."""
+        for t, m in enumerate(self.members):
+            yield ("[" if t == 0 else ", ") + json.dumps({"t_q": t + 1, "matrix_csv": serialize(m, "csv")})
+        yield "]"
 
 
 def _is_frozen(a) -> bool:
@@ -149,22 +157,37 @@ def build_families(
     The inputs of one size N run as one (B, N, N) stack, a few numpy calls per
     size rather than per matrix. Each family's stack is its row of the
     resulting (B, t_q_max, N, N) array, bitwise the one ``build_family`` gives
-    it, checked once in input order, so the first bad input raises the error
-    it raises alone. A stack above ``MAX_ENTRIES`` entries is split into
+    it. Each array is checked once, as a whole; if one fails, the families
+    are built one by one in input order, so the first bad input raises the
+    error it raises alone. A stack above ``MAX_ENTRIES`` entries is split into
     chunks that fit; a single input above the cap is a TooLargeError.
     """
     gs = list(gs)
     _check_family([g.n for g in gs], class_tag, t_q_max)
-    groups: dict[int, list[int]] = {}
-    for k, g in enumerate(gs):
-        groups.setdefault(g.n, []).append(k)
     stacks: dict[int, np.ndarray] = {}
-    for n, ks in groups.items():
-        per_chunk = MAX_ENTRIES // (n * n * t_q_max)
-        for lo in range(0, len(ks), per_chunk):
-            chunk = ks[lo:lo + per_chunk]
-            stacks.update(zip(chunk, _member_stack(np.stack([gs[k].g for k in chunk]), class_tag, range(t_q_max))))
-    return [SemiclassicalFamily(g, class_tag, stacks[k]) for k, g in enumerate(gs)]
+    checked = True
+    for ks in _chunks([g.n for g in gs], MAX_ENTRIES, lambda n: n * n * t_q_max):
+        chunk = _member_stack(np.stack([gs[k].g for k in ks]), class_tag, range(t_q_max))
+        if checked:
+            try:
+                _check_transition(chunk)
+            except (NegativeWeightError, NotStochasticError):
+                checked = False
+        stacks.update(zip(ks, chunk))
+    if not checked:
+        return [SemiclassicalFamily(g, class_tag, stacks[k]) for k, g in enumerate(gs)]
+    return [_checked_family(g, class_tag, stacks[k]) for k, g in enumerate(gs)]
+
+
+def _checked_family(source: TransitionMatrix, class_tag: int, stack: np.ndarray) -> SemiclassicalFamily:
+    """``SemiclassicalFamily(source, class_tag, stack)`` for a read-only stack
+    its caller has checked, built as ``_views`` builds its rows: not checked
+    again."""
+    fam = object.__new__(SemiclassicalFamily)
+    for name, value in (("source", source), ("class_tag", class_tag), ("stack", stack),
+                        ("members", tuple(_views(TransitionMatrix, stack)))):
+        object.__setattr__(fam, name, value)
+    return fam
 
 
 def _check_class(class_tag) -> None:
@@ -261,13 +284,18 @@ def family_period(f: SemiclassicalFamily, tol: float = MATRIX_TOL) -> int | None
     A candidate p must match member(t_q + p) == member(t_q) for every t_q the
     range can witness; it is only certified when t_q_max >= 2p. Returns None
     when nothing matches, and raises InsufficientRangeError when a candidate
-    matches but the range is too short to see it twice.
+    matches but the range is too short to see it twice. Members are first
+    compared on their column 0, never farther apart than they are: one
+    reduction finds the candidates p whose member 1 + p is near member 1 by
+    it, and only those are compared, on the sketch and then in full.
     """
     _check_tol(tol)
-    mats = [m.g for m in f.members]
-    length = len(mats)
-    for p in range(1, length):
-        if all(np.abs(mats[t] - mats[t + p]).max() <= tol for t in range(length - p)):
+    stack = f.stack
+    cols, length = np.ascontiguousarray(stack[:, :, 0]), len(stack)
+    near_first = np.abs(cols[1:] - cols[0]).max(axis=1) <= tol  # candidate p at index p - 1
+    for p in (np.flatnonzero(near_first) + 1).tolist():
+        if (np.abs(cols[p:] - cols[:-p]).max(axis=1) <= tol).all() and all(
+                np.abs(stack[t] - stack[t + p]).max() <= tol for t in range(length - p)):
             if length >= 2 * p:
                 return p
             raise InsufficientRangeError(
@@ -280,17 +308,23 @@ def distinct_matrices(f: SemiclassicalFamily, tol: float = MATRIX_TOL) -> int:
     """Number of distinct members, over one period when the family is periodic.
 
     No t_q = 0 identity member exists, so the identity only counts when it
-    genuinely occurs at some t_q >= 1 (as it does on cycles).
+    genuinely occurs at some t_q >= 1 (as it does on cycles). A member is
+    compared in full only with the representatives whose column 0 lies
+    within ``tol`` of its own, as ``family_period`` compares candidates.
     """
     try:
         period = family_period(f, tol)
     except InsufficientRangeError:
         period = None
-    pool = f.members[:period] if period else f.members
-    reps: list[np.ndarray] = []
-    for m in pool:
-        if not any(np.abs(m.g - r).max() <= tol for r in reps):
-            reps.append(m.g)
+    pool = f.stack[:period] if period else f.stack
+    cols = np.ascontiguousarray(pool[:, :, 0])
+    reps: list[int] = []
+    rep_cols = np.empty_like(cols)  # column 0 of each representative, in rows 0..len(reps) - 1
+    for t, m in enumerate(pool):
+        near = np.flatnonzero(np.abs(rep_cols[:len(reps)] - cols[t]).max(axis=1) <= tol)
+        if not any(np.abs(m - pool[reps[r]]).max() <= tol for r in near):
+            rep_cols[len(reps)] = cols[t]
+            reps.append(t)
     return len(reps)
 
 

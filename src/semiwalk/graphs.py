@@ -90,6 +90,20 @@ def _views(cls, rows) -> list:
     return views
 
 
+def _chunks(sizes: list[int], budget: int, entries) -> list[list[int]]:
+    """The indices of ``sizes`` grouped by size, in order of first appearance,
+    each group split into runs of at most ``max(1, budget // entries(n))``
+    indices: the (B, ...) stacks of one size N that fit an entry budget."""
+    groups: dict[int, list[int]] = {}
+    for k, n in enumerate(sizes):
+        groups.setdefault(n, []).append(k)
+    runs = []
+    for n, ks in groups.items():
+        step = max(1, budget // entries(n))
+        runs += [ks[lo:lo + step] for lo in range(0, len(ks), step)]
+    return runs
+
+
 def _check_transition(g: np.ndarray) -> None:
     """The entry checks of a transition matrix, or of a (..., N, N) stack of
     them, checked as one array. If a stack fails, its matrices are checked one

@@ -140,14 +140,7 @@ class SzegedyOperator:
         """Materialize U as an N^2 x N^2 complex matrix (debug/verification path)."""
         if self.n > max_n:
             raise TooLargeError(f"n={self.n} exceeds dense cap {max_n}")
-        n, d = self.n, self.n * self.n
-        refl = -np.eye(d, dtype=complex)
-        for i in range(n):
-            col = self._sqrt_g[:, i]
-            block = slice(i * n, (i + 1) * n)
-            refl[block, block] += 2.0 * np.outer(col, col)
-        swap_index = np.arange(d).reshape(n, n).T.reshape(-1)
-        return refl[swap_index, :]
+        return _dense(self._sqrt_g)
 
     def uniform_superposition(self) -> EdgeState:
         """Equal-amplitude combination of all proxy states, (1/sqrt(N)) sum_i |psi_i>.
@@ -157,3 +150,19 @@ class SzegedyOperator:
         """
         a = (self._sqrt_g.T / math.sqrt(self.n)).astype(complex)
         return EdgeState(a.reshape(-1))
+
+
+def _dense(sqrt_g: np.ndarray) -> np.ndarray:
+    """U of each matrix of a (..., N, N) stack of proxy amplitudes sqrt(G), as
+    one (..., N^2, N^2) complex array: the reflection 2 Pi - 1, one N x N
+    block 2 |col_i><col_i| per node on the diagonal, with its rows swapped.
+    Each operator is bitwise the one its matrix gets alone."""
+    n = sqrt_g.shape[-1]
+    d = n * n
+    refl = np.broadcast_to(-np.eye(d, dtype=complex), sqrt_g.shape[:-2] + (d, d)).copy()
+    blocks = refl.reshape(sqrt_g.shape[:-2] + (n, n, n, n))  # [i, k, j, l] is row i*N + k, column j*N + l
+    for i in range(n):
+        col = sqrt_g[..., :, i]
+        blocks[..., i, :, i, :] += 2.0 * (col[..., :, None] * col[..., None, :])
+    swap_index = np.arange(d).reshape(n, n).T.reshape(-1)
+    return refl[..., swap_index, :]

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -461,3 +462,39 @@ def test_verify_checks_pass_across_seeds(seed):
     checks = run_verification(count=100, seed=seed)
     assert len(checks) == 17
     assert [c["name"] for c in checks if not c["passed"]] == []
+
+
+def test_verify_stacks_are_chunked():
+    # the stacks per size are cut into chunks of a fixed entry budget: with one
+    # stack per size the dense operators alone peaked at 28.9 MiB here
+    run_verification(count=10, seed=0)
+    tracemalloc.start()
+    try:
+        checks = run_verification(count=1000, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [c["name"] for c in checks if not c["passed"]] == []
+    assert peak < 6 * 2**20  # measured 2.1 to 2.8 MiB
+
+
+def test_family_json_is_streamed(tmp_path):
+    # the 12 members of an N = 128 input are 4.2 MB of family.json; joined
+    # whole, the text and its copies peaked at 9.9 MiB, one member at a time 6.1
+    path = tmp_path / "random_128.csv"
+    g = random_stochastic(128, np.random.default_rng(128))
+    path.write_text(sw.serialize(g, "csv"))
+    out = tmp_path / "out"
+    tracemalloc.start()
+    try:
+        assert main(["family", "--input", str(path), "--tq-max", "12", "--out", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    data = (out / "family.json").read_bytes()
+    fam = sw.build_family(sw.deserialize(path.read_text(), "csv"), 1, 12)
+    assert data == (fam.to_json() + "\n").encode()
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["artifacts"]["family.json"] == hashlib.sha256(data).hexdigest()
+    assert peak < 8 * 2**20
+

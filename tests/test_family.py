@@ -9,6 +9,7 @@ import semiwalk as sw
 from semiwalk.corpus import (
     random_circulant_symmetric,
     random_stochastic,
+    random_stochastic_corpus,
     random_symmetric_stochastic,
     rng_from_seed,
 )
@@ -347,28 +348,88 @@ def _swap_index(n):
 
 def test_classical_limit_two_reads_the_dense_operator(monkeypatch, theorem_corpus):
     # classical-limit-II once read class 2's member 2 off the recurrence, where
-    # it is class 1's member 1 bitwise, so it repeated classical-limit-I
+    # it is class 1's member 1 bitwise, so it repeated classical-limit-I; the
+    # suite builds its operators as stacks, through szegedy._dense
     mats = theorem_corpus[:14]
-    dense = szegedy.SzegedyOperator.dense
+    dense = szegedy._dense
 
     def passed():
         return {c["name"]: c["passed"] for c in verify.unitarity_checks(mats, rng_from_seed(1))}
 
+    def swap(sqrt_g):  # the permutation S of the N^2 basis states
+        return _swap_index(sqrt_g.shape[-1])
+
     assert all(passed().values())
     # (2 Pi - 1) S, the factors of U in the wrong order: S U = 2 Pi - 1
-    monkeypatch.setattr(szegedy.SzegedyOperator, "dense",
-                        lambda op, max_n=szegedy.DENSE_CAP: dense(op, max_n)[_swap_index(op.n)][:, _swap_index(op.n)])
+    monkeypatch.setattr(szegedy, "_dense", lambda sqrt_g: dense(sqrt_g)[..., swap(sqrt_g), :][..., swap(sqrt_g)])
     assert not passed()["classical-limit-II"]
     # without the swap U is 2 Pi - 1, which fixes each |psi_i>, so register 2
     # of U^2 |psi_i> is still G[:, i]; class-equivalence is the check that fails
-    monkeypatch.setattr(szegedy.SzegedyOperator, "dense",
-                        lambda op, max_n=szegedy.DENSE_CAP: dense(op, max_n)[_swap_index(op.n)])
+    monkeypatch.setattr(szegedy, "_dense", lambda sqrt_g: dense(sqrt_g)[..., swap(sqrt_g), :])
     checks = passed()
     assert checks["classical-limit-II"] and not checks["class-equivalence"]
 
 
+def _unitarity_loop(mats, rng):
+    """The four records of unitarity_checks from its former per-matrix loop."""
+    dev_limit = dev_shift = dev_u = dev_mf = 0.0
+    for g in mats:
+        op = SzegedyOperator(g)
+        u = op.dense()
+        proxies = (np.eye(g.n)[:, None, :] * np.sqrt(g.g)).reshape(-1, g.n)
+        reg2 = (np.abs(u @ (u @ proxies)) ** 2).reshape(g.n, g.n, g.n).sum(axis=0)
+        dev_limit = max(dev_limit, float(np.abs(reg2 - g.g).max()))
+        dev_u = max(dev_u, float(np.abs(u.conj().T @ u - np.eye(g.n * g.n)).max()))
+        amp = rng.normal(size=g.n * g.n) + 1j * rng.normal(size=g.n * g.n)
+        amp /= np.linalg.norm(amp)
+        u_amp = u @ amp
+        dev_mf = max(dev_mf, float(np.abs(op.apply(sw.EdgeState(amp)).amp - u_amp).max()))
+        probs, u_probs = (np.abs(a.reshape(g.n, g.n)) ** 2 for a in (amp, u_amp))
+        dev_shift = max(dev_shift, float(np.abs(u_probs.sum(axis=0) - probs.sum(axis=1)).max()))
+    return [verify._below("classical-limit-II", dev_limit, "1e-12"),
+            verify._below("class-equivalence", dev_shift, "1e-12"),
+            verify._below("unitarity", dev_u, "1e-10", "max |U+U - 1|"),
+            verify._below("matrix-free-vs-dense", dev_mf, "1e-10")]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_unitarity_checks_equal_the_per_matrix_loop(seed, monkeypatch):
+    # the stacks, whole or cut into chunks of a few operators, give the loop's
+    # records string for string, from the same random states
+    mats = random_stochastic_corpus(60, seed)
+    expected = _unitarity_loop(mats, rng_from_seed(seed + 100))
+    for block in (verify.DENSE_BLOCK, 3 * 8**4):
+        monkeypatch.setattr(verify, "DENSE_BLOCK", block)
+        assert verify.unitarity_checks(mats, rng_from_seed(seed + 100)) == expected
+
+
+def test_build_families_check_each_chunk_once(monkeypatch):
+    # one check per (B, t_q_max, N, N) chunk, not one per family
+    monkeypatch.setattr(family, "MAX_ENTRIES", 8 * 8 * 16)
+    checked = []
+    check = graphs._check_transition
+    monkeypatch.setattr(family, "_check_transition", lambda a: checked.append(a.shape) or check(a))
+    rng = rng_from_seed(131)
+    gs = [random_stochastic(8 if k % 3 == 0 else 4, rng) for k in range(9)]  # 3 of N = 8, 6 of N = 4
+    fams = sw.build_families(gs, 2, 16)
+    assert sorted(checked) == [(1, 16, 8, 8)] * 3 + [(2, 16, 4, 4), (4, 16, 4, 4)]
+    assert [f.source for f in fams] == gs
+
+
+def test_period_searches_compare_members_past_their_column_zero():
+    # members A, B, C, A, B, C share column 0 and differ elsewhere: the sketch
+    # passes every pair, and only the full comparison tells them apart
+    cols = np.array([[0.5, 0.2, 0.3], [0.1, 0.6, 0.3], [0.3, 0.3, 0.4]])
+    abc = [np.column_stack([[0.2, 0.3, 0.5], cols[t], cols[(t + 1) % 3]]) for t in range(3)]
+    fam = sw.SemiclassicalFamily(sw.TransitionMatrix(abc[0]), 1, np.stack(abc * 2))
+    assert family.family_period(fam) == 3
+    assert family.distinct_matrices(fam) == 3
+
+
 def test_family_json_export_round_trips(two_node):
     fam = sw.build_family(two_node, 1, 3)
+    chunks = list(fam.json_chunks())  # one member per chunk, then the bracket
+    assert len(chunks) == 4 and chunks[-1] == "]" and "".join(chunks) == fam.to_json()
     doc = json.loads(fam.to_json())
     assert [entry["t_q"] for entry in doc] == [1, 2, 3]
     for entry in doc:

@@ -12,12 +12,15 @@ from hypothesis import strategies as st
 import semiwalk as sw
 from semiwalk.cli import main
 from semiwalk.corpus import (
+    random_circulant_corpus,
+    random_circulant_symmetric,
     random_stochastic,
+    random_stochastic_corpus,
     random_symmetric_corpus,
     random_symmetric_stochastic,
     rng_from_seed,
 )
-from semiwalk import graphs
+from semiwalk import corpus, graphs
 from semiwalk.errors import (
     DanglingNodeError,
     DimensionMismatchError,
@@ -176,6 +179,44 @@ def test_symmetric_corpus_equals_one_call_per_size_bitwise():
         got = random_symmetric_corpus(sizes[:12], stacked, **kwargs)
         assert all(np.array_equal(a.g, b.g) for a, b in zip(got, expected, strict=True))
     assert random_symmetric_corpus([], rng_from_seed(1)) == []
+
+
+def test_symmetric_corpus_pads_only_sizes_close_together(monkeypatch):
+    # verify's sizes 3..10 are one Sinkhorn loop; padding the 3-by-3 matrices
+    # to 128 would scale 54 matrices of 128^2 entries, 196 ms against 8 ms
+    sizes = [3 + k % 8 for k in range(50)] + [1, 2, 128, 5]
+    runs = corpus._padded_runs(sizes)
+    assert [sorted({sizes[k] for k in run}) for run in runs] == [list(range(1, 11)), [128]]
+    assert sorted(k for run in runs for k in run) == list(range(len(sizes)))
+    monkeypatch.setattr(corpus, "PHASE_BLOCK", 20 * 100)  # 20 matrices padded to 10 x 10
+    assert max(len(run) * max(sizes[k] for k in run) ** 2 for run in corpus._padded_runs(sizes[:50])) <= 2000
+
+
+def test_circulant_corpus_equals_one_call_per_size_bitwise():
+    sizes = [3 + k % 8 for k in range(30)] + [1, 2, 128]
+    one_by_one, stacked = rng_from_seed(163), rng_from_seed(163)
+    expected = [random_circulant_symmetric(n, one_by_one) for n in sizes]
+    got = random_circulant_corpus(sizes, stacked)
+    for a, b in zip(got, expected, strict=True):
+        assert a.g.tobytes() == b.g.tobytes() and not a.g.flags.writeable
+    assert np.array_equal(stacked.random(4), one_by_one.random(4))
+    assert random_circulant_corpus([], rng_from_seed(1)) == []
+
+
+def test_stochastic_corpus_equals_one_call_per_matrix_bitwise(monkeypatch):
+    # drawn in input order, then normalised and checked one stack per size; a
+    # small entry budget splits each size's stack into chunks
+    for block in (corpus.PHASE_BLOCK, 3 * 64):
+        streams = []
+        monkeypatch.setattr(corpus, "PHASE_BLOCK", block)
+        monkeypatch.setattr(corpus, "rng_from_seed", lambda seed: streams.append(rng_from_seed(seed)) or streams[-1])
+        got = random_stochastic_corpus(40, 7)
+        one_by_one = rng_from_seed(7)
+        expected = [random_stochastic(2 + k % 7, one_by_one) for k in range(40)]
+        for a, b in zip(got, expected, strict=True):
+            assert a.g.tobytes() == b.g.tobytes() and not a.g.flags.writeable
+        assert np.array_equal(streams[0].random(4), one_by_one.random(4))  # the same stream consumed
+
 
 def test_csv_round_trip(two_node):
     text = sw.serialize(two_node, "csv")

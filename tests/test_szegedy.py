@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import semiwalk as sw
+from semiwalk import szegedy
 from semiwalk.corpus import random_stochastic, random_symmetric_stochastic, rng_from_seed
 from semiwalk.errors import DimensionMismatchError, IndexOutOfRangeError, TooLargeError
 
@@ -98,6 +99,31 @@ def test_dense_unitary_on_random_inputs():
     for n in (2, 3, 5, 8):
         u = sw.SzegedyOperator(random_stochastic(n, rng)).dense()
         assert np.abs(u.conj().T @ u - np.eye(n * n)).max() <= 1e-10
+
+
+def _dense_one_block_at_a_time(g):
+    """U built as it was before stacks: 2 Pi - 1 one node's block at a time,
+    then the register swap of its rows."""
+    n, d = g.n, g.n * g.n
+    refl = -np.eye(d, dtype=complex)
+    for i in range(n):
+        col = np.sqrt(g.g)[:, i]
+        refl[i * n:(i + 1) * n, i * n:(i + 1) * n] += 2.0 * np.outer(col, col)
+    return refl[np.arange(d).reshape(n, n).T.reshape(-1), :]
+
+
+def test_stacked_dense_is_each_operator_bitwise():
+    # random, symmetric, identity and permutation inputs of each size, stacked
+    # with two leading axes; zero entries leave signed zeros that tobytes sees
+    rng = rng_from_seed(157)
+    for n in range(1, 9):
+        mats = [random_stochastic(n, rng), random_symmetric_stochastic(n, rng), random_stochastic(n, rng),
+                sw.TransitionMatrix(np.eye(n)), sw.TransitionMatrix(np.roll(np.eye(n), 1, axis=0)),
+                random_stochastic(n, rng)]
+        stack = szegedy._dense(np.sqrt(np.stack([m.g for m in mats])).reshape(2, 3, n, n))
+        assert stack.shape == (2, 3, n * n, n * n)
+        for u, m in zip(stack.reshape(6, n * n, n * n), mats, strict=True):
+            assert u.tobytes() == sw.SzegedyOperator(m).dense().tobytes() == _dense_one_block_at_a_time(m).tobytes()
 
 
 def test_dense_respects_cap():
