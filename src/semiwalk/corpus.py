@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .family import PHASE_BLOCK
-from .graphs import TransitionMatrix, _check_transition, _chunks, _circulant, _views
+from .graphs import TransitionMatrix, _checked_rows, _circulant, _views
 
 
 def rng_from_seed(seed: int | np.random.SeedSequence) -> np.random.Generator:
@@ -121,13 +121,8 @@ def _checked(mats: list[np.ndarray], normalise: bool = False) -> list[Transition
     (in chunks of ``PHASE_BLOCK`` entries), each stack checked once. With
     ``normalise`` each column is first divided by its sum, as
     ``random_stochastic`` divides it."""
-    out: list[TransitionMatrix] = [None] * len(mats)
-    for ks in _chunks([len(m) for m in mats], PHASE_BLOCK, lambda n: n * n):
+    def stack(ks):
         a = np.stack([mats[k] for k in ks])
-        if normalise:
-            a /= a.sum(axis=-2, keepdims=True)
-        a.setflags(write=False)
-        _check_transition(a)
-        for k, view in zip(ks, _views(TransitionMatrix, a)):
-            out[k] = view
-    return out
+        return a / a.sum(axis=-2, keepdims=True) if normalise else a
+
+    return _views(TransitionMatrix, _checked_rows([len(m) for m in mats], PHASE_BLOCK, lambda n: n * n, stack))

@@ -31,11 +31,11 @@ t + 1 is class-1 member t, and member 1 is I.
 The formula runs on a ``(..., N, N)`` stack of inputs at once, and every
 product is a stacked ``matmul``, which numpy evaluates one N x N product at a
 time, so each input's members are bitwise the ones it gets alone, whichever
-other members are formed with them. ``build_family`` passes one matrix;
-``build_families`` all inputs of one size N, and checks the resulting array
-once. A family holds its members as one read-only ``(t_q_max, N, N)`` array,
-``stack``, checked once; its members are views of the rows.
-``semiclassical_matrix`` forms and checks one member.
+other members are formed with them. ``build_families`` passes all inputs
+of one size N and checks the resulting array once; ``build_family`` is its
+one-input case. A family is one read-only ``(t_q_max, N, N)`` array,
+``stack``, checked once; a member is a TransitionMatrix view of a row, made
+when it is asked for. ``semiclassical_matrix`` forms and checks one member.
 
 Two periods are computed. ``family_period`` compares the measured members,
 on their column 0 first and in full only where that matches;
@@ -47,18 +47,17 @@ than dense powers of U.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DimensionMismatchError, InsufficientRangeError, NegativeWeightError, NotStochasticError,
-                     TooLargeError)
-from .graphs import (TransitionMatrix, _check_int, _check_tol, _check_transition, _chunks, _frozen_array, _views,
-                     serialize)
+from .errors import DimensionMismatchError, IndexOutOfRangeError, InsufficientRangeError, TooLargeError
+from .graphs import (TransitionMatrix, _check_int, _check_tol, _check_transition, _checked_rows, _frozen_array,
+                     _unchecked, _views, serialize)
 
 MATRIX_TOL = 1e-9
-# Cap on N^2 * t_q_max, the float64 entries a family holds (2**24 is 128 MiB);
-# for one member, on N^2 * t_q, which bounds the rounding of its phases t theta.
+# Cap on N^2 * t_q_max, the float64 entries a family holds (2**24 is 128 MiB at
+# any N); for one member, on N^2 * t_q, which bounds the rounding of t_q theta.
 MAX_ENTRIES = 2**24
 # Entries in each (k, N, N) block of amplitude grids or member matrices formed
 # at once (8 MB of float64), e.g. 64 grids or members at N = 128.
@@ -71,35 +70,40 @@ LINE_TOL = 1e-12
 class SemiclassicalFamily:
     """Members indexed by quantum time, member(t_q) for t_q = 1..t_q_max.
 
-    ``stack`` is one read-only (t_q_max, N, N) float64 array, member t_q in row
-    t_q - 1, checked once as a TransitionMatrix checks itself; the first bad
-    member raises its own error. ``members`` are unchecked views of the rows.
-    A stack that is not read-only float64 memory already is copied first.
+    The family is its ``stack``: one read-only (t_q_max, N, N) float64 array,
+    member t_q in row t_q - 1, copied and checked once as a TransitionMatrix
+    copies and checks itself; the first bad member raises its own error.
+    ``member(t_q)`` and ``members`` wrap rows as unchecked views.
     """
 
     source: TransitionMatrix
     class_tag: int
     stack: np.ndarray
-    members: tuple[TransitionMatrix, ...] = field(init=False)
 
     def __post_init__(self):
         _check_class(self.class_tag)
-        stack = self.stack if _is_frozen(self.stack) else _frozen_array(self.stack, float)
+        stack = _frozen_array(self.stack, float)
         n = self.source.n
         if stack.ndim != 3 or stack.shape[0] < 1 or stack.shape[1:] != (n, n):
             raise DimensionMismatchError(f"family stack must be (t_q_max >= 1, {n}, {n}), got {stack.shape}")
         _check_transition(stack)
         object.__setattr__(self, "stack", stack)
-        object.__setattr__(self, "members", tuple(_views(TransitionMatrix, stack)))
 
     @property
     def t_q_max(self) -> int:
-        return len(self.members)
+        return len(self.stack)
+
+    @property
+    def members(self) -> tuple[TransitionMatrix, ...]:
+        """Every member, one view of a row each, made anew on each access: a
+        tuple of t_q_max objects. For one member, use :meth:`member`."""
+        return tuple(_views(TransitionMatrix, self.stack))
 
     def member(self, t_q: int) -> TransitionMatrix:
-        if not (1 <= t_q <= len(self.members)):
-            raise IndexError(f"t_q={t_q} outside 1..{len(self.members)}")
-        return self.members[t_q - 1]
+        _check_int("t_q", t_q)
+        if not (1 <= t_q <= len(self.stack)):
+            raise IndexOutOfRangeError(f"t_q={t_q} outside 1..{len(self.stack)}")
+        return _unchecked(TransitionMatrix, self.stack[t_q - 1])
 
     def to_json(self) -> str:
         """JSON array of {"t_q", "matrix_csv"} entries: the chunks of
@@ -109,19 +113,10 @@ class SemiclassicalFamily:
     def json_chunks(self):
         """The text of :meth:`to_json`, one member per chunk, then the
         closing bracket, so the whole text need never be held at once."""
-        for t, m in enumerate(self.members):
-            yield ("[" if t == 0 else ", ") + json.dumps({"t_q": t + 1, "matrix_csv": serialize(m, "csv")})
+        for t, row in enumerate(self.stack):
+            csv = serialize(_unchecked(TransitionMatrix, row), "csv")
+            yield ("[" if t == 0 else ", ") + json.dumps({"t_q": t + 1, "matrix_csv": csv})
         yield "]"
-
-
-def _is_frozen(a) -> bool:
-    """Whether a is read-only float64 memory that no writable array shares:
-    it and every array it views are read-only, down to one owning its data."""
-    while isinstance(a, np.ndarray) and a.dtype == np.float64 and not a.flags.writeable:
-        if a.base is None:
-            return True
-        a = a.base
-    return False
 
 
 def semiclassical_matrix(g: TransitionMatrix, t_q: int, class_tag: int) -> TransitionMatrix:
@@ -143,51 +138,32 @@ def build_family(g: TransitionMatrix, class_tag: int, t_q_max: int) -> Semiclass
     and no N^2 amplitudes are stored. Each entry is a sum of squares; rounding
     can leave it a few ulps below zero, so the family's ``stack`` is clipped
     at 0. A family of more than ``MAX_ENTRIES`` entries, N^2 * t_q_max, is a
-    TooLargeError before anything is allocated.
-    """
-    _check_family([g.n], class_tag, t_q_max)
-    return SemiclassicalFamily(g, class_tag, _member_stack(g.g, class_tag, range(t_q_max)))
+    TooLargeError before anything is allocated. The one-input case of
+    :func:`build_families`."""
+    return _families([g], class_tag, t_q_max)[0]
 
 
-def build_families(
-    gs: list[TransitionMatrix], class_tag: int, t_q_max: int
-) -> list[SemiclassicalFamily]:
+def build_families(gs: list[TransitionMatrix], class_tag: int, t_q_max: int) -> list[SemiclassicalFamily]:
     """``[build_family(g, class_tag, t_q_max) for g in gs]``, one stack per size.
 
     The inputs of one size N run as one (B, N, N) stack, a few numpy calls per
     size rather than per matrix. Each family's stack is its row of the
     resulting (B, t_q_max, N, N) array, bitwise the one ``build_family`` gives
-    it. Each array is checked once, as a whole; if one fails, the families
-    are built one by one in input order, so the first bad input raises the
-    error it raises alone. A stack above ``MAX_ENTRIES`` entries is split into
-    chunks that fit; a single input above the cap is a TooLargeError.
+    it. Each array is checked once, as a whole; if one fails, the first bad
+    input in input order raises its own error. A stack above ``MAX_ENTRIES``
+    entries is split into chunks that fit; one input above it is a
+    TooLargeError.
     """
-    gs = list(gs)
-    _check_family([g.n for g in gs], class_tag, t_q_max)
-    stacks: dict[int, np.ndarray] = {}
-    checked = True
-    for ks in _chunks([g.n for g in gs], MAX_ENTRIES, lambda n: n * n * t_q_max):
-        chunk = _member_stack(np.stack([gs[k].g for k in ks]), class_tag, range(t_q_max))
-        if checked:
-            try:
-                _check_transition(chunk)
-            except (NegativeWeightError, NotStochasticError):
-                checked = False
-        stacks.update(zip(ks, chunk))
-    if not checked:
-        return [SemiclassicalFamily(g, class_tag, stacks[k]) for k, g in enumerate(gs)]
-    return [_checked_family(g, class_tag, stacks[k]) for k, g in enumerate(gs)]
+    return _families(list(gs), class_tag, t_q_max)
 
 
-def _checked_family(source: TransitionMatrix, class_tag: int, stack: np.ndarray) -> SemiclassicalFamily:
-    """``SemiclassicalFamily(source, class_tag, stack)`` for a read-only stack
-    its caller has checked, built as ``_views`` builds its rows: not checked
-    again."""
-    fam = object.__new__(SemiclassicalFamily)
-    for name, value in (("source", source), ("class_tag", class_tag), ("stack", stack),
-                        ("members", tuple(_views(TransitionMatrix, stack)))):
-        object.__setattr__(fam, name, value)
-    return fam
+def _families(gs: list[TransitionMatrix], class_tag: int, t_q_max: int) -> list[SemiclassicalFamily]:
+    """The body of both builders: each chunk's member stack is checked once; its rows' families are not."""
+    sizes = [g.n for g in gs]
+    _check_family(sizes, class_tag, t_q_max)
+    stacks = _checked_rows(sizes, MAX_ENTRIES, lambda n: n * n * t_q_max, lambda ks: _member_stack(
+        np.stack([gs[k].g for k in ks]), class_tag, range(t_q_max)))
+    return [_unchecked(SemiclassicalFamily, g, class_tag, stack) for g, stack in zip(gs, stacks)]
 
 
 def _check_class(class_tag) -> None:

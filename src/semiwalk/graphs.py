@@ -77,17 +77,19 @@ class TransitionMatrix:
         return self.g.shape[0]
 
 
+def _unchecked(cls, *values):
+    """A ``cls``, a frozen dataclass, holding ``values`` in its fields' order
+    as they are, not copied and not checked: for values checked already."""
+    obj = object.__new__(cls)
+    for name, value in zip(cls.__dataclass_fields__, values):
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 def _views(cls, rows) -> list:
     """One ``cls``, a frozen dataclass with one array field, per row of
-    ``rows``, holding that row as it is: a view, not checked again. For the
-    rows of a read-only array that the caller has checked as a whole."""
-    (name,) = cls.__dataclass_fields__  # the type's one field, its array
-    views = []
-    for row in rows:
-        view = object.__new__(cls)
-        object.__setattr__(view, name, row)
-        views.append(view)
-    return views
+    ``rows``, holding that row as it is: a view, not checked again."""
+    return [_unchecked(cls, row) for row in rows]
 
 
 def _chunks(sizes: list[int], budget: int, entries) -> list[list[int]]:
@@ -118,6 +120,28 @@ def _check_transition(g: np.ndarray) -> None:
             for m in g.reshape(-1, *g.shape[-2:]):
                 _check_transition(m)
         raise
+
+
+def _checked_rows(sizes: list[int], budget: int, entries, make) -> list[np.ndarray]:
+    """The read-only rows, in input order, of the arrays ``make(ks)`` for the
+    chunks ks of ``_chunks(sizes, budget, entries)``, each array checked once
+    by ``_check_transition``. If one fails, the rows are checked one by one
+    in input order, so the first bad input raises the error it raises alone."""
+    rows: list[np.ndarray] = [None] * len(sizes)
+    failed = False
+    for ks in _chunks(sizes, budget, entries):
+        a = make(ks)
+        a.setflags(write=False)
+        try:
+            _check_transition(a)
+        except (NegativeWeightError, NotStochasticError):
+            failed = True
+        for k, row in zip(ks, a):
+            rows[k] = row
+    if failed:
+        for row in rows:
+            _check_transition(row)
+    return rows
 
 
 def _reach(edges: np.ndarray) -> np.ndarray:
@@ -176,6 +200,7 @@ class ProbabilityVector:
 
     @classmethod
     def uniform(cls, n: int) -> "ProbabilityVector":
+        _check_int("n", n, 1)
         return cls(np.full(n, 1.0 / n))
 
     @classmethod
@@ -325,12 +350,8 @@ def _from_csv(text: str) -> TransitionMatrix:
 
 
 def _to_json(m: TransitionMatrix) -> str:
-    edges = []
-    for i in range(m.n):
-        for j in range(m.n):
-            w = float(m.g[j, i])
-            if w > 0.0:
-                edges.append({"from": i, "to": j, "w": w})
+    fr, to = np.nonzero(m.g.T > 0.0)  # the edges fr -> to, by fr, then to
+    edges = [{"from": i, "to": j, "w": w} for i, j, w in zip(fr.tolist(), to.tolist(), m.g[to, fr].tolist())]
     return json.dumps({"n": m.n, "edges": edges})
 
 
@@ -384,10 +405,9 @@ def _to_dot(m: TransitionMatrix) -> str:
     lines = ["digraph {"]
     for i in range(m.n):
         lines.append(f"  {i};")
-    for i, column in enumerate(m.g.T.tolist()):
-        for j, w in enumerate(column):
-            if w > SUPPORT_TOL:
-                s = f"{w:.6f}"
-                lines.append(f'  {i} -> {j} [label="{s}", weight={s}];')
+    fr, to = np.nonzero(m.g.T > SUPPORT_TOL)
+    for i, j, w in zip(fr.tolist(), to.tolist(), m.g[to, fr].tolist()):
+        s = f"{w:.6f}"
+        lines.append(f'  {i} -> {j} [label="{s}", weight={s}];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -86,7 +86,7 @@ def rank_report(g: TransitionMatrix, class_tag: int, t_q_max: int, tol: float) -
         "running_averages": [list(map(float, row)) for row in result.running_averages],
         "final_average": list(map(float, result.final_average.p)),
         "ordering": list(result.ordering),
-        "asymmetries": [dynamics.asymmetry(m) for m in fam.members],
+        "asymmetries": np.abs(fam.stack - np.swapaxes(fam.stack, 1, 2)).max(axis=(1, 2)).tolist(),
     }
 
 

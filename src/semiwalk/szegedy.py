@@ -69,14 +69,22 @@ class EdgeState:
     @classmethod
     def basis(cls, n: int, i: int, j: int) -> "EdgeState":
         """The computational basis state |i>_1 |j>_2."""
-        if not (0 <= i < n and 0 <= j < n):
-            raise IndexOutOfRangeError(f"({i}, {j}) outside 0..{n - 1}")
+        _check_int("n", n, 1)
         a = np.zeros(n * n, dtype=complex)
-        a[i * n + j] = 1.0
+        a[_index(n, i, j)] = 1.0
         return cls(a)
 
     def amplitude(self, i: int, j: int) -> complex:
-        return complex(self.amp[i * self.n + j])
+        return complex(self.amp[_index(self.n, i, j)])
+
+
+def _index(n: int, i: int, j: int) -> int:
+    """The position of |i>_1 |j>_2 among n^2 amplitudes, for integers i, j in 0..n-1."""
+    _check_int("i", i)
+    _check_int("j", j)
+    if not (0 <= i < n and 0 <= j < n):
+        raise IndexOutOfRangeError(f"({i}, {j}) outside 0..{n - 1}")
+    return i * n + j
 
 
 def register_distribution(state: EdgeState, register: int) -> ProbabilityVector:
@@ -107,6 +115,7 @@ class SzegedyOperator:
 
     def proxy_state(self, i: int) -> EdgeState:
         """|psi_i>: node i in register 1, its outgoing amplitudes in register 2."""
+        _check_int("i", i)
         if not (0 <= i < self.n):
             raise IndexOutOfRangeError(f"node {i} outside 0..{self.n - 1}")
         a = np.zeros((self.n, self.n), dtype=complex)

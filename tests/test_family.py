@@ -408,9 +408,10 @@ def test_build_families_check_each_chunk_once(monkeypatch):
     monkeypatch.setattr(family, "MAX_ENTRIES", 8 * 8 * 16)
     checked = []
     check = graphs._check_transition
-    monkeypatch.setattr(family, "_check_transition", lambda a: checked.append(a.shape) or check(a))
+    monkeypatch.setattr(graphs, "_check_transition", lambda a: checked.append(a.shape) or check(a))
     rng = rng_from_seed(131)
     gs = [random_stochastic(8 if k % 3 == 0 else 4, rng) for k in range(9)]  # 3 of N = 8, 6 of N = 4
+    checked.clear()  # the inputs' own checks
     fams = sw.build_families(gs, 2, 16)
     assert sorted(checked) == [(1, 16, 8, 8)] * 3 + [(2, 16, 4, 4), (4, 16, 4, 4)]
     assert [f.source for f in fams] == gs
@@ -641,10 +642,23 @@ def test_family_copies_a_callers_writable_stack(hub):
     assert not fam.stack.flags.writeable and not fam_view.stack.flags.writeable
 
 
-def test_family_keeps_a_frozen_stack_without_a_copy(hub):
+def test_family_copies_a_read_only_stack(hub):
     frozen = sw.build_family(hub, 1, 5).stack
-    assert sw.SemiclassicalFamily(hub, 1, frozen).stack is frozen
-    assert sw.SemiclassicalFamily(hub, 1, frozen[2:]).stack.base is frozen
+    fam = sw.SemiclassicalFamily(hub, 1, frozen)
+    assert not np.shares_memory(fam.stack, frozen) and np.array_equal(fam.stack, frozen)
+    assert not fam.stack.flags.writeable
+
+
+def test_family_holds_only_its_stack():
+    # a family is its stack, and its members are made on access: one object
+    # per member kept 7.7 times the stack at this length
+    tracemalloc.start()
+    try:
+        fam = sw.build_family(sw.two_node_chain(), 1, 2**20)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held <= 1.1 * fam.stack.nbytes
 
 
 @pytest.mark.parametrize("class_tag", [1, 2])

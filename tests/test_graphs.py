@@ -282,6 +282,89 @@ def test_csv_and_dot_bytes_match_elementwise_reference(hub):
         assert sw.serialize(m, "dot") == _reference_dot(m)
 
 
+def _reference_json(m):
+    edges = []
+    for i in range(m.n):
+        for j in range(m.n):
+            w = float(m.g[j, i])
+            if w > 0.0:
+                edges.append({"from": i, "to": j, "w": w})
+    return json.dumps({"n": m.n, "edges": edges})
+
+
+def test_graph_writers_visit_only_the_support_bytes_unchanged(hub):
+    # DOT and JSON format only the entries of one support comparison; the
+    # loops over every entry, as the files were first written, are the oracle
+    column = np.full((3, 3), 1 / 3)
+    column[:, 0] = [1e-10, 0.5, 0.5 - 1e-10]  # below the DOT tolerance, above JSON's 0
+    fam = sw.build_family(sw.cycle_graph(128), 1, 128)
+    mats = [hub, sw.asymmetric_ring(), random_stochastic(128, rng_from_seed(83)), sw.TransitionMatrix(column)]
+    mats += [fam.member(t) for t in (1, 2, 64, 97, 127, 128)]
+    for m in mats:
+        assert sw.serialize(m, "dot") == _reference_dot(m)
+        assert sw.serialize(m, "json") == _reference_json(m)
+
+
+def _bad_inputs():
+    """Sizes 3, 2, 3, 2: input 1 (N = 2) is off its unit column sum and
+    input 2 (N = 3) has a negative entry, so the N = 3 chunk fails first."""
+    good3, good2 = np.full((3, 3), 1 / 3), np.full((2, 2), 0.5)
+    bad2, bad3 = good2.copy(), good3.copy()
+    bad2[0, 1] = 0.6
+    bad3[0, 0], bad3[1, 0] = -0.1, 0.1 + 2 / 3
+    return [good3, bad2, bad3, good2]
+
+
+@pytest.mark.parametrize("budget", [9, 2**20])
+def test_checked_rows_raise_the_first_bad_input_in_input_order(budget):
+    mats = _bad_inputs()
+    with pytest.raises(NotStochasticError) as alone:
+        sw.TransitionMatrix(mats[1])
+    with pytest.raises(NotStochasticError) as err:
+        graphs._checked_rows([len(m) for m in mats], budget, lambda n: n * n,
+                             lambda ks: np.stack([mats[k] for k in ks]))
+    assert str(err.value) == str(alone.value)
+    with pytest.raises(NotStochasticError) as err:  # the corpus path
+        corpus._checked(mats)
+    assert str(err.value) == str(alone.value)
+    del mats[1]
+    with pytest.raises(NegativeWeightError):
+        corpus._checked(mats)
+    rows = graphs._checked_rows([3, 2], budget, lambda n: n * n, lambda ks: np.stack([mats[2 * k] for k in ks]))
+    assert [row.tolist() for row in rows] == [mats[0].tolist(), mats[2].tolist()]
+    assert not any(row.flags.writeable for row in rows)
+
+
+@pytest.mark.parametrize("call, error", [
+    pytest.param(lambda: sw.EdgeState.basis(3, 1, 0).amplitude(0, 3), sw.IndexOutOfRangeError, id="amplitude-past-n"),
+    pytest.param(lambda: sw.EdgeState.basis(3, 1, 0).amplitude(2, -3), sw.IndexOutOfRangeError,
+                 id="amplitude-negative"),
+    pytest.param(lambda: sw.EdgeState.basis(3, 1, 0).amplitude(1.0, 0), ValueError, id="amplitude-float"),
+    pytest.param(lambda: sw.EdgeState.basis(3, True, 0), ValueError, id="basis-bool"),
+    pytest.param(lambda: sw.EdgeState.basis(3.0, 1, 0), ValueError, id="basis-float-n"),
+    pytest.param(lambda: sw.build_family(sw.two_node_chain(), 1, 3).member(True), ValueError, id="member-bool"),
+    pytest.param(lambda: sw.build_family(sw.two_node_chain(), 1, 3).member(1.0), ValueError, id="member-float"),
+    pytest.param(lambda: sw.build_family(sw.two_node_chain(), 1, 3).member(4), sw.IndexOutOfRangeError,
+                 id="member-past-tq-max"),
+    pytest.param(lambda: sw.SzegedyOperator(sw.two_node_chain()).proxy_state(True), ValueError, id="proxy-bool"),
+    pytest.param(lambda: sw.SzegedyOperator(sw.two_node_chain()).proxy_state(1.0), ValueError, id="proxy-float"),
+    pytest.param(lambda: sw.ProbabilityVector.uniform(0), ValueError, id="uniform-zero"),
+    pytest.param(lambda: sw.ProbabilityVector.uniform(2.0), ValueError, id="uniform-float"),
+])
+def test_indices_and_sizes_are_in_range_integers(call, error):
+    # a bool or a float is no index, and an index past N does not wrap around
+    with pytest.raises(error, match="must be an integer" if error is ValueError else "outside"):
+        call()
+
+
+def test_integer_indices_of_numpy_type_are_accepted():
+    i = np.int64(1)
+    assert sw.EdgeState.basis(3, i, 0).amplitude(i, np.int64(0)) == 1
+    fam = sw.build_family(sw.two_node_chain(), 1, 3)
+    assert np.array_equal(fam.member(i).g, fam.stack[0])
+    assert sw.ProbabilityVector.uniform(np.int64(4)).n == 4
+
+
 def test_dot_is_export_only():
     with pytest.raises(ValueError):
         sw.deserialize("digraph {}", "dot")
