@@ -46,14 +46,13 @@ than dense powers of U.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatchError, IndexOutOfRangeError, InsufficientRangeError, TooLargeError
-from .graphs import (TransitionMatrix, _check_int, _check_tol, _check_transition, _checked_rows, _frozen_array,
-                     _unchecked, _views, serialize)
+from .graphs import (TransitionMatrix, _check_int, _check_tol, _check_transition, _checked_rows, _csv_texts,
+                     _frozen_array, _unchecked, _views)
 
 MATRIX_TOL = 1e-9
 # Cap on N^2 * t_q_max, the float64 entries a family holds (2**24 is 128 MiB at
@@ -103,7 +102,7 @@ class SemiclassicalFamily:
         _check_int("t_q", t_q)
         if not (1 <= t_q <= len(self.stack)):
             raise IndexOutOfRangeError(f"t_q={t_q} outside 1..{len(self.stack)}")
-        return _unchecked(TransitionMatrix, self.stack[t_q - 1])
+        return _unchecked(TransitionMatrix, {"g": self.stack[t_q - 1]})
 
     def to_json(self) -> str:
         """JSON array of {"t_q", "matrix_csv"} entries: the chunks of
@@ -112,10 +111,13 @@ class SemiclassicalFamily:
 
     def json_chunks(self):
         """The text of :meth:`to_json`, one member per chunk, then the
-        closing bracket, so the whole text need never be held at once."""
-        for t, row in enumerate(self.stack):
-            csv = serialize(_unchecked(TransitionMatrix, row), "csv")
-            yield ("[" if t == 0 else ", ") + json.dumps({"t_q": t + 1, "matrix_csv": csv})
+        closing bracket, so the whole text need never be held at once.
+        Member t_q's chunk is ``json.dumps({"t_q": t_q, "matrix_csv": csv})``
+        with csv the member's ``serialize(..., "csv")``: a CSV needs no JSON
+        escape but its newlines, so its lines are joined with an escaped one.
+        The rows are formatted a block of members at a time."""
+        for t, csv in enumerate(_csv_texts(self.stack, "\\n"), start=1):
+            yield ("[" if t == 1 else ", ") + '{"t_q": %d, "matrix_csv": "%s"}' % (t, csv)
         yield "]"
 
 
@@ -162,8 +164,9 @@ def _families(gs: list[TransitionMatrix], class_tag: int, t_q_max: int) -> list[
     sizes = [g.n for g in gs]
     _check_family(sizes, class_tag, t_q_max)
     stacks = _checked_rows(sizes, MAX_ENTRIES, lambda n: n * n * t_q_max, lambda ks: _member_stack(
-        np.stack([gs[k].g for k in ks]), class_tag, range(t_q_max)))
-    return [_unchecked(SemiclassicalFamily, g, class_tag, stack) for g, stack in zip(gs, stacks)]
+        np.array([gs[k].g for k in ks]), class_tag, range(t_q_max)))
+    return [_unchecked(SemiclassicalFamily, {"source": g, "class_tag": class_tag, "stack": stack})
+            for g, stack in zip(gs, stacks)]
 
 
 def _check_class(class_tag) -> None:

@@ -8,10 +8,22 @@ Conventions used throughout the package:
   column sums to one (column-stochastic orientation).
 * All array-holding types are immutable after construction and safe to
   share across threads.
+
+The CSV writers spell each float as ``repr`` does, by the shortest digits
+that read back to it, and ``_csv_rows`` forms them for whole arrays: y = x
+10^(16 - e10) as a double-double, within 2e-14 of its exact value, then the
+multiple of the largest power of ten in x's round-trip interval, the one
+nearest to y where there are two. An entry counts only when each of its
+boundary and tie tests clears a margin of 1e-9, far above that error, so its
+digits are those of the exact arithmetic; every other entry (a boundary, a
+tie, a decade miss, a value outside [2**-900, 2**900), a negative or
+non-finite one) is spelled by ``repr`` itself, and the bytes never rest on
+libm or on the numpy version.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import re
@@ -77,19 +89,20 @@ class TransitionMatrix:
         return self.g.shape[0]
 
 
-def _unchecked(cls, *values):
-    """A ``cls``, a frozen dataclass, holding ``values`` in its fields' order
-    as they are, not copied and not checked: for values checked already."""
+def _unchecked(cls, fields: dict):
+    """A ``cls``, a frozen dataclass, holding ``fields``, {name: value} for
+    each of its fields, as they are, not copied and not checked: for values
+    checked already. Its ``__dict__`` is set in one update."""
     obj = object.__new__(cls)
-    for name, value in zip(cls.__dataclass_fields__, values):
-        object.__setattr__(obj, name, value)
+    obj.__dict__.update(fields)
     return obj
 
 
 def _views(cls, rows) -> list:
     """One ``cls``, a frozen dataclass with one array field, per row of
     ``rows``, holding that row as it is: a view, not checked again."""
-    return [_unchecked(cls, row) for row in rows]
+    (name,) = cls.__dataclass_fields__
+    return [_unchecked(cls, {name: row}) for row in rows]
 
 
 def _chunks(sizes: list[int], budget: int, entries) -> list[list[int]]:
@@ -312,10 +325,223 @@ def deserialize(text: str, fmt: str) -> TransitionMatrix:
 
 
 def _to_csv(m: TransitionMatrix) -> str:
-    lines = [f"n={m.n};orientation=column-stochastic"]
-    for row in m.g.tolist():
-        lines.append(",".join(map(repr, row)))
-    return "\n".join(lines) + "\n"
+    return next(_csv_texts(m.g[None]))
+
+
+def _csv_texts(stack: np.ndarray, newline: str = "\n"):
+    """The CSV text of each matrix of a (B, N, N) stack, as ``serialize``
+    writes it, with ``newline`` ending each line; the rows of about
+    ``_CSV_BLOCK`` entries are formatted at a time."""
+    n = stack.shape[-1]
+    head = f"n={n};orientation=column-stochastic"
+    step = max(1, _CSV_BLOCK // (n * n))
+    for lo in range(0, len(stack), step):
+        rows = _csv_rows(stack[lo:lo + step])
+        for k in range(0, len(rows), n):
+            yield newline.join([head, *rows[k:k + n]]) + newline
+
+
+# --- float CSV rows ------------------------------------------------------------
+
+# Arrays with fewer entries take the repr join whole: below about 400 entries
+# the kernel's hundred-odd numpy calls cost more than the join.
+_CSV_MIN = 512
+# Entries per kernel call; its temporaries stay within a few MiB.
+_CSV_BLOCK = 1 << 13
+# The binary exponent fields of the x in [2**-900, 2**900), whose decades
+# e10 the powers-of-ten table covers.
+_CSV_EXPO = (1023 - 900, 1023 + 899)
+_CSV_E10 = (-272, 272)
+# Every boundary and tie test of a certified entry clears this margin; the
+# computed y and interval ends are within 2e-14 of the exact ones.
+_CSV_MARGIN = 1e-9
+# C // 10^8 and C % 10^8 scaled to the two-digit pairs of the 17 digits of C
+_CSV_PAIRS = 10.0 ** -np.array([8, 6, 4, 2, 0, 6, 4, 2, 0])[:, None]
+# The columns of a kernel row: a pad and the 17 digits of C, or a fallback's
+# repr in 0..23; the constants '0', '.' and 'e'; the exponent's sign and three
+# digits; the separator; and NULs, which the templates pad with. The width is
+# even, for a uint16 view of the digit pairs.
+_K0, _KDOT, _KE, _KSIGN, _KSEP, _KNUL = 24, 25, 26, 27, 31, 32
+_KWIDTH, _KOUT = 34, 25
+# Groups: 0.0, the fallback, then 2 + 17 * form + (digits - 1). Forms 0..19
+# are fixed notation with the decimal point after digit e10 + 1 (0.000ddd to
+# ddd.0), forms 20..23 d.ddde-XX, e-XXX, e+XX and e+XXX.
+_CSV_ZERO, _CSV_FALLBACK = 0, 1
+
+
+def _csv_rows(a: np.ndarray) -> list[str]:
+    """The CSV rows ``",".join(map(repr, row))`` of a (..., R, C) float64
+    array, in C order, bitwise: an array of ``_CSV_MIN`` entries or more
+    goes through ``_csv_kernel``, about ``_CSV_BLOCK`` entries per call."""
+    rows = np.asarray(a, dtype=float).reshape(-1, a.shape[-1])
+    if rows.size < _CSV_MIN:
+        return [",".join(map(repr, row)) for row in rows.tolist()]
+    step = max(1, _CSV_BLOCK // rows.shape[1])
+    out: list[str] = []
+    for lo in range(0, len(rows), step):
+        out += _csv_kernel(np.ascontiguousarray(rows[lo:lo + step])).split("\n")[:-1]
+    return out
+
+
+def _csv_kernel(a: np.ndarray) -> str:
+    """The CSV rows of a C-contiguous (R, C) float64 array, each ended by a
+    newline: the certified entries from ``_shortest``, 0.0 as itself, and
+    every other entry from ``_reprs``. The entries are sorted by group, each
+    group is one column gather of its template into a uint8 matrix, and the
+    NULs the templates pad with are dropped in one pass."""
+    *_, cols = _csv_tables()
+    v = a.ravel()
+    n = v.size
+    bits = v.view(np.uint64)
+    expo = (bits >> np.uint64(52)).astype(np.intp)  # the sign bit puts x < 0 at 2048 and above
+    live = (expo >= _CSV_EXPO[0]) & (expo <= _CSV_EXPO[1])  # masked before any arithmetic
+    group = np.where(bits == 0, _CSV_ZERO, _CSV_FALLBACK).astype(np.int16)
+    ext = np.empty((n, _KWIDTH), dtype=np.uint8)
+    ext[:, _K0:_KSIGN] = np.frombuffer(b"0.e", dtype=np.uint8)
+    ext[:, _KSEP] = ord(",")
+    ext[a.shape[1] - 1::a.shape[1], _KSEP] = ord("\n")
+    ext[:, _KNUL] = 0
+    every = bool(live.all())
+    at = slice(None) if every else np.flatnonzero(live)  # a slice copies nothing
+    if every or at.size:
+        pairs, suffix, numeric, sure = _shortest(v[at], bits[at], expo[at])
+        ext.view(np.uint16)[at, :9] = pairs
+        ext[at, _KSIGN:_KSIGN + 4] = suffix
+        group[at] = np.where(sure, numeric, _CSV_FALLBACK)
+    fallback = np.flatnonzero(group == _CSV_FALLBACK)
+    if fallback.size:
+        ext[fallback, :24] = _reprs(v[fallback])
+    order = np.argsort(group, kind="stable")
+    groups = group[order]
+    bounds = [0, *(np.flatnonzero(np.diff(groups)) + 1).tolist(), n]
+    src = ext.take(order, axis=0)
+    out = np.empty((n, _KOUT), dtype=np.uint8)
+    for lo, hi in zip(bounds, bounds[1:]):
+        np.take(src[lo:hi], cols[groups[lo]], axis=1, out=out[lo:hi])
+    back = np.empty(n, dtype=np.intp)
+    back[order] = np.arange(n)
+    return out.take(back, axis=0).tobytes().translate(None, b"\0").decode("ascii")
+
+
+def _shortest(x: np.ndarray, bits: np.ndarray, expo: np.ndarray):
+    """The shortest round-trip digits of each positive float x of 2**-900 <=
+    x < 2**900, with its float bits and their exponent field: C's digit
+    pairs as (len(x), 9) uint16, the exponent suffixes as (len(x), 4) uint8,
+    each entry's group, and whether it is certified."""
+    pow10, first, starts, suffix, pairs, _ = _csv_tables()
+    # the decade e10 of x, and y = x 10^(16 - e10) in [1e16, 1e17) as yh + yl
+    # with yh an integer: Dekker's product of x, split by its bits, with the
+    # double-double power of ten
+    e10 = first.take(expo)
+    e10 += x >= starts.take(e10 + (1 - _CSV_E10[0]))
+    row = e10 - _CSV_E10[0]
+    p_hi, p_lo, p_top, p_low = (t.take(row) for t in pow10)
+    yh = x * p_hi
+    top = (bits & np.uint64(2**64 - 2**27)).view(np.float64)
+    low = x - top
+    yl = ((top * p_top - yh) + top * p_low + low * p_top) + low * p_low + x * p_lo
+    # the round-trip interval [y - half, y + half] in y's units, its lower
+    # gap halved at a power of two, and the integers [lo, hi] in it
+    half = ((expo - 53) << 52).view(np.float64) * p_hi  # half an ulp of x, times 10^(16 - e10)
+    lower = yl - np.where(bits & np.uint64(2**52 - 1), half, 0.5 * half)
+    upper = yl + half
+    base = np.where((yh >= 1e16) & (yh < 1e17), yh, 0.0).astype(np.int64)
+    lower_int, upper_int = np.ceil(lower), np.floor(upper)
+    # certified only where neither end lies within the margin of an integer
+    sure = (base > 0) & (np.abs(lower - lower_int + 0.5) < 0.5 - _CSV_MARGIN)
+    sure &= np.abs(upper - upper_int - 0.5) < 0.5 - _CSV_MARGIN
+    lo, hi = base + lower_int.astype(np.int64), base + upper_int.astype(np.int64)
+    # C: the multiple of 10^j in [lo, hi] with the largest j, the one nearest
+    # to y where there are several (j = 0 or 1; [lo, hi] spans at most 23)
+    whole = np.floor(yl)
+    frac = yl - whole
+    y_int = base + whole.astype(np.int64)
+    c = y_int + (frac >= 0.5)  # j = 0: the nearest integer is always in [lo, hi]
+    tie = np.abs(frac - 0.5) <= _CSV_MARGIN
+    top10 = hi // 10 * 10
+    tens = top10 >= lo
+    r10 = y_int - y_int // 10 * 10
+    rem = r10 + frac
+    near10 = y_int - r10 + 10 * (rem >= 5.0)
+    np.copyto(c, np.minimum(np.maximum(near10, -(-lo // 10) * 10), top10), where=tens)
+    np.copyto(tie, np.abs(rem - 5.0) <= _CSV_MARGIN, where=tens)
+    digits = np.where(tens, 16, 17)
+    k = np.flatnonzero(tens)
+    for j in range(2, 17):
+        cand = hi[k] // 10**j * 10**j
+        hit = cand >= lo[k]
+        k = k[hit]
+        if not k.size:
+            break
+        c[k], digits[k], tie[k] = cand[hit], 17 - j, False
+    sure &= ~tie & (c >= 10**16) & (c < 10**17)
+    c[~sure] = 10**16
+    # the digits of C, two at a time, exact: floor((m + 1/2) 10^-k) for m < 10^9
+    head = c // 10**8
+    q = np.empty((9, c.size))
+    np.multiply(head + 0.5, _CSV_PAIRS[:5], out=q[:5])
+    np.multiply(c - head * 10**8 + 0.5, _CSV_PAIRS[5:], out=q[5:])
+    np.floor(q, out=q)
+    q[1:5] -= 100 * q[:4]
+    q[6:] -= 100 * q[5:8]
+    form = np.where((e10 >= -4) & (e10 <= 15), e10 + 4, 20 + 2 * (e10 > 0) + (np.abs(e10) >= 100))
+    numeric = (2 + 17 * form + digits - 1).astype(np.int16)
+    return pairs.take(q.astype(np.intp)).T, suffix.take(row, axis=0), numeric, sure
+
+
+def _reprs(x: np.ndarray) -> np.ndarray:
+    """``repr`` of each float of ``x`` as a NUL-padded (len(x), 24) uint8
+    array: the kernel's fallback."""
+    return np.array([repr(f) for f in x.tolist()], dtype="S24").view(np.uint8).reshape(-1, 24)
+
+
+@functools.cache
+def _csv_tables():
+    """The kernel's read-only tables, built on first use: for each decade e10
+    the double-double 10^(16 - e10), with its high part split in two 26-bit
+    halves; the first decade of each binary exponent field; the power of ten
+    that starts each decade; each decade's exponent suffix; the digit pairs;
+    and each group's column template."""
+    decades = range(_CSV_E10[0], _CSV_E10[1] + 1)
+    pow10 = np.empty((4, len(decades)))
+    for k, e10 in enumerate(decades):
+        p = 16 - e10
+        if p >= 0:
+            hi = float(10**p)  # an int converts to the nearest float
+            lo = float(10**p - int(hi))
+        else:
+            hi = 1 / 10**-p  # an int quotient is rounded to nearest
+            num, den = hi.as_integer_ratio()
+            lo = (den - num * 10**-p) / (den * 10**-p)
+        c = 134217729.0 * hi  # Veltkamp's split by 2^27 + 1
+        top = c - (c - hi)
+        pow10[:, k] = hi, lo, top, hi - top
+    first = np.floor((np.arange(2048) - 1023) * math.log10(2)).astype(np.intp)  # a miss falls back
+    starts = np.array([10.0**k if k >= 0 else 1 / 10**-k for k in range(_CSV_E10[0], _CSV_E10[1] + 2)])
+    suffix = np.array([f"{e:+04d}".encode() for e in decades], dtype="S4").view(np.uint8).reshape(-1, 4)
+    pairs = np.array([f"{k:02d}".encode() for k in range(100)], dtype="S2").view(np.uint16)
+    cols = np.full((2 + 24 * 17, _KOUT), _KNUL, dtype=np.intp)
+    cols[_CSV_ZERO, :4] = _K0, _KDOT, _K0, _KSEP
+    cols[_CSV_FALLBACK] = [*range(24), _KSEP]
+    for form in range(24):
+        for nd in range(1, 18):
+            d = list(range(1, nd + 1))  # the digits of C sit in columns 1..17
+            if form < 20:
+                dp = form - 3
+                if dp <= 0:
+                    seq = [_K0, _KDOT] + [_K0] * -dp + d
+                elif dp < nd:
+                    seq = d[:dp] + [_KDOT] + d[dp:]
+                else:
+                    seq = list(range(1, dp + 1)) + [_KDOT, _K0]
+            else:
+                seq = [1] + ([_KDOT] + d[1:] if nd > 1 else []) + [_KE, _KSIGN]
+                seq += [_KSIGN + 1, _KSIGN + 2, _KSIGN + 3] if form % 2 else [_KSIGN + 2, _KSIGN + 3]
+            cols[2 + 17 * form + nd - 1, :len(seq) + 1] = seq + [_KSEP]
+    tables = pow10, first, starts, suffix, pairs, cols
+    for t in tables:
+        t.setflags(write=False)
+    return tables
 
 
 def _from_csv(text: str) -> TransitionMatrix:

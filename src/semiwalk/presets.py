@@ -69,7 +69,7 @@ def evolve_csv(member: TransitionMatrix, p0: ProbabilityVector, steps: int) -> s
                             f"exceeds MAX_SAMPLES = {dynamics.MAX_SAMPLES}")
     table = dynamics._series(member.g, p0.p, steps)
     header = "t," + ",".join(f"node{i}" for i in range(member.n))
-    rows = [f"{t}," + ",".join(map(repr, row)) for t, row in enumerate(table.tolist())]
+    rows = [f"{t},{row}" for t, row in enumerate(graphs._csv_rows(table))]
     return "\n".join([header, *rows]) + "\n"
 
 

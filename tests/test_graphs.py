@@ -266,9 +266,15 @@ def _reference_dot(m):
     return "\n".join(lines) + "\n"
 
 
+def _reference_family_json(fam):
+    return "[" + ", ".join(json.dumps({"t_q": t, "matrix_csv": _reference_csv(m)})
+                           for t, m in enumerate(fam.members, start=1)) + "]"
+
+
 def test_csv_and_dot_bytes_match_elementwise_reference(hub):
-    # the serializers format whole rows from .tolist(); the references format
-    # one numpy scalar at a time, as the files were first written
+    # the serializers format whole rows, through the vectorized kernel from
+    # graphs._CSV_MIN entries on; the references format one numpy scalar at a
+    # time, as the files were first written
     rng = rng_from_seed(79)
     mats = [hub, sw.cycle_graph(7), sw.from_weights(np.eye(3))]
     for n in (1, 2, 5, 16, 33):
@@ -276,10 +282,94 @@ def test_csv_and_dot_bytes_match_elementwise_reference(hub):
         w = rng.random((n, n)) * (rng.random((n, n)) < 0.3) + np.eye(n) * 1e-300
         mats.append(sw.from_weights(w))
     # members 4, 24, 28 and 40..60 hold zeros up to rounding (2e-16..3e-14)
-    mats += sw.build_family(sw.TransitionMatrix(np.full((3, 3), 1 / 3)), 1, 60).members
+    uniform = sw.build_family(sw.TransitionMatrix(np.full((3, 3), 1 / 3)), 1, 60)
+    mats += uniform.members
+    # above the crossover: random N = 128 members of both classes (class 2's
+    # member 1 is I), and a cycle-128 member, mostly 0.0
+    g = random_stochastic(128, rng)
+    fams = [sw.build_family(g, class_tag, 3) for class_tag in (1, 2)]
+    mats += [fam.member(t) for fam in fams for t in (1, 3)]
+    mats.append(sw.build_family(sw.cycle_graph(128), 1, 5).member(5))
     for m in mats:
         assert sw.serialize(m, "csv") == _reference_csv(m)
         assert sw.serialize(m, "dot") == _reference_dot(m)
+    # family.json formats blocks of members: the 60 uniform 3 x 3 members are
+    # one kernel call of 540 entries
+    assert uniform.stack.size >= graphs._CSV_MIN
+    for fam in (uniform, *fams):
+        assert fam.to_json() == _reference_family_json(fam)
+
+
+def _reference_rows(a):
+    return "".join(",".join(repr(float(v)) for v in row) + "\n" for row in a)
+
+
+_FLOATS = st.one_of(st.floats(allow_nan=False, allow_infinity=False),  # negatives, -0.0, subnormals, max
+                    st.floats(min_value=0.0, max_value=1.0), st.just(0.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_FLOATS, min_size=1, max_size=96), st.integers(min_value=1, max_value=9))
+def test_csv_kernel_spells_every_finite_float_as_repr(values, width):
+    # the kernel alone at any size, and _csv_rows on the values repeated past
+    # the crossover; repr is the oracle
+    a = np.resize(np.array(values), (-(-len(values) // width), width))
+    assert graphs._csv_kernel(a) == _reference_rows(a)
+    big = np.resize(a, (-(-graphs._CSV_MIN // width), width))
+    assert "".join(row + "\n" for row in graphs._csv_rows(big)) == _reference_rows(big)
+
+
+def _edge_values():
+    values = [2.0**k for k in range(-1074, 1024)]  # the lower gap is half the upper one
+    values += [1e-4, 1e-5, 9.999999999999999e-5, 0.00010000000000000002, 1e15, 1e16, 1e17,
+               999999999999999.9, 9999999999999998.0, 1e16 + 2, 99999999999999980.0,
+               5e-324, 1e-323, 2.2250738585072014e-308, 2.225073858507201e-308, 1.7976931348623157e308,
+               1.0, 0.1, 0.2, 0.3, 1 / 3, 2 / 3, 0.5, 1e23, 1e22, 9007199254740993.0, 0.0, -0.0]
+    values += [10.0**k for k in range(-323, 309)]
+    # adjacent doubles in [2**56, 2**57), ulp 16, whose midpoint 1000 k (k odd)
+    # is a 14-digit decimal: an interval ends exactly on a candidate
+    for k in (72057594037929, 72057594037931, 99999999999999, 100000000000001, 123456789012345):
+        values += [float(1000 * k - 8), float(1000 * k + 8)]
+    # in [2**53, 1e16) every interval ends on a multiple of 10 of y's units
+    values += [float(2**53 + 2 * k) for k in range(50)]
+    values += [float(2**54 + 4 * k) for k in range(50)]
+    return np.array(values)
+
+
+def test_csv_kernel_edge_values_match_repr():
+    values = _edge_values()
+    assert all(float(repr(v)) == v for v in values.tolist())
+    for a in (values[:, None], np.resize(values, (-(-values.size // 7), 7))):
+        assert graphs._csv_kernel(a) == _reference_rows(a)
+        assert "".join(row + "\n" for row in graphs._csv_rows(a)) == _reference_rows(a)
+    for a in (-values, np.nextafter(values, 0), np.nextafter(values[values < 1e308], np.inf)):
+        a = a[np.isfinite(a)][:, None]
+        assert graphs._csv_kernel(a) == _reference_rows(a)
+
+
+def test_csv_rows_match_repr_on_a_million_bit_patterns():
+    bits = rng_from_seed(89).integers(0, 2**64 - 1, 10**6, dtype=np.uint64, endpoint=True)
+    values = bits.view(np.float64)
+    values = values[np.isfinite(values)]
+    a = values[:values.size // 1000 * 1000].reshape(-1, 1000)
+    assert graphs._csv_rows(a) == [",".join(map(repr, row)) for row in a.tolist()]
+
+
+def test_csv_kernel_certifies_every_entry_of_a_random_member(monkeypatch):
+    # measured: every entry of a seeded random N = 128 member is certified, and
+    # 0.0 is a group of its own, so neither member reaches the repr fallback;
+    # a kernel that fell back everywhere would still write the right bytes
+    reprs, original = [], graphs._reprs
+    monkeypatch.setattr(graphs, "_reprs", lambda x: reprs.append(x.size) or original(x))
+    member = sw.build_family(random_stochastic(128, rng_from_seed(101)), 1, 2).member(2)
+    sparse = sw.build_family(sw.cycle_graph(128), 1, 5).member(5)
+    assert (sparse.g == 0).sum() == 7496
+    for m in (member, sparse):
+        assert sw.serialize(m, "csv") == _reference_csv(m)
+    assert reprs == []
+    negative = -member.g
+    assert graphs._csv_kernel(negative) == _reference_rows(negative)
+    assert reprs == [128 * 128]
 
 
 def _reference_json(m):
