@@ -353,11 +353,7 @@ def simulate_circuit(c: CircuitDescription) -> list[ProbabilityVector]:
 
 def segment_channel(g: TransitionMatrix, t_q: int) -> np.ndarray:
     """Round channel K of g's circuit with t_q walk blocks: column x is the
-    node distribution one round after node x.
-
-    Runs one round's own gates through the density-matrix simulator from
-    each basis start, so it checks the circuit rather than re-deriving it.
-    """
+    node distribution one round after node x, from one round's own gates."""
     return _round_channel(build_circuit(g, ProbabilityVector.point_mass(2, 0), t_q, 1))
 
 

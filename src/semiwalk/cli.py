@@ -179,9 +179,7 @@ def _emit(outdir: Path, subcommand: str, config: dict, artifacts: dict) -> None:
         checksums[name] = digest.hexdigest()
     manifest = {"subcommand": subcommand, "config": config, "artifacts": checksums,
                 "versions": {"semiwalk": __version__, "numpy": np.__version__}}
-    (outdir / "manifest.json").write_bytes(
-        (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode()
-    )
+    (outdir / "manifest.json").write_bytes(presets.json_text(manifest).encode())
 
 
 # --- subcommand handlers ------------------------------------------------------
@@ -234,15 +232,11 @@ def _cmd_sample(opts: dict) -> tuple[int, dict[str, str]]:
 
 def _cmd_circuit(opts: dict) -> tuple[int, dict[str, str]]:
     g = instances.two_node_chain() if opts["input"] is None else _load_matrix(opts)
-    t_q, t_c = opts["tq"], opts["tc"]
-    c = circuit_mod.build_circuit(g, _start(opts, 2), t_q, t_c)
-    block_dev, channel_dev = presets.circuit_deviations(g, t_q)
-    ok = block_dev < 1e-9 and channel_dev < 1e-10
-    artifacts = presets.circuit_artifacts(c, opts["classical_control"], t_q=t_q, t_c=t_c,
-                                          block_deviation=block_dev, channel_deviation=channel_dev, ok=ok)
-    print(f"{'PASS' if ok else 'FAIL'} circuit t_q={t_q}: "
-          f"block dev={block_dev:.2e} channel dev={channel_dev:.2e}")
-    return (0 if ok else 1), artifacts
+    c = circuit_mod.build_circuit(g, _start(opts, 2), opts["tq"], opts["tc"])
+    report = presets.circuit_report(c)
+    print(f"{'PASS' if report['ok'] else 'FAIL'} circuit t_q={c.t_q}: "
+          f"block dev={report['block_deviation']:.2e} channel dev={report['channel_deviation']:.2e}")
+    return (0 if report["ok"] else 1), presets.circuit_artifacts(c, opts["classical_control"], **report)
 
 
 def _cmd_verify(opts: dict) -> tuple[int, dict[str, str]]:

@@ -14,9 +14,8 @@ def rng_from_seed(seed: int | np.random.SeedSequence) -> np.random.Generator:
 
 
 def random_stochastic(n: int, rng: np.random.Generator) -> TransitionMatrix:
-    """Dense column-stochastic matrix with uniform entries."""
-    g = rng.random((n, n))
-    return TransitionMatrix(g / g.sum(axis=0))
+    """Dense column-stochastic matrix with uniform entries: one matrix of :func:`random_stochastic_corpus`."""
+    return _checked([rng.random((n, n))], normalise=True)[0]
 
 
 def random_symmetric_stochastic(
@@ -119,8 +118,7 @@ def random_stochastic_corpus(count: int, seed: int | np.random.SeedSequence) -> 
 def _checked(mats: list[np.ndarray], normalise: bool = False) -> list[TransitionMatrix]:
     """The matrices as TransitionMatrix views of one read-only stack per size
     (in chunks of ``PHASE_BLOCK`` entries), each stack checked once. With
-    ``normalise`` each column is first divided by its sum, as
-    ``random_stochastic`` divides it."""
+    ``normalise`` each column is first divided by its sum."""
     def stack(ks):
         a = np.stack([mats[k] for k in ks])
         return a / a.sum(axis=-2, keepdims=True) if normalise else a

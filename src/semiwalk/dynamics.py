@@ -230,6 +230,10 @@ def rank_family(
     Ties in the final average break toward the lower node index so rankings
     are reproducible. Raises RankFailedError if a member's limit has a
     residual ||G x - x||_1 above ``tol``.
+
+    Class 2 adds nothing: its member 1 is I, whose limit is p0, and member
+    t + 1 is class-1 member t, so its average over T members is (p0 + (T - 1)
+    avg_1(T - 1)) / T, which from a uniform p0 orders the nodes as avg_1(T - 1).
     """
     n = family.source.n
     if p0 is None:

@@ -129,7 +129,7 @@ def semiclassical_matrix(g: TransitionMatrix, t_q: int, class_tag: int) -> Trans
     checked, at the same cost for every t_q. ``MAX_ENTRIES`` caps N^2 * t_q as
     it caps a family, which bounds the rounding of the phases t_q theta.
     """
-    _check_family([g.n], class_tag, t_q)
+    _check_family([g.n], class_tag, t_q, "t_q")
     return TransitionMatrix(_member_stack(g.g, class_tag, range(t_q - 1, t_q))[0])
 
 
@@ -175,16 +175,16 @@ def _check_class(class_tag) -> None:
         raise ValueError("class_tag must be 1 or 2")
 
 
-def _check_family(sizes: list[int], class_tag: int, t_q_max: int) -> None:
+def _check_family(sizes: list[int], class_tag: int, t_q_max: int, name: str = "t_q_max") -> None:
     """The arguments of a family of each size N in ``sizes``, before anything
-    is allocated."""
-    _check_int("t_q_max", t_q_max)
+    is allocated; the errors call t_q_max ``name``, the caller's argument."""
+    _check_int(name, t_q_max)
     if t_q_max < 1:
-        raise ValueError("t_q_max must be >= 1")
+        raise ValueError(f"{name} must be >= 1")
     _check_class(class_tag)
     for n in sizes:
         if n * n * t_q_max > MAX_ENTRIES:
-            raise TooLargeError(f"N^2 * t_q_max = {n * n * t_q_max} entries exceeds MAX_ENTRIES = {MAX_ENTRIES}")
+            raise TooLargeError(f"N^2 * {name} = {n * n * t_q_max} entries exceeds MAX_ENTRIES = {MAX_ENTRIES}")
 
 
 def _member_stack(g: np.ndarray, class_tag: int, rows: range) -> np.ndarray:

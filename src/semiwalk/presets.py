@@ -7,6 +7,7 @@ the CLI's subcommands share with them.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
@@ -18,9 +19,18 @@ from .graphs import ProbabilityVector, TransitionMatrix
 # the start vector of the paper's two-node experiment (fig9, fig10, verify)
 EXPERIMENT_P0 = ProbabilityVector(np.array([0.8, 0.2]))
 
+# The bounds of the cycle and circuit verdicts and of verify's records for
+# them, spelled as verify prints them; a deviation passes below its bound.
+CLOSED_FORM_BOUND = "1e-12"
+BLOCK_BOUND = "1e-9"
+CHANNEL_BOUND = "1e-10"
+
 
 def json_text(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """The text of each JSON report and of the manifest; a distribution or a
+    numpy array is written as its (nested) lists."""
+    return json.dumps(obj, indent=2, sort_keys=True,
+                      default=lambda v: (v.p if isinstance(v, ProbabilityVector) else v).tolist()) + "\n"
 
 
 def member_dots(fam: family_mod.SemiclassicalFamily, count: int, width: int) -> dict[str, str]:
@@ -51,7 +61,7 @@ def cycle_report(n: int, t_q_max: int, tol: float) -> tuple[dict, family_mod.Sem
         "predicted": predicted,
         "measured": measured,
         "closed_form_max_deviation": deviation,
-        "match": measured == predicted and deviation <= 1e-12,
+        "match": measured == predicted and deviation < float(CLOSED_FORM_BOUND),
     }
     return report, fam
 
@@ -74,18 +84,13 @@ def evolve_csv(member: TransitionMatrix, p0: ProbabilityVector, steps: int) -> s
 
 
 def rank_report(g: TransitionMatrix, class_tag: int, t_q_max: int, tol: float) -> dict:
+    """rank.json: the class, t_q_max, every RankingResult field and each member's asymmetry."""
     fam = family_mod.build_family(g, class_tag, t_q_max)
     result = dynamics.rank_family(fam, tol=tol)
     return {
         "class": class_tag,
         "tq_max": t_q_max,
-        "limits": [list(map(float, d.p)) for d in result.limits],
-        "modes": list(result.modes),
-        "methods": list(result.methods),
-        "residuals": list(result.residuals),
-        "running_averages": [list(map(float, row)) for row in result.running_averages],
-        "final_average": list(map(float, result.final_average.p)),
-        "ordering": list(result.ordering),
+        **{f.name: getattr(result, f.name) for f in dataclasses.fields(result)},
         "asymmetries": np.abs(fam.stack - np.swapaxes(fam.stack, 1, 2)).max(axis=(1, 2)).tolist(),
     }
 
@@ -98,12 +103,15 @@ def circuit_artifacts(c: circuit_mod.CircuitDescription, classical_control: bool
             "gates.json": c.to_json() + "\n", "verify.json": json_text(report)}
 
 
-def circuit_deviations(g: TransitionMatrix, t_q: int) -> tuple[float, float]:
-    """Max deviations of the composed gates from the dense operator's block and
-    of the circuit's node channel from family member t_q."""
-    block = circuit_mod.verify_block(g, t_q)
-    member = family_mod.semiclassical_matrix(g, t_q, 1)
-    return block, float(np.abs(circuit_mod.segment_channel(g, t_q) - member.g).max())
+def circuit_report(c: circuit_mod.CircuitDescription) -> dict:
+    """The checks of c: its t_q and t_c, the max deviations of its composed
+    walk block from the dense operator's and of its round channel from family
+    member t_q, and ``ok``, both below their bounds."""
+    block = circuit_mod.verify_block(c.source, c.t_q)
+    member = family_mod.semiclassical_matrix(c.source, c.t_q, 1)
+    channel = float(np.abs(circuit_mod._round_channel(c) - member.g).max())
+    return {"t_q": c.t_q, "t_c": c.t_c, "block_deviation": block, "channel_deviation": channel,
+            "ok": block < float(BLOCK_BOUND) and channel < float(CHANNEL_BOUND)}
 
 
 def periodicity(n: int, t_q_max: int) -> dict[str, str]:
@@ -114,16 +122,13 @@ def periodicity(n: int, t_q_max: int) -> dict[str, str]:
     mats = np.concatenate([np.eye(n)[None], fam.stack])  # index = t_q; 0 is the identity convention
     # U^j = U^t for j < t exactly when U^(t-j) = 1, so the first equal power is t mod the period
     period = family_mod.unitary_period(g, t_q_max)
+    header = ("t_q", "matrix_first_equal", "unitary_first_equal")
     rows = []
     for t in range(t_q_max + 1):
         # the first j <= t whose matrix is within tol of t's (j = t always is)
         close = np.abs(mats[:t + 1] - mats[t]).max(axis=(1, 2)) <= family_mod.MATRIX_TOL
-        mat_first = int(np.argmax(close))
-        uni_first = t % period if period else t
-        rows.append({"t_q": t, "matrix_first_equal": mat_first, "unitary_first_equal": uni_first})
-    csv = "t_q,matrix_first_equal,unitary_first_equal\n" + "".join(
-        f"{r['t_q']},{r['matrix_first_equal']},{r['unitary_first_equal']}\n" for r in rows
-    )
+        rows.append(dict(zip(header, (t, int(np.argmax(close)), t % period if period else t))))
+    csv = "".join(",".join(map(str, row)) + "\n" for row in [header, *(r.values() for r in rows)])
     return {"periodicity.csv": csv, "periodicity.json": json_text(rows)}
 
 

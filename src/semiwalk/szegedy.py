@@ -145,10 +145,10 @@ class SzegedyOperator:
         overlap = np.einsum("ki,ik->i", self._sqrt_g, a)
         return 2.0 * overlap[:, None] * self._sqrt_g.T - a
 
-    def dense(self, max_n: int = DENSE_CAP) -> np.ndarray:
+    def dense(self) -> np.ndarray:
         """Materialize U as an N^2 x N^2 complex matrix (debug/verification path)."""
-        if self.n > max_n:
-            raise TooLargeError(f"n={self.n} exceeds dense cap {max_n}")
+        if self.n > DENSE_CAP:
+            raise TooLargeError(f"n={self.n} exceeds dense cap {DENSE_CAP}")
         return _dense(self._sqrt_g)
 
     def uniform_superposition(self) -> EdgeState:

@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import circuit as circuit_mod, corpus, cycles, dynamics, family as family_mod, instances, szegedy
+from . import circuit as circuit_mod, corpus, cycles, dynamics, family as family_mod, instances, presets, szegedy
 from .errors import TooLargeError
 from .graphs import TransitionMatrix, _check_int, _chunks
-from .presets import EXPERIMENT_P0, circuit_deviations, cycle_report
 from .szegedy import EdgeState, SzegedyOperator
 
 # The most matrices one corpus may hold. The suite checks them as stacks,
@@ -107,10 +106,10 @@ def unitarity_checks(mats: list[TransitionMatrix], rng: np.random.Generator) -> 
 
 def cycle_checks(ns: range) -> list[dict]:
     """Each n-cycle family (t_q <= 2n) against its closed form, counts and periods."""
-    reports = [cycle_report(n, 2 * n, family_mod.MATRIX_TOL)[0] for n in ns]
+    reports = [presets.cycle_report(n, 2 * n, family_mod.MATRIX_TOL)[0] for n in ns]
     worst = max(r["closed_form_max_deviation"] for r in reports)
     predictions_ok = all(r["measured"] == r["predicted"] for r in reports)
-    return [_below("cycle-closed-form", worst, "1e-12"),
+    return [_below("cycle-closed-form", worst, presets.CLOSED_FORM_BOUND),
             _record("cycle-predictions", predictions_ok, f"counts and periods match for n={ns[0]}..{ns[-1]}")]
 
 
@@ -151,7 +150,7 @@ def homogeneous_symmetry_checks(rng: np.random.Generator, sizes: list[int]) -> l
 def two_node_checks() -> list[dict]:
     """The paper's two-node series from (0.8, 0.2) and its members' exact limits."""
     g2 = instances.two_node_chain()
-    series = [float(dynamics.evolve(g2, EXPERIMENT_P0, t).p[1]) for t in range(3)]
+    series = [float(dynamics.evolve(g2, presets.EXPERIMENT_P0, t).p[1]) for t in range(3)]
     limits_ok = abs(series[0] - 0.2) < 1e-12 and abs(series[1] - 0.88) < 1e-12 and abs(series[2] - 0.812) < 1e-12
     worst_limit = 0.0
     for t_q, target in TWO_NODE_LIMITS.items():
@@ -163,13 +162,15 @@ def two_node_checks() -> list[dict]:
 
 
 def circuit_checks() -> list[dict]:
-    """The two-node circuit's angles, and its gates and channel for t_q = 1, 2, 3."""
+    """The two-node circuit's angles, and ``presets.circuit_report`` for t_q = 1, 2, 3 and t_c = 1."""
     g2 = instances.two_node_chain()
-    alpha, th0, th1 = circuit_mod.prep_angles(g2, EXPERIMENT_P0)
+    alpha, th0, th1 = circuit_mod.prep_angles(g2, presets.EXPERIMENT_P0)
     angles_ok = abs(alpha - 0.927) < 5e-4 and abs(th0 - 2.50) < 5e-3 and abs(th1 - 2.21) < 5e-3
-    block_dev, channel_dev = np.max([circuit_deviations(g2, t) for t in (1, 2, 3)], axis=0)
+    reports = [presets.circuit_report(circuit_mod.build_circuit(g2, presets.EXPERIMENT_P0, t, 1))
+               for t in (1, 2, 3)]
     return [_record("circuit-angles", angles_ok, f"alpha={alpha:.4f} theta0={th0:.4f} theta1={th1:.4f}"),
-            _below("circuit-block", block_dev, "1e-9"), _below("circuit-channel", channel_dev, "1e-10")]
+            _below("circuit-block", max(r["block_deviation"] for r in reports), presets.BLOCK_BOUND),
+            _below("circuit-channel", max(r["channel_deviation"] for r in reports), presets.CHANNEL_BOUND)]
 
 
 def sampler_checks(seed: int) -> list[dict]:

@@ -18,7 +18,8 @@ from semiwalk.circuit import (
     gate_matrix,
     prep_block_gates,
 )
-from semiwalk import circuit
+from semiwalk import circuit, presets, verify
+from semiwalk.cli import main
 from semiwalk.corpus import rng_from_seed
 from semiwalk.errors import ParseError, UnsupportedSizeError
 from semiwalk.szegedy import SzegedyOperator
@@ -130,6 +131,41 @@ def test_segment_channel_matches_members(two_node):
             member = sw.semiclassical_matrix(g, t, 1)
             dev = np.abs(sw.segment_channel(g, t) - member.g).max()
             assert dev <= 1e-10
+
+
+def test_circuit_command_builds_and_checks_one_circuit(tmp_path, monkeypatch):
+    # the channel check used to build a second circuit, from a point mass
+    built = []
+    build = circuit.build_circuit
+    monkeypatch.setattr(circuit, "build_circuit", lambda *args: built.append(build(*args)) or built[-1])
+    for t_q, t_c in ((1, 1), (3, 20)):
+        built.clear()
+        out = tmp_path / f"circuit_{t_q}"
+        assert main(["circuit", "--tq", str(t_q), "--tc", str(t_c), "--p0", "0.7,0.3", "--out", str(out)]) == 0
+        assert len(built) == 1
+        # the exported circuit's round channel is bitwise segment_channel's
+        channel = circuit._round_channel(built[0])
+        assert np.array_equal(channel, sw.segment_channel(sw.two_node_chain(), t_q))
+        member = sw.semiclassical_matrix(sw.two_node_chain(), t_q, 1)
+        report = json.loads((out / "verify.json").read_text())
+        assert report["channel_deviation"] == float(np.abs(channel - member.g).max())
+
+
+@pytest.mark.parametrize("bound, key, record", [
+    ("BLOCK_BOUND", "block_deviation", "circuit-block"),
+    ("CHANNEL_BOUND", "channel_deviation", "circuit-channel"),
+])
+def test_a_deviation_at_its_bound_fails_circuit_and_verify_alike(monkeypatch, bound, key, record):
+    # both verdicts read one bound and pass only strictly below it
+    reports = [presets.circuit_report(sw.build_circuit(sw.two_node_chain(), presets.EXPERIMENT_P0, t, 1))
+               for t in (1, 2, 3)]
+    worst = max(reports, key=lambda r: r[key])
+    assert worst["ok"]
+    monkeypatch.setattr(presets, bound, repr(worst[key]))
+    c = sw.build_circuit(sw.two_node_chain(), presets.EXPERIMENT_P0, reports.index(worst) + 1, 1)
+    assert presets.circuit_report(c)["ok"] is False
+    (checked,) = [r for r in verify.circuit_checks() if r["name"] == record]
+    assert checked["passed"] is False
 
 
 def test_simulated_circuit_matches_classical_evolution(two_node, p0_experiment):

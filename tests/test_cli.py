@@ -397,7 +397,7 @@ def test_bad_config_gives_json_error_and_exit_2(tmp_path, capsys, subcommand, co
     # count * (steps + 1) = MAX_SAMPLES + 1
     pytest.param(["sample", "--input", "{hub}", "--count", "1", "--steps", "{samples}"], "MAX_SAMPLES",
                  id="sample-count-steps"),
-    # the member at t_q is built from a family of t_q members
+    # one member at t_q is capped as a family of t_q members is
     pytest.param(["evolve", "--input", "{hub}", "--tq", "{tq_max}"], "MAX_ENTRIES", id="evolve-tq"),
     pytest.param(["sample", "--input", "{hub}", "--tq", "{tq_max}"], "MAX_ENTRIES", id="sample-tq"),
     pytest.param(["verify", "--count", str(MAX_COUNT + 1)], "MAX_COUNT", id="verify-count"),
@@ -419,10 +419,10 @@ def test_size_caps_exit_2_before_allocating(tmp_path, capsys, argv, cap):
 @pytest.mark.parametrize("argv, message", [
     pytest.param(["family", "--input", "{two}", "--tq-max", "0"], "t_q_max must be >= 1", id="family-tq-max"),
     pytest.param(["rank", "--input", "{two}", "--tq-max", "0"], "t_q_max must be >= 1", id="rank-tq-max"),
-    pytest.param(["evolve", "--input", "{two}", "--tq", "0"], "t_q_max must be >= 1", id="evolve-tq"),
+    pytest.param(["evolve", "--input", "{two}", "--tq", "0"], "t_q must be >= 1", id="evolve-tq"),
     pytest.param(["evolve", "--input", "{two}", "--steps", "-1"],
                  "steps must be an integer >= 0, got -1", id="evolve-steps"),
-    pytest.param(["sample", "--input", "{two}", "--tq", "0"], "t_q_max must be >= 1", id="sample-tq"),
+    pytest.param(["sample", "--input", "{two}", "--tq", "0"], "t_q must be >= 1", id="sample-tq"),
     pytest.param(["sample", "--input", "{two}", "--steps", "-1"],
                  "steps must be an integer >= 0, got -1", id="sample-steps"),
     pytest.param(["sample", "--input", "{two}", "--x0", "-1"], "start node -1 outside 0..1", id="sample-x0"),

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import semiwalk as sw
-from semiwalk import presets
+from semiwalk import presets, verify
 from semiwalk.errors import TooLargeError, TooSmallError
 from semiwalk.corpus import random_circulant_symmetric, rng_from_seed
 from semiwalk.graphs import MAX_NODES, SUPPORT_TOL, _circulant, _reach
@@ -150,6 +150,17 @@ def test_cycle_report_deviation_is_the_stacked_difference_bitwise():
         report, fam = presets.cycle_report(n, 2 * n, sw.family.MATRIX_TOL)
         closed = np.stack([sw.cycle_semiclassical(n, t).g for t in range(1, 2 * n + 1)])
         assert report["closed_form_max_deviation"] == float(np.abs(closed - fam.stack).max())
+
+
+def test_a_deviation_at_the_bound_fails_cycle_and_verify_alike(monkeypatch):
+    # cycle's match and verify's cycle-closed-form read one bound and pass
+    # only strictly below it (match used to allow a deviation equal to it)
+    report, _ = presets.cycle_report(6, 12, sw.family.MATRIX_TOL)
+    assert report["match"]
+    monkeypatch.setattr(presets, "CLOSED_FORM_BOUND", repr(report["closed_form_max_deviation"]))
+    assert presets.cycle_report(6, 12, sw.family.MATRIX_TOL)[0]["match"] is False
+    record = verify.cycle_checks(range(6, 7))[0]
+    assert record["name"] == "cycle-closed-form" and record["passed"] is False
 
 
 def test_cycle_report_peak_memory_is_one_stack():

@@ -303,6 +303,23 @@ def test_rank_running_average_shape(hub):
     )
 
 
+@pytest.mark.parametrize("make, t_max", [
+    pytest.param(sw.symmetric_hub, 60, id="hub"),
+    pytest.param(lambda: random_stochastic(32, rng_from_seed(32)), 20, id="random-32"),
+    pytest.param(lambda: random_symmetric_stochastic(64, rng_from_seed(64)), 20, id="symmetric-64"),
+])
+def test_class_2_ranking_is_class_1_one_member_shorter(make, t_max):
+    # class-2 member 1 is I, whose limit is p0, and member t + 1 is class-1
+    # member t: from a uniform p0 the class-2 average over T members is
+    # (p0 + (T - 1) avg_1(T - 1)) / T, so it orders the nodes as avg_1(T - 1)
+    g = make()
+    one, two = sw.semiclassical_rank(g, 1, t_max - 1), sw.semiclassical_rank(g, 2, t_max)
+    assert two.ordering == one.ordering
+    p0 = np.full(g.n, 1.0 / g.n)
+    shifted = (p0 + (t_max - 1) * one.final_average.p) / t_max
+    assert np.abs(two.final_average.p - shifted).max() <= 1e-15
+
+
 def _searchsorted_sampler(m: sw.TransitionMatrix, x0: int, u: np.ndarray) -> np.ndarray:
     """The earlier per-trajectory loop, kept as a reference: one searchsorted
     lookup per step, fed the uniform draws ``u`` (one row per trajectory)."""

@@ -481,7 +481,7 @@ def _apply(g, steps):
     pytest.param(lambda g: sw.build_family(g, 1, 2.5), "t_q_max", id="build_family"),
     pytest.param(lambda g: sw.build_family(g, 1, True), "t_q_max", id="build_family-bool"),
     pytest.param(lambda g: sw.build_families([g], 1, 2.5), "t_q_max", id="build_families"),
-    pytest.param(lambda g: sw.semiclassical_matrix(g, 2.5, 1), "t_q_max", id="semiclassical_matrix"),
+    pytest.param(lambda g: sw.semiclassical_matrix(g, 2.5, 1), "t_q", id="semiclassical_matrix"),
     pytest.param(lambda g: sw.unitary_period(g, 2.5), "t_max", id="unitary_period"),
     pytest.param(lambda g: sw.unitary_period(g, True), "t_max", id="unitary_period-bool"),
     pytest.param(lambda g: sw.evolve(g, _P0, 2.5), "t", id="evolve"),

@@ -126,9 +126,10 @@ def test_stacked_dense_is_each_operator_bitwise():
             assert u.tobytes() == sw.SzegedyOperator(m).dense().tobytes() == _dense_one_block_at_a_time(m).tobytes()
 
 
-def test_dense_respects_cap():
+def test_dense_respects_cap(monkeypatch):
+    monkeypatch.setattr(szegedy, "DENSE_CAP", 5)
     with pytest.raises(TooLargeError):
-        sw.SzegedyOperator(sw.cycle_graph(6)).dense(max_n=5)
+        sw.SzegedyOperator(sw.cycle_graph(6)).dense()
 
 
 def test_six_cycle_walk_operator_period():
