@@ -35,6 +35,8 @@ run() {  # run NAME ARGS...: semiwalk ARGS --out OUT/NAME
 for p in fig3 fig4 fig5 fig6 fig7 fig9 fig10; do
     run "$p" preset "$p"
 done
+# the circuit command whose circuit.qasm, gates.json and verify.json are fig9's
+run circuit_fig9 circuit --tq 1 --tc 2 --p0 0.8,0.2
 # class 1 and 2; evolve and sample at t_q = 300 form one member without its family
 run family family --input "$in/random_32.csv" --tq-max 20
 run family_2 family --input "$in/random_32.csv" --class 2 --tq-max 20

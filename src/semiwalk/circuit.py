@@ -17,9 +17,10 @@ an initial RY(alpha) plus measurement, samples the start node. Then t_c
 identical rounds follow: each resets wire 1, re-prepares the proxy
 conditioned on wire 0, applies t_q walk blocks and measures wire 0 again.
 ``CircuitDescription`` holds the head, the preparation and the block once;
-the flat gate sequence is derived from them. The proxy preparation uses
-quantum controlled rotations; an export flag swaps these for classically
-controlled gates (untested against hardware).
+the flat gate sequence, the export and the checks (``verify_block`` composes
+the block, ``segment_channel`` runs one round) are read off them. The proxy
+preparation uses quantum controlled rotations; an export flag swaps these
+for classically controlled gates (untested against hardware).
 
 Each gate kind is one entry of ``_GATES`` (OpenQASM 2.0 template, 4x4
 unitary), read by the gate matrices, the exporter and the parser. The
@@ -192,18 +193,12 @@ def prep_angles(g: TransitionMatrix, p0: ProbabilityVector) -> tuple[float, floa
         raise UnsupportedSizeError(f"circuit construction needs n=2, got n={g.n}")
     if p0.n != 2:
         raise UnsupportedSizeError("p0 must have two entries")
-    theta0, theta1 = _proxy_angles(g)
-    return _angle(p0.p[0]), theta0, theta1
+    return _angle(p0.p[0]), _angle(g.g[0, 0]), _angle(g.g[0, 1])
 
 
 def _angle(p: float) -> float:
     # 2 arccos(sqrt(p)); p may exceed 1 by rounding that validation allows
     return 2.0 * math.acos(math.sqrt(min(float(p), 1.0)))
-
-
-def _proxy_angles(g: TransitionMatrix) -> tuple[float, float]:
-    # theta_i = 2 arccos(sqrt(g[0, i])); callers have checked n == 2
-    return _angle(g.g[0, 0]), _angle(g.g[0, 1])
 
 
 def _proxy_reflection(i: int, theta: float) -> list[GateOp]:
@@ -283,15 +278,11 @@ def deviation_up_to_phase(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.abs(a / phase - b).max())
 
 
-def verify_block(g: TransitionMatrix, t_q: int) -> float:
-    """Deviation of the composed walk block, to the power t_q, from dense U^t_q."""
-    if g.n != 2:
-        raise UnsupportedSizeError(f"circuit verification needs n=2, got n={g.n}")
-    _check_int("t_q", t_q, least=0)
-    block = compose_gates(walk_block_gates(*_proxy_angles(g)))
-    dense = SzegedyOperator(g).dense()
-    return deviation_up_to_phase(np.linalg.matrix_power(block, t_q),
-                                 np.linalg.matrix_power(dense, t_q))
+def verify_block(c: CircuitDescription) -> float:
+    """Deviation of c's composed ``block``, to the power t_q, from the dense
+    U^t_q of its source matrix."""
+    return deviation_up_to_phase(np.linalg.matrix_power(compose_gates(c.block), c.t_q),
+                                 np.linalg.matrix_power(SzegedyOperator(c.source).dense(), c.t_q))
 
 
 # --- density-matrix simulation ------------------------------------------------
@@ -321,9 +312,10 @@ def _run(rho: np.ndarray, gates, outcomes: list) -> np.ndarray:
     return rho
 
 
-def _round_channel(c: CircuitDescription) -> np.ndarray:
-    # column x: the node distribution one round after diag(e_x) (x) |0><0|,
-    # from the round's own gates with its t_q blocks composed into one unitary
+def segment_channel(c: CircuitDescription) -> np.ndarray:
+    """Round channel K of c: column x is the node distribution one round
+    after diag(e_x) (x) |0><0|, from the round's own gates, its t_q blocks
+    composed into one unitary."""
     walk = np.linalg.matrix_power(compose_gates(c.block), c.t_q)
     cols: list[np.ndarray] = []
     for x in (0, 1):
@@ -337,9 +329,9 @@ def _round_channel(c: CircuitDescription) -> np.ndarray:
 def simulate_circuit(c: CircuitDescription) -> list[ProbabilityVector]:
     """Exact node distribution at every classical step (one per measurement).
 
-    Runs the head gate by gate on the 4x4 density matrix of both wires from
+    Runs c's head gate by gate on the 4x4 density matrix of both wires from
     |0,0>; its measurement gives the first distribution. Each round then maps
-    the distribution through the round channel K (``segment_channel``), so
+    the distribution through c's round channel K, ``segment_channel(c)``, so
     the classical mixture of all outcomes costs one round's gates plus t_c
     products with K, not t_q * t_c walk blocks. The (t_c + 1, 2) series is
     checked once; the distributions are unchecked views of its rows.
@@ -348,13 +340,7 @@ def simulate_circuit(c: CircuitDescription) -> list[ProbabilityVector]:
     rho[0, 0] = 1.0
     head: list[np.ndarray] = []
     _run(rho, c.head, head)
-    return _views(ProbabilityVector, _series(_round_channel(c), head[0], c.t_c))
-
-
-def segment_channel(g: TransitionMatrix, t_q: int) -> np.ndarray:
-    """Round channel K of g's circuit with t_q walk blocks: column x is the
-    node distribution one round after node x, from one round's own gates."""
-    return _round_channel(build_circuit(g, ProbabilityVector.point_mass(2, 0), t_q, 1))
+    return _views(ProbabilityVector, _series(segment_channel(c), head[0], c.t_c))
 
 
 # --- OpenQASM export and import -----------------------------------------------

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import DimensionMismatchError
 from .family import PHASE_BLOCK
 from .graphs import TransitionMatrix, _checked_rows, _circulant, _views
 
@@ -15,6 +16,7 @@ def rng_from_seed(seed: int | np.random.SeedSequence) -> np.random.Generator:
 
 def random_stochastic(n: int, rng: np.random.Generator) -> TransitionMatrix:
     """Dense column-stochastic matrix with uniform entries: one matrix of :func:`random_stochastic_corpus`."""
+    _check_sizes([n])
     return _checked([rng.random((n, n))], normalise=True)[0]
 
 
@@ -45,6 +47,7 @@ def random_symmetric_corpus(
     exact in floating point. The matrices are checked once per size, as
     ``random_stochastic_corpus``'s are.
     """
+    _check_sizes(sizes)
     drawn = [rng.uniform(0.1, 1.0, (n, n)) for n in sizes]
     for ks in _padded_runs(sizes):
         top = sizes[ks[-1]]
@@ -96,6 +99,7 @@ def random_circulant_corpus(sizes: list[int], rng: np.random.Generator) -> list[
     """Random circulant symmetric matrices of the given sizes, each drawn in
     input order as one ``random_circulant_symmetric`` call draws it, checked
     once per size as ``random_stochastic_corpus``'s are."""
+    _check_sizes(sizes)
     mats = []
     for n in sizes:
         values = rng.uniform(0.1, 1.0, n // 2 + 1)
@@ -113,6 +117,12 @@ def random_stochastic_corpus(count: int, seed: int | np.random.SeedSequence) -> 
     stack."""
     rng = rng_from_seed(seed)
     return _checked([rng.random((2 + k % 7, 2 + k % 7)) for k in range(count)], normalise=True)
+
+
+def _check_sizes(sizes: list[int]) -> None:
+    # before drawing: numpy fails in its own ways on an empty or negative shape
+    if any(n < 1 for n in sizes):
+        raise DimensionMismatchError(f"a transition matrix needs n >= 1, got n={min(sizes)}")
 
 
 def _checked(mats: list[np.ndarray], normalise: bool = False) -> list[TransitionMatrix]:

@@ -48,7 +48,8 @@ DEFAULT_TOL = 1e-8
 # from entries of size one, so its rounding is about N * eps in norm even
 # when every singular value is small (a slow chain); the second term is G's
 # distance from an exactly stochastic matrix, whose null space is the one
-# wanted (family members drift off unit column sums like t_q^2 * eps).
+# wanted (family members drift off unit column sums like t_q * eps, and
+# faster next to D's lam = +-1 lines).
 NULL_C = 8
 # The most nodes one sample_trajectories batch may hold, count * (steps + 1):
 # with its uniform draws that is about 16 bytes a node, 16 MB at the cap

@@ -107,9 +107,9 @@ def circuit_report(c: circuit_mod.CircuitDescription) -> dict:
     """The checks of c: its t_q and t_c, the max deviations of its composed
     walk block from the dense operator's and of its round channel from family
     member t_q, and ``ok``, both below their bounds."""
-    block = circuit_mod.verify_block(c.source, c.t_q)
+    block = circuit_mod.verify_block(c)
     member = family_mod.semiclassical_matrix(c.source, c.t_q, 1)
-    channel = float(np.abs(circuit_mod._round_channel(c) - member.g).max())
+    channel = float(np.abs(circuit_mod.segment_channel(c) - member.g).max())
     return {"t_q": c.t_q, "t_c": c.t_c, "block_deviation": block, "channel_deviation": channel,
             "ok": block < float(BLOCK_BOUND) and channel < float(CHANNEL_BOUND)}
 
@@ -155,9 +155,9 @@ def _fig5() -> dict[str, str]:
 
 
 def _fig9() -> dict[str, str]:
-    g = instances.two_node_chain()
-    c = circuit_mod.build_circuit(g, EXPERIMENT_P0, 1, 2)
-    return circuit_artifacts(c, False, block_deviation=circuit_mod.verify_block(g, 1))
+    # what `semiwalk circuit --tq 1 --tc 2 --p0 0.8,0.2` writes
+    c = circuit_mod.build_circuit(instances.two_node_chain(), EXPERIMENT_P0, 1, 2)
+    return circuit_artifacts(c, False, **circuit_report(c))
 
 
 def _fig10() -> dict[str, str]:

@@ -162,12 +162,13 @@ def two_node_checks() -> list[dict]:
 
 
 def circuit_checks() -> list[dict]:
-    """The two-node circuit's angles, and ``presets.circuit_report`` for t_q = 1, 2, 3 and t_c = 1."""
-    g2 = instances.two_node_chain()
-    alpha, th0, th1 = circuit_mod.prep_angles(g2, presets.EXPERIMENT_P0)
+    """The two-node circuit for t_q = 1, 2, 3 and t_c = 1: its angles, read
+    off the first, and ``presets.circuit_report`` of each."""
+    circuits = [circuit_mod.build_circuit(instances.two_node_chain(), presets.EXPERIMENT_P0, t, 1)
+                for t in (1, 2, 3)]
+    alpha, th0, th1 = circuits[0].alpha, circuits[0].theta0, circuits[0].theta1
     angles_ok = abs(alpha - 0.927) < 5e-4 and abs(th0 - 2.50) < 5e-3 and abs(th1 - 2.21) < 5e-3
-    reports = [presets.circuit_report(circuit_mod.build_circuit(g2, presets.EXPERIMENT_P0, t, 1))
-               for t in (1, 2, 3)]
+    reports = [presets.circuit_report(c) for c in circuits]
     return [_record("circuit-angles", angles_ok, f"alpha={alpha:.4f} theta0={th0:.4f} theta1={th1:.4f}"),
             _below("circuit-block", max(r["block_deviation"] for r in reports), presets.BLOCK_BOUND),
             _below("circuit-channel", max(r["channel_deviation"] for r in reports), presets.CHANNEL_BOUND)]

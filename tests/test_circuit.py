@@ -30,6 +30,10 @@ def _random_two_node(rng):
     return sw.TransitionMatrix(np.array([top, 1.0 - top]))
 
 
+def _one_round(g, t_q):
+    return sw.build_circuit(g, sw.ProbabilityVector.point_mass(2, 0), t_q, 1)
+
+
 def test_prep_angles_experiment_values(two_node, p0_experiment):
     alpha, theta0, theta1 = sw.prep_angles(two_node, p0_experiment)
     assert alpha == pytest.approx(0.9272952180016123, abs=1e-12)
@@ -103,7 +107,7 @@ def test_walk_block_carries_global_phase(two_node):
 
 def test_verify_block_small_deviation(two_node):
     for t in (1, 2, 3):
-        assert sw.verify_block(two_node, t) < 1e-9
+        assert sw.verify_block(_one_round(two_node, t)) < 1e-9
 
 
 def test_verify_block_random_two_node_matrices():
@@ -112,13 +116,12 @@ def test_verify_block_random_two_node_matrices():
     above_one = sw.TransitionMatrix(np.array([[1 + 1e-13, 0.5], [0.0, 0.5]]))
     for g in [_random_two_node(rng) for _ in range(50)] + [above_one]:
         for t in (1, 2, 3):
-            assert sw.verify_block(g, t) < 1e-9
+            assert sw.verify_block(_one_round(g, t)) < 1e-9
 
 
 def test_deviation_empty_gate_list_is_identity():
     assert np.array_equal(compose_gates([]), np.eye(4, dtype=complex))
     assert deviation_up_to_phase(np.eye(4), np.eye(4)) == 0.0
-    assert sw.verify_block(sw.two_node_chain(), 0) == 0.0
 
 
 def test_segment_channel_matches_members(two_node):
@@ -129,7 +132,7 @@ def test_segment_channel_matches_members(two_node):
     for g in mats:
         for t in (1, 2, 3, 5):
             member = sw.semiclassical_matrix(g, t, 1)
-            dev = np.abs(sw.segment_channel(g, t) - member.g).max()
+            dev = np.abs(sw.segment_channel(_one_round(g, t)) - member.g).max()
             assert dev <= 1e-10
 
 
@@ -143,9 +146,9 @@ def test_circuit_command_builds_and_checks_one_circuit(tmp_path, monkeypatch):
         out = tmp_path / f"circuit_{t_q}"
         assert main(["circuit", "--tq", str(t_q), "--tc", str(t_c), "--p0", "0.7,0.3", "--out", str(out)]) == 0
         assert len(built) == 1
-        # the exported circuit's round channel is bitwise segment_channel's
-        channel = circuit._round_channel(built[0])
-        assert np.array_equal(channel, sw.segment_channel(sw.two_node_chain(), t_q))
+        # the round channel depends on neither p0 nor t_c
+        channel = sw.segment_channel(built[0])
+        assert np.array_equal(channel, sw.segment_channel(_one_round(sw.two_node_chain(), t_q)))
         member = sw.semiclassical_matrix(sw.two_node_chain(), t_q, 1)
         report = json.loads((out / "verify.json").read_text())
         assert report["channel_deviation"] == float(np.abs(channel - member.g).max())
@@ -168,6 +171,30 @@ def test_a_deviation_at_its_bound_fails_circuit_and_verify_alike(monkeypatch, bo
     assert checked["passed"] is False
 
 
+@pytest.mark.parametrize("t_q", [1, 2, 3])
+def test_circuit_report_checks_the_exported_block(two_node, p0_experiment, t_q):
+    # a block with theta_0 and theta_1 swapped is not g's walk; the block
+    # check used to recompose the block from c.source and never saw it
+    c = sw.build_circuit(two_node, p0_experiment, t_q, 1)
+    swapped = dataclasses.replace(c, block=sw.walk_block_gates(c.theta1, c.theta0))
+    report = presets.circuit_report(swapped)
+    assert report["block_deviation"] >= float(presets.BLOCK_BOUND)
+    assert report["channel_deviation"] >= float(presets.CHANNEL_BOUND)
+    assert report["ok"] is False
+    assert presets.circuit_report(c)["ok"] is True
+
+
+def test_fig9_is_the_circuit_command(tmp_path):
+    fig9, run = tmp_path / "fig9", tmp_path / "circuit"
+    assert main(["preset", "fig9", "--out", str(fig9)]) == 0
+    assert main(["circuit", "--tq", "1", "--tc", "2", "--p0", "0.8,0.2", "--out", str(run)]) == 0
+    for name in ("circuit.qasm", "gates.json", "verify.json"):
+        assert (fig9 / name).read_bytes() == (run / name).read_bytes()
+    report = json.loads((fig9 / "verify.json").read_text())
+    assert {"t_q": 1, "t_c": 2, "ok": True}.items() <= report.items()
+    assert report["channel_deviation"] < float(presets.CHANNEL_BOUND)
+
+
 def test_simulated_circuit_matches_classical_evolution(two_node, p0_experiment):
     for t_q in (1, 2):
         c = sw.build_circuit(two_node, p0_experiment, t_q, t_c=3)
@@ -184,7 +211,7 @@ def test_simulated_series_is_checked_once(two_node, p0_experiment, monkeypatch):
     dists = sw.simulate_circuit(c)
     assert all(not d.p.flags.writeable and d.p.base is dists[0].p.base for d in dists)
     # a channel that gains mass: the series fails at its worst step, step 4
-    monkeypatch.setattr(circuit, "_round_channel", lambda _: np.array([[1.0, 0.0], [0.01, 1.0]]))
+    monkeypatch.setattr(circuit, "segment_channel", lambda _: np.array([[1.0, 0.0], [0.01, 1.0]]))
     with pytest.raises(sw.NotStochasticError, match="column 4 "):
         sw.simulate_circuit(c)
 

@@ -494,9 +494,6 @@ def _apply(g, steps):
     pytest.param(lambda g: sw.cycle_semiclassical(6, 1.5), "t_q", id="cycle_semiclassical"),
     pytest.param(lambda g: sw.cycle_semiclassical(6, False), "t_q", id="cycle_semiclassical-bool"),
     pytest.param(lambda g: sw.cycle_predictions(7.0), "n", id="cycle_predictions"),
-    # a float used to raise numpy's TypeError, a bool to run as one step
-    pytest.param(lambda g: sw.verify_block(g, 1.5), "t_q", id="verify_block"),
-    pytest.param(lambda g: sw.verify_block(g, True), "t_q", id="verify_block-bool"),
     pytest.param(lambda g: _apply(g, 1.5), "steps", id="apply"),
     pytest.param(lambda g: _apply(g, True), "steps", id="apply-bool"),
     # both used to start at node 1

@@ -203,6 +203,14 @@ def test_circulant_corpus_equals_one_call_per_size_bitwise():
     assert random_circulant_corpus([], rng_from_seed(1)) == []
 
 
+@pytest.mark.parametrize("n", [0, -1])
+@pytest.mark.parametrize("generate", [random_stochastic, random_symmetric_stochastic, random_circulant_symmetric])
+def test_generators_reject_sizes_below_one(generate, n):
+    # n = 0 used to raise ZeroDivisionError or numpy's ValueError
+    with pytest.raises(DimensionMismatchError, match=f"n >= 1, got n={n}$"):
+        generate(n, rng_from_seed(0))
+
+
 def test_stochastic_corpus_equals_one_call_per_matrix_bitwise(monkeypatch):
     # drawn in input order, then normalised and checked one stack per size; a
     # small entry budget splits each size's stack into chunks
