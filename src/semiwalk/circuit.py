@@ -372,10 +372,12 @@ def export_openqasm(c: CircuitDescription, classical_control: bool = False) -> s
         lines.append(f"creg c[{c.t_c + 1}];")
     lines += [_qasm_line(gate, clbit(0)) for gate in c.head]
     if classical_control:
-        # after the reset, two rotations conditioned on the preceding
-        # measurement replace the 4-gate controlled preparation
+        # after the reset, the 4-gate controlled preparation becomes its two
+        # rotations, each conditioned on the preceding measurement: the v-th
+        # controlled-ry when it read v
         prep = [_qasm_line(c.prep[0])]
-        rotations = [_qasm_line(GateOp("ry", target=1, angle=theta)) for theta in (c.theta0, c.theta1)]
+        rotations = [_qasm_line(GateOp("ry", target=1, angle=gate.angle))
+                     for gate in c.prep if gate.kind == "controlled-ry"]
     else:
         prep = ["\n".join(map(_qasm_line, c.prep))]
         rotations = []

@@ -151,31 +151,30 @@ def _start(opts: dict, n: int) -> ProbabilityVector:
 
 
 class _Chunks:
-    """Artifact text made chunk by chunk each time it is read: ``_emit``
+    """Artifact bytes made chunk by chunk each time they are read: ``_emit``
     writes each chunk as it comes, so the whole text is never held;
     ``encode()`` gives it whole, as a str artifact's does."""
 
-    def __init__(self, chunks):  # a callable returning an iterable of str
+    def __init__(self, chunks):  # a callable returning an iterable of bytes
         self._chunks = chunks
 
     def __iter__(self):
         return iter(self._chunks())
 
     def encode(self) -> bytes:
-        return "".join(self).encode()
+        return b"".join(self)
 
 
 def _emit(outdir: Path, subcommand: str, config: dict, artifacts: dict) -> None:
-    """Write each artifact, a str or an iterable of str chunks, and the
+    """Write each artifact, a str or an iterable of bytes chunks, and the
     manifest of their sha256 checksums, each taken as its chunks are written."""
     checksums = {}
     for name, text in artifacts.items():
         digest = hashlib.sha256()
         with open(outdir / name, "wb") as fh:
-            for chunk in [text] if isinstance(text, str) else text:
-                data = chunk.encode()
-                fh.write(data)
-                digest.update(data)
+            for chunk in [text.encode()] if isinstance(text, str) else text:
+                fh.write(chunk)
+                digest.update(chunk)
         checksums[name] = digest.hexdigest()
     manifest = {"subcommand": subcommand, "config": config, "artifacts": checksums,
                 "versions": {"semiwalk": __version__, "numpy": np.__version__}}
@@ -189,7 +188,7 @@ def _emit(outdir: Path, subcommand: str, config: dict, artifacts: dict) -> None:
 def _cmd_family(opts: dict) -> tuple[int, dict]:
     g = _load_matrix(opts)
     fam = family_mod.build_family(g, opts["class"], opts["tq_max"])
-    return 0, {"family.json": _Chunks(lambda: itertools.chain(fam.json_chunks(), ["\n"]))}
+    return 0, {"family.json": _Chunks(lambda: itertools.chain(fam.json_chunks(), [b"\n"]))}
 
 
 def _cmd_cycle(opts: dict) -> tuple[int, dict[str, str]]:

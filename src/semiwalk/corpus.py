@@ -6,7 +6,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError
 from .family import PHASE_BLOCK
-from .graphs import TransitionMatrix, _checked_rows, _circulant, _views
+from .graphs import TransitionMatrix, _check_int, _checked_rows, _circulant, _views
 
 
 def rng_from_seed(seed: int | np.random.SeedSequence) -> np.random.Generator:
@@ -120,7 +120,10 @@ def random_stochastic_corpus(count: int, seed: int | np.random.SeedSequence) -> 
 
 
 def _check_sizes(sizes: list[int]) -> None:
-    # before drawing: numpy fails in its own ways on an empty or negative shape
+    # before drawing: numpy fails in its own ways on a float, an empty or a
+    # negative shape, and takes a bool for 0 or 1
+    for n in sizes:
+        _check_int("n", n)
     if any(n < 1 for n in sizes):
         raise DimensionMismatchError(f"a transition matrix needs n >= 1, got n={min(sizes)}")
 

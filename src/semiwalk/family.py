@@ -106,19 +106,20 @@ class SemiclassicalFamily:
 
     def to_json(self) -> str:
         """JSON array of {"t_q", "matrix_csv"} entries: the chunks of
-        :meth:`json_chunks` joined."""
-        return "".join(self.json_chunks())
+        :meth:`json_chunks` joined and decoded."""
+        return b"".join(self.json_chunks()).decode("ascii")
 
     def json_chunks(self):
-        """The text of :meth:`to_json`, one member per chunk, then the
+        """The ASCII bytes of :meth:`to_json`, one member per chunk, then the
         closing bracket, so the whole text need never be held at once.
         Member t_q's chunk is ``json.dumps({"t_q": t_q, "matrix_csv": csv})``
         with csv the member's ``serialize(..., "csv")``: a CSV needs no JSON
-        escape but its newlines, so its lines are joined with an escaped one.
-        The rows are formatted a block of members at a time."""
-        for t, csv in enumerate(_csv_texts(self.stack, "\\n"), start=1):
-            yield ("[" if t == 1 else ", ") + '{"t_q": %d, "matrix_csv": "%s"}' % (t, csv)
-        yield "]"
+        escape but its newlines, so its lines end with an escaped one.
+        The rows are formatted a block at a time."""
+        for t, pieces in enumerate(_csv_texts(self.stack, b"\\n"), start=1):
+            head = b'%s{"t_q": %d, "matrix_csv": "' % (b"[" if t == 1 else b", ", t)
+            yield b"".join([head, *pieces, b'"}'])
+        yield b"]"
 
 
 def semiclassical_matrix(g: TransitionMatrix, t_q: int, class_tag: int) -> TransitionMatrix:

@@ -10,15 +10,20 @@ Conventions used throughout the package:
   share across threads.
 
 The CSV writers spell each float as ``repr`` does, by the shortest digits
-that read back to it, and ``_csv_rows`` forms them for whole arrays: y = x
-10^(16 - e10) as a double-double, within 2e-14 of its exact value, then the
+that read back to it, and ``_csv_kernel`` forms them for a block of rows at
+once, as ASCII bytes with the offset where each row ends: y = x 10^(16 -
+e10) as a double-double, within 2e-14 of its exact value, then C, the
 multiple of the largest power of ten in x's round-trip interval, the one
 nearest to y where there are two. An entry counts only when each of its
 boundary and tie tests clears a margin of 1e-9, far above that error, so its
 digits are those of the exact arithmetic; every other entry (a boundary, a
 tie, a decade miss, a value outside [2**-900, 2**900), a negative or
 non-finite one) is spelled by ``repr`` itself, and the bytes never rest on
-libm or on the numpy version.
+libm or on the numpy version. Each entry's characters sit in a 32-byte row:
+C's first digit behind its form's "0.000" prefix or before its exponent
+form's '.', C's other 16 digits as four 4-digit quads from one table, the
+exponent suffix and the constants; its text is one template of columns of
+that row, most often a single run, written at its offset in the output.
 """
 
 from __future__ import annotations
@@ -325,26 +330,56 @@ def deserialize(text: str, fmt: str) -> TransitionMatrix:
 
 
 def _to_csv(m: TransitionMatrix) -> str:
-    return next(_csv_texts(m.g[None]))
+    return b"".join(next(_csv_texts(m.g[None]))).decode("ascii")
 
 
-def _csv_texts(stack: np.ndarray, newline: str = "\n"):
+def _csv_texts(stack: np.ndarray, end: bytes = b"\n"):
     """The CSV text of each matrix of a (B, N, N) stack, as ``serialize``
-    writes it, with ``newline`` ending each line; the rows of about
-    ``_CSV_BLOCK`` entries are formatted at a time."""
+    writes it with ``end`` ending each line: a list of ASCII bytes-like
+    pieces per matrix, to be joined. The stack's rows are formatted a block
+    at a time (``_csv_blocks``), and the row-end offsets cut the blocks into
+    matrices: a block may hold several of them, or end inside one."""
     n = stack.shape[-1]
-    head = f"n={n};orientation=column-stochastic"
-    step = max(1, _CSV_BLOCK // (n * n))
-    for lo in range(0, len(stack), step):
-        rows = _csv_rows(stack[lo:lo + step])
-        for k in range(0, len(rows), n):
-            yield newline.join([head, *rows[k:k + n]]) + newline
+    head = b"n=%d;orientation=column-stochastic%s" % (n, end)
+    pieces, taken = [head], 0  # taken: the current matrix's rows in earlier blocks
+    for text, ends in _csv_blocks(stack.reshape(-1, n), end):
+        view, at = memoryview(text), 0
+        for cut in ends[(n - 1 - taken) % n::n].tolist():
+            pieces.append(view[at:cut])
+            yield pieces
+            pieces, at = [head], cut
+        if at < len(text):
+            pieces.append(view[at:])
+        taken = (taken + len(ends)) % n
+
+
+def _csv_rows(a: np.ndarray) -> list[str]:
+    """The CSV rows ``",".join(map(repr, row))`` of a (..., R, C) float64
+    array, in C order, decoded once."""
+    rows = np.reshape(a, (-1, np.shape(a)[-1]))
+    return b"".join(text for text, _ in _csv_blocks(rows, b"\n")).decode("ascii").split("\n")[:-1]
+
+
+def _csv_blocks(rows: np.ndarray, end: bytes):
+    """The CSV rows ``",".join(map(repr, row))`` of an (R, C) float64 array,
+    each ended by ``end``, bitwise, in blocks: (ASCII bytes, the offset in
+    them where each of their rows ends). An array of ``_CSV_MIN`` entries or
+    more goes through ``_csv_kernel``, ``_CSV_BLOCK // C`` rows per call; a
+    smaller one is one block of the repr join."""
+    rows = np.asarray(rows, dtype=float)
+    if rows.size < _CSV_MIN:
+        lines = [",".join(map(repr, row)).encode() + end for row in rows.tolist()]
+        yield b"".join(lines), np.cumsum([len(line) for line in lines], dtype=np.int64)
+        return
+    step = max(1, _CSV_BLOCK // rows.shape[1])
+    for lo in range(0, len(rows), step):
+        yield _csv_kernel(np.ascontiguousarray(rows[lo:lo + step]), end)
 
 
 # --- float CSV rows ------------------------------------------------------------
 
 # Arrays with fewer entries take the repr join whole: below about 400 entries
-# the kernel's hundred-odd numpy calls cost more than the join.
+# the kernel's numpy calls cost more than the join.
 _CSV_MIN = 512
 # Entries per kernel call; its temporaries stay within a few MiB.
 _CSV_BLOCK = 1 << 13
@@ -355,86 +390,90 @@ _CSV_E10 = (-272, 272)
 # Every boundary and tie test of a certified entry clears this margin; the
 # computed y and interval ends are within 2e-14 of the exact ones.
 _CSV_MARGIN = 1e-9
-# C // 10^8 and C % 10^8 scaled to the two-digit pairs of the 17 digits of C
-_CSV_PAIRS = 10.0 ** -np.array([8, 6, 4, 2, 0, 6, 4, 2, 0])[:, None]
-# The columns of a kernel row: a pad and the 17 digits of C, or a fallback's
-# repr in 0..23; the constants '0', '.' and 'e'; the exponent's sign and three
-# digits; the separator; and NULs, which the templates pad with. The width is
-# even, for a uint16 view of the digit pairs.
-_K0, _KDOT, _KE, _KSIGN, _KSEP, _KNUL = 24, 25, 26, 27, 31, 32
-_KWIDTH, _KOUT = 34, 25
-# Groups: 0.0, the fallback, then 2 + 17 * form + (digits - 1). Forms 0..19
-# are fixed notation with the decimal point after digit e10 + 1 (0.000ddd to
-# ddd.0), forms 20..23 d.ddde-XX, e-XXX, e+XX and e+XXX.
-_CSV_ZERO, _CSV_FALLBACK = 0, 1
+# The 32 bytes of an entry's row in the kernel: the head, bytes 0..7, with
+# C's first digit in byte 7 behind the "0.", "0.0", "0.00" or "0.000" of its
+# fixed form, or in byte 6 before the '.' of its exponent form; C's other 16
+# digits in bytes 8..23, as four quads; the exponent's sign and three digits
+# in 24..27; and "0.0e" in 28..31. A fallback's repr fills bytes 0..23.
+_KD, _KSIGN, _K0, _KDOT, _KE = 7, 24, 28, 29, 31
+_KREPR = 24
+# Groups: 0 is 0.0, 1..24 a fallback's repr of that length, then
+# _CSV_NUMERIC + 17 * form + (digits - 1). Forms 0..19 are fixed notation
+# with the decimal point after digit e10 + 1 (0.000ddd to ddd.0), forms
+# 20..23 d.ddde-XX, e-XXX, e+XX and e+XXX.
+_CSV_NUMERIC = 1 + _KREPR
 
 
-def _csv_rows(a: np.ndarray) -> list[str]:
-    """The CSV rows ``",".join(map(repr, row))`` of a (..., R, C) float64
-    array, in C order, bitwise: an array of ``_CSV_MIN`` entries or more
-    goes through ``_csv_kernel``, about ``_CSV_BLOCK`` entries per call."""
-    rows = np.asarray(a, dtype=float).reshape(-1, a.shape[-1])
-    if rows.size < _CSV_MIN:
-        return [",".join(map(repr, row)) for row in rows.tolist()]
-    step = max(1, _CSV_BLOCK // rows.shape[1])
-    out: list[str] = []
-    for lo in range(0, len(rows), step):
-        out += _csv_kernel(np.ascontiguousarray(rows[lo:lo + step])).split("\n")[:-1]
-    return out
+def _csv_kernel(a: np.ndarray, end: bytes) -> tuple[bytes, np.ndarray]:
+    """The CSV rows of a C-contiguous (R, C) float64 array as ASCII bytes,
+    each ended by ``end``, and the offset in them where each row ends: the
+    certified entries from ``_shortest``, 0.0 as itself, and every other
+    entry from ``_reprs``.
 
-
-def _csv_kernel(a: np.ndarray) -> str:
-    """The CSV rows of a C-contiguous (R, C) float64 array, each ended by a
-    newline: the certified entries from ``_shortest``, 0.0 as itself, and
-    every other entry from ``_reprs``. The entries are sorted by group, each
-    group is one column gather of its template into a uint8 matrix, and the
-    NULs the templates pad with are dropped in one pass."""
-    *_, cols = _csv_tables()
+    Each entry's text is its group's template of columns of its 32-byte
+    row, and its offset the cumsum of the texts and separators before it.
+    The entries are sorted by group; each group's texts are one slice of
+    their rows (one column take where the template is no single run), put
+    in place through the group's windows of the output, an array of
+    overlapping items of the text's length."""
+    *_, const, cols, runs, lens = _csv_tables()
     v = a.ravel()
-    n = v.size
+    n, width = v.size, a.shape[1]
     bits = v.view(np.uint64)
     expo = (bits >> np.uint64(52)).astype(np.intp)  # the sign bit puts x < 0 at 2048 and above
     live = (expo >= _CSV_EXPO[0]) & (expo <= _CSV_EXPO[1])  # masked before any arithmetic
-    group = np.where(bits == 0, _CSV_ZERO, _CSV_FALLBACK).astype(np.int16)
-    ext = np.empty((n, _KWIDTH), dtype=np.uint8)
-    ext[:, _K0:_KSIGN] = np.frombuffer(b"0.e", dtype=np.uint8)
-    ext[:, _KSEP] = ord(",")
-    ext[a.shape[1] - 1::a.shape[1], _KSEP] = ord("\n")
-    ext[:, _KNUL] = 0
+    group = (bits == 0).astype(np.int16) - 1  # 0.0 is group 0; -1 marks a fallback
+    ext = np.empty((n, 8), dtype=np.uint32)
+    ext[:, 7] = const
     every = bool(live.all())
     at = slice(None) if every else np.flatnonzero(live)  # a slice copies nothing
     if every or at.size:
-        pairs, suffix, numeric, sure = _shortest(v[at], bits[at], expo[at])
-        ext.view(np.uint16)[at, :9] = pairs
-        ext[at, _KSIGN:_KSIGN + 4] = suffix
-        group[at] = np.where(sure, numeric, _CSV_FALLBACK)
-    fallback = np.flatnonzero(group == _CSV_FALLBACK)
+        head, quads, suffix, numeric, sure = _shortest(v[at], bits[at], expo[at])
+        ext.view(np.uint64)[at, 0] = head
+        ext[at, 2:6] = quads
+        ext[at, 6] = suffix
+        group[at] = np.where(sure, numeric, -1)
+    fallback = np.flatnonzero(group < 0)
     if fallback.size:
-        ext[fallback, :24] = _reprs(v[fallback])
+        text, group[fallback] = _reprs(v[fallback])
+        ext.view(np.uint8)[fallback, :_KREPR] = text
+    # each entry's text and separator: a comma, or end after a row's last entry
+    size = lens.take(group) + 1
+    size[width - 1::width] += len(end) - 1
+    ends = np.cumsum(size)
+    out = np.empty(ends[-1], dtype=np.uint8)
+    out[ends - 1] = ord(",")
+    rows = ends[width - 1::width]
+    for k, byte in enumerate(end):
+        out[rows - len(end) + k] = byte
     order = np.argsort(group, kind="stable")
     groups = group[order]
     bounds = [0, *(np.flatnonzero(np.diff(groups)) + 1).tolist(), n]
-    src = ext.take(order, axis=0)
-    out = np.empty((n, _KOUT), dtype=np.uint8)
+    src = ext.view(np.uint8).take(order, axis=0)
+    starts = (ends - size).take(order)
     for lo, hi in zip(bounds, bounds[1:]):
-        np.take(src[lo:hi], cols[groups[lo]], axis=1, out=out[lo:hi])
-    back = np.empty(n, dtype=np.intp)
-    back[order] = np.arange(n)
-    return out.take(back, axis=0).tobytes().translate(None, b"\0").decode("ascii")
+        g, length, run = groups[lo], lens[groups[lo]], runs[groups[lo]]
+        # a slice of the rows, or a column take, whose rows are C order
+        text = src[lo:hi, run:run + length] if run >= 0 else src[lo:hi].take(cols[g, :length], axis=1)
+        item = np.dtype((np.void, length))
+        # out's text-long windows, one at each offset: the entries' are disjoint
+        windows = np.ndarray((len(out) - length + 1,), dtype=item, buffer=out, strides=(1,))
+        windows[starts[lo:hi]] = text.view(item)[:, 0]
+    return out.tobytes(), rows
 
 
 def _shortest(x: np.ndarray, bits: np.ndarray, expo: np.ndarray):
     """The shortest round-trip digits of each positive float x of 2**-900 <=
-    x < 2**900, with its float bits and their exponent field: C's digit
-    pairs as (len(x), 9) uint16, the exponent suffixes as (len(x), 4) uint8,
-    each entry's group, and whether it is certified."""
-    pow10, first, starts, suffix, pairs, _ = _csv_tables()
-    # the decade e10 of x, and y = x 10^(16 - e10) in [1e16, 1e17) as yh + yl
-    # with yh an integer: Dekker's product of x, split by its bits, with the
-    # double-double power of ten
-    e10 = first.take(expo)
-    e10 += x >= starts.take(e10 + (1 - _CSV_E10[0]))
-    row = e10 - _CSV_E10[0]
+    x < 2**900, with its float bits and their exponent field: each entry's
+    head, uint64; C's other 16 digits as four quads, (len(x), 4) uint32; the
+    exponent suffixes, uint32; each entry's group; and whether it is
+    certified."""
+    pow10, first, ends, form_group, form_head, suffixes, heads, quads, *_ = _csv_tables()
+    # the decade e10 of x, as its row of the tables, and y = x 10^(16 - e10)
+    # in [1e16, 1e17) as yh + yl with yh an integer: Dekker's product of x,
+    # split by its bits, with the double-double power of ten
+    row = first.take(expo)
+    row += x >= ends.take(row)
     p_hi, p_lo, p_top, p_low = (t.take(row) for t in pow10)
     yh = x * p_hi
     top = (bits & np.uint64(2**64 - 2**27)).view(np.float64)
@@ -445,66 +484,83 @@ def _shortest(x: np.ndarray, bits: np.ndarray, expo: np.ndarray):
     half = ((expo - 53) << 52).view(np.float64) * p_hi  # half an ulp of x, times 10^(16 - e10)
     lower = yl - np.where(bits & np.uint64(2**52 - 1), half, 0.5 * half)
     upper = yl + half
-    base = np.where((yh >= 1e16) & (yh < 1e17), yh, 0.0).astype(np.int64)
     lower_int, upper_int = np.ceil(lower), np.floor(upper)
     # certified only where neither end lies within the margin of an integer
-    sure = (base > 0) & (np.abs(lower - lower_int + 0.5) < 0.5 - _CSV_MARGIN)
+    sure = (yh >= 1e16) & (yh < 1e17)
+    sure &= np.abs(lower - lower_int + 0.5) < 0.5 - _CSV_MARGIN
     sure &= np.abs(upper - upper_int - 0.5) < 0.5 - _CSV_MARGIN
-    lo, hi = base + lower_int.astype(np.int64), base + upper_int.astype(np.int64)
-    # C: the multiple of 10^j in [lo, hi] with the largest j, the one nearest
-    # to y where there are several (j = 0 or 1; [lo, hi] spans at most 23)
+    # [lo, hi] and y's integer part yi as offsets from b, the multiple of
+    # 1000 at or below yh: small integers, exact as floats
+    base = yh.astype(np.int64)
+    b = base // 1000 * 1000
+    r = (base - b).astype(np.float64)
+    lo, hi = r + lower_int, r + upper_int
     whole = np.floor(yl)
     frac = yl - whole
-    y_int = base + whole.astype(np.int64)
-    c = y_int + (frac >= 0.5)  # j = 0: the nearest integer is always in [lo, hi]
+    yi = r + whole
+    # C: the multiple of 10^j in [lo, hi] with the largest j, the one nearest
+    # to y where there are several (j = 0 or 1: [lo, hi] spans at most 23).
+    # A quotient of integers is no integer unless it is exact.
+    c = yi + (frac >= 0.5)  # j = 0: the nearest integer is always in [lo, hi]
     tie = np.abs(frac - 0.5) <= _CSV_MARGIN
-    top10 = hi // 10 * 10
+    top10 = np.floor(hi / 10) * 10
     tens = top10 >= lo
-    r10 = y_int - y_int // 10 * 10
-    rem = r10 + frac
-    near10 = y_int - r10 + 10 * (rem >= 5.0)
-    np.copyto(c, np.minimum(np.maximum(near10, -(-lo // 10) * 10), top10), where=tens)
-    np.copyto(tie, np.abs(rem - 5.0) <= _CSV_MARGIN, where=tens)
-    digits = np.where(tens, 16, 17)
-    k = np.flatnonzero(tens)
-    for j in range(2, 17):
-        cand = hi[k] // 10**j * 10**j
-        hit = cand >= lo[k]
-        k = k[hit]
+    near10 = np.floor(yi / 10) * 10
+    rem = (yi - near10) + frac
+    near10 += 10.0 * (rem >= 5.0)
+    c += tens * (np.minimum(np.maximum(near10, np.ceil(lo / 10) * 10), top10) - c)
+    tie = (tie & ~tens) | (tens & (np.abs(rem - 5.0) <= _CSV_MARGIN))
+    top100 = np.floor(hi / 100) * 100  # j = 2: at most one multiple of 100
+    hundreds = top100 >= lo
+    c += hundreds * (top100 - c)
+    tie &= ~hundreds
+    digits = np.subtract(17, tens, dtype=np.int16) - hundreds
+    k = np.flatnonzero(hundreds)  # j >= 3 among them
+    c = b + c.astype(np.int64)
+    lo, hi = b[k] + lo[k].astype(np.int64), b[k] + hi[k].astype(np.int64)
+    for j in range(3, 17):
+        cand = hi // 10**j * 10**j
+        hit = cand >= lo
+        k, lo, hi = k[hit], lo[hit], hi[hit]
         if not k.size:
             break
-        c[k], digits[k], tie[k] = cand[hit], 17 - j, False
+        c[k], digits[k] = cand[hit], 17 - j
     sure &= ~tie & (c >= 10**16) & (c < 10**17)
-    c[~sure] = 10**16
-    # the digits of C, two at a time, exact: floor((m + 1/2) 10^-k) for m < 10^9
-    head = c // 10**8
-    q = np.empty((9, c.size))
-    np.multiply(head + 0.5, _CSV_PAIRS[:5], out=q[:5])
-    np.multiply(c - head * 10**8 + 0.5, _CSV_PAIRS[5:], out=q[5:])
-    np.floor(q, out=q)
-    q[1:5] -= 100 * q[:4]
-    q[6:] -= 100 * q[5:8]
-    form = np.where((e10 >= -4) & (e10 <= 15), e10 + 4, 20 + 2 * (e10 > 0) + (np.abs(e10) >= 100))
-    numeric = (2 + 17 * form + digits - 1).astype(np.int16)
-    return pairs.take(q.astype(np.intp)).T, suffix.take(row, axis=0), numeric, sure
+    # C's first digit, and its other 16 as four quads; an uncertified C may
+    # have other lengths, and its head index is clipped
+    lead = c // 10**16
+    rest = c - lead * 10**16
+    m = np.empty((2, c.size), dtype=np.int64)
+    m[0] = rest // 10**8
+    m[1] = rest - m[0] * 10**8
+    q = np.empty((4, c.size), dtype=np.intp)
+    q[0::2] = m // 10**4
+    q[1::2] = m - q[0::2] * 10**4
+    head = heads.take(form_head.take(row) + lead, mode="clip")
+    return head, quads.take(q).T, suffixes.take(row), form_group.take(row) + digits, sure
 
 
-def _reprs(x: np.ndarray) -> np.ndarray:
+def _reprs(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``repr`` of each float of ``x`` as a NUL-padded (len(x), 24) uint8
-    array: the kernel's fallback."""
-    return np.array([repr(f) for f in x.tolist()], dtype="S24").view(np.uint8).reshape(-1, 24)
+    array, and the length of each: the kernel's fallback."""
+    texts = [repr(f) for f in x.tolist()]
+    return (np.array(texts, dtype=f"S{_KREPR}").view(np.uint8).reshape(-1, _KREPR),
+            np.fromiter(map(len, texts), dtype=np.int16, count=len(texts)))
 
 
 @functools.cache
 def _csv_tables():
     """The kernel's read-only tables, built on first use: for each decade e10
     the double-double 10^(16 - e10), with its high part split in two 26-bit
-    halves; the first decade of each binary exponent field; the power of ten
-    that starts each decade; each decade's exponent suffix; the digit pairs;
-    and each group's column template."""
-    decades = range(_CSV_E10[0], _CSV_E10[1] + 1)
-    pow10 = np.empty((4, len(decades)))
-    for k, e10 in enumerate(decades):
+    halves; the row of the first decade of each binary exponent field; the
+    power of ten that ends each decade; each decade's form group (its group
+    less the digits), its form's first head, and its exponent suffix; the
+    head of each form and first digit; the quads '0000' to '9999'; the
+    constant word; and each group's template: its columns, the first of
+    them where they are a single run, and their count."""
+    decades = np.arange(_CSV_E10[0], _CSV_E10[1] + 1)
+    pow10 = []
+    for e10 in decades.tolist():
         p = 16 - e10
         if p >= 0:
             hi = float(10**p)  # an int converts to the nearest float
@@ -515,31 +571,47 @@ def _csv_tables():
             lo = (den - num * 10**-p) / (den * 10**-p)
         c = 134217729.0 * hi  # Veltkamp's split by 2^27 + 1
         top = c - (c - hi)
-        pow10[:, k] = hi, lo, top, hi - top
-    first = np.floor((np.arange(2048) - 1023) * math.log10(2)).astype(np.intp)  # a miss falls back
-    starts = np.array([10.0**k if k >= 0 else 1 / 10**-k for k in range(_CSV_E10[0], _CSV_E10[1] + 2)])
-    suffix = np.array([f"{e:+04d}".encode() for e in decades], dtype="S4").view(np.uint8).reshape(-1, 4)
-    pairs = np.array([f"{k:02d}".encode() for k in range(100)], dtype="S2").view(np.uint16)
-    cols = np.full((2 + 24 * 17, _KOUT), _KNUL, dtype=np.intp)
-    cols[_CSV_ZERO, :4] = _K0, _KDOT, _K0, _KSEP
-    cols[_CSV_FALLBACK] = [*range(24), _KSEP]
-    for form in range(24):
+        pow10.append((hi, lo, top, hi - top))
+    # a decade miss falls back
+    first = (np.floor((np.arange(2048) - 1023) * math.log10(2)) - _CSV_E10[0]).astype(np.intp)
+    ends = np.array([10.0**k if k >= 0 else 1 / 10**-k for k in range(_CSV_E10[0] + 1, _CSV_E10[1] + 2)])
+    form = np.where((decades >= -4) & (decades <= 15), decades + 4,
+                    20 + 2 * (decades > 0) + (np.abs(decades) >= 100))
+    suffixes = np.empty((len(decades), 4), dtype=np.uint8)
+    suffixes[:, 0] = np.where(decades < 0, ord("-"), ord("+"))
+    suffixes[:, 1:] = np.abs(decades)[:, None] // np.array([100, 10, 1]) % 10 + ord("0")
+    heads = np.zeros((24, 10, 8), dtype=np.uint8)
+    heads[:, :, _KD] = np.arange(10) + ord("0")
+    for f in range(4):  # 0.000d to 0.d
+        prefix = np.frombuffer(b"0.000"[:5 - f], dtype=np.uint8)
+        heads[f, :, _KD - len(prefix):_KD] = prefix
+    heads[20:, :, _KD - 1] = heads[20:, :, _KD]  # d.
+    heads[20:, :, _KD] = ord(".")
+    digit = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+    quads = np.stack(np.meshgrid(digit, digit, digit, digit, indexing="ij"), axis=-1)  # 0000 to 9999
+    templates = [list(range(_K0, _K0 + 3)), *(list(range(length)) for length in range(1, _KREPR + 1))]
+    for f in range(24):
         for nd in range(1, 18):
-            d = list(range(1, nd + 1))  # the digits of C sit in columns 1..17
-            if form < 20:
-                dp = form - 3
-                if dp <= 0:
-                    seq = [_K0, _KDOT] + [_K0] * -dp + d
-                elif dp < nd:
-                    seq = d[:dp] + [_KDOT] + d[dp:]
-                else:
-                    seq = list(range(1, dp + 1)) + [_KDOT, _K0]
+            d = list(range(_KD, _KD + nd))
+            dp = f - 3  # digits before the point, in a fixed form
+            if f < 20 and dp <= 0:
+                seq = list(range(_KD - 2 + dp, _KD)) + d  # the head's 0.000 to 0.
+            elif f < 20:
+                seq = d[:dp] + [_KDOT] + d[dp:] if dp < nd else list(range(_KD, _KD + dp)) + [_KDOT, _K0]
             else:
-                seq = [1] + ([_KDOT] + d[1:] if nd > 1 else []) + [_KE, _KSIGN]
-                seq += [_KSIGN + 1, _KSIGN + 2, _KSIGN + 3] if form % 2 else [_KSIGN + 2, _KSIGN + 3]
-            cols[2 + 17 * form + nd - 1, :len(seq) + 1] = seq + [_KSEP]
-    tables = pow10, first, starts, suffix, pairs, cols
-    for t in tables:
+                seq = [_KD - 1] + (d if nd > 1 else [])  # the head's d. or d
+                seq += [_KE, _KSIGN] + ([_KSIGN + 1] if f % 2 else []) + [_KSIGN + 2, _KSIGN + 3]
+            templates.append(seq)
+    lens = np.array([len(seq) for seq in templates])
+    cols = np.array([seq + [0] * (_KREPR - len(seq)) for seq in templates], dtype=np.intp)
+    # the first column of each template that is a single run, -1 for the rest
+    run = (cols[:, 1:] - cols[:, :-1] == 1) | (np.arange(1, _KREPR) >= lens[:, None])
+    runs = np.where(run.all(axis=1), cols[:, 0], -1)
+    tables = (np.array(pow10).T.copy(), first, ends, (_CSV_NUMERIC - 1 + 17 * form).astype(np.int16),
+              10 * form, suffixes.view(np.uint32).ravel(), heads.view(np.uint64).ravel(),
+              quads.reshape(-1, 4).view(np.uint32).ravel(), np.frombuffer(b"0.0e", dtype=np.uint32)[0],
+              cols, runs, lens)
+    for t in (*tables[:8], *tables[9:]):
         t.setflags(write=False)
     return tables
 

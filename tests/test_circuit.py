@@ -330,6 +330,17 @@ def test_export_classical_control_variant(two_node, p0_experiment):
     assert "cry(" not in text
 
 
+def test_classical_control_export_reads_the_prep_gates(two_node, p0_experiment):
+    # the conditioned rotations are prep's controlled-ry gates, the ones the
+    # channel check runs, not the theta fields beside them
+    c = sw.build_circuit(two_node, p0_experiment, 2, 3)
+    text = sw.export_openqasm(c, classical_control=True)
+    stale = dataclasses.replace(c, theta0=0.25, theta1=0.5)
+    assert sw.export_openqasm(stale, classical_control=True) == text
+    lines = [f"if(c0=={v}) ry({gate.angle:.12g}) q[1];" for v, gate in enumerate(c.prep[2::2])]
+    assert all(line in text.splitlines() for line in lines)
+
+
 def _flat_openqasm(c, classical_control=False):
     """Reference: the exporter that walks the flat gate list one gate at a time."""
     lines = ["OPENQASM 2.0;", 'include "qelib1.inc";', "qreg q[2];"]

@@ -188,6 +188,20 @@ def test_manifest_checksums_match(tmp_path):
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
 
 
+def test_family_manifest_checksum_is_the_written_bytes(tmp_path):
+    # family.json is written and hashed chunk by chunk, in bytes; at N = 100 a
+    # kernel call ends inside a member
+    graph = tmp_path / "random_100.csv"
+    graph.write_text(sw.serialize(random_stochastic(100, np.random.default_rng(100)), "csv"))
+    out = tmp_path / "out"
+    assert main(["family", "--input", str(graph), "--tq-max", "5", "--out", str(out)]) == 0
+    data = (out / "family.json").read_bytes()
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["artifacts"]["family.json"] == hashlib.sha256(data).hexdigest()
+    fam = sw.build_family(sw.deserialize(graph.read_text(), "csv"), 1, 5)
+    assert data == (fam.to_json() + "\n").encode()
+
+
 def test_rank_runs_are_byte_identical(tmp_path):
     graph = _write_hub(tmp_path)
     args = ["rank", "--input", str(graph), "--tq-max", "5"]

@@ -430,7 +430,7 @@ def test_period_searches_compare_members_past_their_column_zero():
 def test_family_json_export_round_trips(two_node):
     fam = sw.build_family(two_node, 1, 3)
     chunks = list(fam.json_chunks())  # one member per chunk, then the bracket
-    assert len(chunks) == 4 and chunks[-1] == "]" and "".join(chunks) == fam.to_json()
+    assert len(chunks) == 4 and chunks[-1] == b"]" and b"".join(chunks).decode() == fam.to_json()
     doc = json.loads(fam.to_json())
     assert [entry["t_q"] for entry in doc] == [1, 2, 3]
     for entry in doc:

@@ -20,7 +20,7 @@ from semiwalk.corpus import (
     random_symmetric_stochastic,
     rng_from_seed,
 )
-from semiwalk import corpus, graphs
+from semiwalk import corpus, dynamics, graphs, presets
 from semiwalk.errors import (
     DanglingNodeError,
     DimensionMismatchError,
@@ -211,6 +211,15 @@ def test_generators_reject_sizes_below_one(generate, n):
         generate(n, rng_from_seed(0))
 
 
+@pytest.mark.parametrize("generate, n", [(random_circulant_symmetric, True), (random_stochastic, True),
+                                         (random_stochastic, 2.0), (random_symmetric_stochastic, 2.5),
+                                         (random_circulant_symmetric, 2.0)])
+def test_generators_reject_bool_and_float_sizes(generate, n):
+    # a bool drew a 1 x 1 matrix, a float raised numpy's TypeError
+    with pytest.raises(ValueError, match="n must be an integer"):
+        generate(n, rng_from_seed(0))
+
+
 def test_stochastic_corpus_equals_one_call_per_matrix_bitwise(monkeypatch):
     # drawn in input order, then normalised and checked one stack per size; a
     # small entry budget splits each size's stack into chunks
@@ -308,8 +317,46 @@ def test_csv_and_dot_bytes_match_elementwise_reference(hub):
         assert fam.to_json() == _reference_family_json(fam)
 
 
+@pytest.mark.parametrize("n", [2, 3, 33, 90, 91, 100, 128])
+def test_float_csv_blocks_are_cut_at_member_ends(n):
+    # the kernel formats the stack's rows about graphs._CSV_BLOCK entries per
+    # call, and the row ends cut the calls into members: at N = 33 a call
+    # holds 7 members, at N = 90, 91 and 100 calls end inside one; the repr
+    # join is the oracle, for family.json, serialize and evolve_csv
+    g = random_stochastic(n, rng_from_seed(300 + n))
+    p0 = sw.ProbabilityVector.uniform(n)
+    for class_tag in (1, 2):
+        fam = sw.build_family(g, class_tag, 8)
+        assert fam.to_json() == _reference_family_json(fam)
+        for m in (fam.member(1), fam.member(8)):
+            assert sw.serialize(m, "csv") == _reference_csv(m)
+        steps = max(30, 1000 // n)  # past the kernel's crossover at every n
+        rows = [",".join(map(repr, row)) for row in dynamics._series(fam.member(3).g, p0.p, steps).tolist()]
+        header = "t," + ",".join(f"node{i}" for i in range(n))
+        want = "\n".join([header, *(f"{t},{row}" for t, row in enumerate(rows))]) + "\n"
+        assert presets.evolve_csv(fam.member(3), p0, steps) == want
+
+
+def test_float_csv_block_of_two_thousand_members():
+    # the two-node chain's 3000 members: a kernel call of graphs._CSV_BLOCK
+    # entries holds 2048 of them
+    fam = sw.build_family(sw.two_node_chain(), 1, 3000)
+    assert fam.to_json() == _reference_family_json(fam)
+
+
 def _reference_rows(a):
     return "".join(",".join(repr(float(v)) for v in row) + "\n" for row in a)
+
+
+def _kernel_matches_repr(a):
+    # the kernel's bytes are the repr rows, each ended by the terminator
+    # passed in, and its offsets are where they end
+    for end in (b"\n", b"\\n"):
+        rows = [",".join(repr(float(v)) for v in row).encode() + end for row in a]
+        text, ends = graphs._csv_kernel(a, end)
+        if text != b"".join(rows) or ends.tolist() != np.cumsum([len(row) for row in rows]).tolist():
+            return False
+    return True
 
 
 _FLOATS = st.one_of(st.floats(allow_nan=False, allow_infinity=False),  # negatives, -0.0, subnormals, max
@@ -322,7 +369,7 @@ def test_csv_kernel_spells_every_finite_float_as_repr(values, width):
     # the kernel alone at any size, and _csv_rows on the values repeated past
     # the crossover; repr is the oracle
     a = np.resize(np.array(values), (-(-len(values) // width), width))
-    assert graphs._csv_kernel(a) == _reference_rows(a)
+    assert _kernel_matches_repr(a)
     big = np.resize(a, (-(-graphs._CSV_MIN // width), width))
     assert "".join(row + "\n" for row in graphs._csv_rows(big)) == _reference_rows(big)
 
@@ -348,11 +395,11 @@ def test_csv_kernel_edge_values_match_repr():
     values = _edge_values()
     assert all(float(repr(v)) == v for v in values.tolist())
     for a in (values[:, None], np.resize(values, (-(-values.size // 7), 7))):
-        assert graphs._csv_kernel(a) == _reference_rows(a)
+        assert _kernel_matches_repr(a)
         assert "".join(row + "\n" for row in graphs._csv_rows(a)) == _reference_rows(a)
     for a in (-values, np.nextafter(values, 0), np.nextafter(values[values < 1e308], np.inf)):
         a = a[np.isfinite(a)][:, None]
-        assert graphs._csv_kernel(a) == _reference_rows(a)
+        assert _kernel_matches_repr(a)
 
 
 def test_csv_rows_match_repr_on_a_million_bit_patterns():
@@ -376,7 +423,7 @@ def test_csv_kernel_certifies_every_entry_of_a_random_member(monkeypatch):
         assert sw.serialize(m, "csv") == _reference_csv(m)
     assert reprs == []
     negative = -member.g
-    assert graphs._csv_kernel(negative) == _reference_rows(negative)
+    assert graphs._csv_kernel(negative, b"\n")[0] == _reference_rows(negative).encode()
     assert reprs == [128 * 128]
 
 
