@@ -15,6 +15,14 @@ the class structure decides which of the two modes, "converged" or
 "cesaro", applies. Both are read off the support graph's reachability
 closure, ``graphs._reach``.
 
+Every limit comes from one stacked path, ``_limits``, which takes a
+(T, N, N) stack of members LIMIT_BLOCK entries at a time: one batched
+residual of p0 picks out the members that already fix it, one closure of the
+stack the strongly connected ones, which share one batched LU solve, and
+only the members that need them get the SVD projector or a period search.
+``rank_family`` passes a family's stack and ``limiting_distribution`` a stack
+of one, so a member's limit has the same bits either way.
+
 Node ranking follows the family-averaging scheme: for every quantum time the
 member's limiting distribution is computed from a uniform start, and the
 average over quantum times orders the nodes. Symmetric inputs make every
@@ -31,7 +39,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, IndexOutOfRangeError, RankFailedError, TooLargeError
 from .graphs import (SUPPORT_TOL, ProbabilityVector, TransitionMatrix, _check_int, _check_tol, _levels,
-                     _reach, validate)
+                     _reach, _views, validate)
 from .family import SemiclassicalFamily, build_family
 
 CONVERGED = "converged"
@@ -41,8 +49,11 @@ FAILED = "failed"
 SOLVE = "solve"
 SVD = "svd"
 FIXED = "fixed"
+_METHODS = np.array([FIXED, SOLVE, SVD], dtype=object)
+_PRODUCTS = np.array([1, 2, 2])  # products with G each method takes
 
 DEFAULT_TOL = 1e-8
+_EPS = np.finfo(float).eps
 # A singular value of I - G counts as zero at or below
 # NULL_C * N * eps * max(sigma_max, 1) + ||1^T (I - G)||_2. I - G is formed
 # from entries of size one, so its rounding is about N * eps in norm even
@@ -58,6 +69,12 @@ MAX_SAMPLES = 1_000_000
 # Entries in the (rows, N) comparison a sampler step makes at once (8 MB of
 # gathered float64 cumulative sums).
 SAMPLE_BLOCK = 1 << 20
+# Entries of the (k, N, N) member blocks _limits takes at once: each array it
+# forms from a block is at most 1 MB of float64. Measured on rank_family, 2**16
+# to 2**19 run as fast (2**16 is slower at N = 64, T = 20), and larger
+# blocks only raise the peak: at N = 128, T = 1000 it is 3.2 MB at 2**17,
+# 6.5 MB at 2**19 and 166 MB with the whole stack as one block.
+LIMIT_BLOCK = 1 << 17
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,55 +139,104 @@ def limiting_distribution(
     other than 1, so the iterates cycle and only their running average tends
     to x; else "converged". ``max_iter`` is accepted for callers of the
     earlier power iteration and ignored.
+
+    This is the one-member case of the stacked path ``rank_family`` takes
+    (``_limits``): m is a stack of one, and x its one row.
     """
-    _check_tol(tol)
     if p0 is None:
         p0 = ProbabilityVector.uniform(m.n)
-    elif p0.n != m.n:
-        raise DimensionMismatchError(f"p0 has n={p0.n}, matrix has n={m.n}")
-    g = m.g
-    residual = float(np.abs(g @ p0.p - p0.p).sum())
-    if residual <= NULL_C * m.n * np.finfo(float).eps:
+    x, modes, methods, residuals, iterations = _limits(m.g[None], p0, tol)
+    return LimitResult(_views(ProbabilityVector, x)[0], modes[0], iterations[0], residuals[0], methods[0])
+
+
+def _limits(stack: np.ndarray, p0: ProbabilityVector, tol: float):
+    """The limit from p0 of each member of a (T, N, N) stack, each found as
+    ``limiting_distribution`` finds it, with the same bits.
+
+    Returns (x, modes, methods, residuals, iterations): x the read-only
+    (T, N) array of the limits, checked once, and one list entry per member
+    for the rest. The members are taken LIMIT_BLOCK entries at a time. Per
+    block: one batched residual of p0 finds the fixed members, whose row
+    stays p0; one stacked closure ``_reach`` of the supports, a fixed
+    member's read as complete; one batched LU solve for the strongly
+    connected moving members; the SVD projector for the other moving ones;
+    and ``_period`` only for the members with a node that has no edge to
+    itself, as every other member is aperiodic.
+    """
+    _check_tol(tol)
+    t, n = stack.shape[:2]
+    if p0.n != n:
+        raise DimensionMismatchError(f"p0 has n={p0.n}, matrix has n={n}")
+    p = p0.p
+    x = np.empty((t, n))
+    x[:] = p  # every row starts as p0, the limit of a fixed member
+    residual = np.empty(t)
+    method = np.empty(t, dtype=np.intp)  # indexes _METHODS: 0 fixed, 1 solve, 2 svd
+    periodic = {}  # member: (products beyond 2, whether its mode is Cesaro)
+    step = max(1, LIMIT_BLOCK // (n * n))
+    for lo in range(0, t, step):
+        g, xb = stack[lo:lo + step], x[lo:lo + step]
         # p0 is a fixed point to rounding, so it is its own limit; a solve
         # would return it only to that rounding, and break p0's exact ties
-        return LimitResult(p0, CONVERGED, 1, residual, FIXED)
-    edges = g > SUPPORT_TOL  # edges[j, i]: i -> j
-    reach = _reach(edges)
-    if reach.all():
-        x, method = _stationary(g), SOLVE
-    else:
-        x, method = _cesaro_limit(g, p0.p), SVD
-    x = np.maximum(x, 0.0)
-    x /= x.sum()
-    residual = float(np.abs(g @ x - x).sum())
-    products = 2
-    mode = CONVERGED
-    d = _period(edges, reach)
-    if d > 1:
-        # G^d has 1 as its only peripheral eigenvalue, so its iterates from p0
-        # converge; they tend to x exactly when p0 has no weight on the other
-        # peripheral eigenvalues of G (G^d of a periodic chain is reducible)
-        products += d.bit_length() + bin(d).count("1") - 2
-        y = _cesaro_limit(np.linalg.matrix_power(g, d), p0.p)
-        if np.abs(y - x).sum() > tol:
-            mode = CESARO
-    if not residual <= tol:
-        mode = FAILED
-    return LimitResult(ProbabilityVector(x), mode, products, residual, method)
+        live = np.abs(g @ p - p).sum(axis=-1) > NULL_C * n * _EPS
+        # edges[k, j, i]: i -> j; a fixed member reads as complete, so its
+        # closure costs no product and it has no period to find
+        edges = g > SUPPORT_TOL
+        edges[~live] = True
+        reach = _reach(edges)
+        complete = reach.all(axis=(-2, -1))
+        svd = live & ~complete
+        np.add(live, svd, out=method[lo:lo + step], dtype=np.intp)
+        solve = live & complete
+        solve = slice(None) if solve.all() else solve.nonzero()[0]  # a slice copies nothing
+        xb[solve] = _clipped(_stationary(g[solve]))
+        for k in svd.nonzero()[0]:
+            xb[k] = _clipped(_cesaro_limit(g[k], p))
+        # a fixed member's row is p0, so this is its residual above
+        residual[lo:lo + step] = np.abs((g @ xb[..., None])[..., 0] - xb).sum(axis=-1)
+        for k in (~edges.diagonal(0, -2, -1).all(axis=-1)).nonzero()[0]:
+            d = _period(edges[k], reach[k])
+            if d > 1:
+                # G^d has 1 as its only peripheral eigenvalue, so its iterates
+                # from p0 converge; they tend to x exactly when p0 has no weight
+                # on the other peripheral eigenvalues of G (G^d of a periodic
+                # chain is reducible)
+                y = _cesaro_limit(np.linalg.matrix_power(g[k], d), p)
+                periodic[lo + k] = (d.bit_length() + bin(d).count("1") - 2, np.abs(y - xb[k]).sum() > tol)
+    x.setflags(write=False)
+    validate(x.T)
+    modes, products = [CONVERGED] * t, _PRODUCTS[method].tolist()
+    for k, (extra, cesaro) in periodic.items():
+        products[k] += extra
+        if cesaro:
+            modes[k] = CESARO
+    for k in (residual > tol).nonzero()[0]:  # x is finite, and so is each residual
+        if method[k]:  # a fixed p0 never fails
+            modes[k] = FAILED
+    return x, modes, _METHODS[method].tolist(), residual.tolist(), products
+
+
+def _clipped(x: np.ndarray) -> np.ndarray:
+    """x, or each row of x, clipped at 0 and renormalised, in place."""
+    np.maximum(x, 0.0, out=x)
+    x /= x.sum(axis=-1, keepdims=True)
+    return x
 
 
 def _stationary(g: np.ndarray) -> np.ndarray:
-    """The stationary vector pi of a g with one closed class spanning all nodes.
+    """The stationary vector pi of each matrix of a (k, N, N) stack g with one
+    closed class spanning all nodes, as a (k, N) array.
 
     ker(I - g) is then span{pi}, and the rows of I - g sum to zero, so the
     last row is a combination of the others: replacing it by 1^T leaves a
-    nonsingular system whose solution with right-hand side e_N is pi.
+    nonsingular system whose solution with right-hand side e_N is pi. That
+    right-hand side is one (1, N, 1) stack, broadcast over the k systems: a
+    1-D or 2-D one would be read differently by numpy 1.x and 2.x.
     """
-    a = np.eye(len(g)) - g
-    a[-1] = 1.0
-    b = np.zeros(len(g))
-    b[-1] = 1.0
-    return np.linalg.solve(a, b)
+    eye = np.eye(g.shape[-1])[None]
+    a = eye - g
+    a[:, -1] = 1.0
+    return np.linalg.solve(a, eye[..., -1:])[..., 0]
 
 
 def _cesaro_limit(g: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -184,7 +250,7 @@ def _cesaro_limit(g: np.ndarray, p: np.ndarray) -> np.ndarray:
     n = len(g)
     a = np.eye(n) - g
     u, s, vt = np.linalg.svd(a)
-    cut = NULL_C * n * np.finfo(float).eps * max(s[0], 1.0) + np.linalg.norm(a.sum(axis=0))
+    cut = NULL_C * n * _EPS * max(s[0], 1.0) + np.linalg.norm(a.sum(axis=0))
     k = max(1, int((s <= cut).sum()))
     right, left = vt[-k:].T, u[:, -k:]
     return right @ np.linalg.solve(left.T @ right, left.T @ p)
@@ -197,11 +263,8 @@ def _period(edges: np.ndarray, reach: np.ndarray) -> int:
     A strong component is a closed class when everything reachable from it
     lies inside it. Its period is the gcd of level(i) + 1 - level(j) over its
     edges i -> j, with the levels of one breadth-first search from its lowest
-    node, so an edge i -> i makes it aperiodic; when every node has one
-    (every dense member) there is nothing to search.
+    node, so an edge i -> i makes it aperiodic.
     """
-    if np.diagonal(edges).all():
-        return 1
     mutual = reach & reach.T  # column i: i's component
     # the lowest node of each component that reaches nothing outside itself
     roots = ~(reach > mutual).any(axis=0) & (mutual.argmax(axis=0) == np.arange(len(edges)))
@@ -228,33 +291,32 @@ def rank_family(
 ) -> RankingResult:
     """Average the members' limiting distributions and order the nodes.
 
-    Ties in the final average break toward the lower node index so rankings
-    are reproducible. Raises RankFailedError if a member's limit has a
-    residual ||G x - x||_1 above ``tol``.
+    The limits are those of ``limiting_distribution``, bit for bit, taken
+    over ``family.stack`` in one stacked pass (``_limits``) rather than one
+    call per member. Ties in the final average break toward the lower node
+    index so rankings are reproducible. Raises RankFailedError, naming the
+    lowest such t_q, if a member's limit has a residual ||G x - x||_1 above
+    ``tol``.
 
     Class 2 adds nothing: its member 1 is I, whose limit is p0, and member
     t + 1 is class-1 member t, so its average over T members is (p0 + (T - 1)
     avg_1(T - 1)) / T, which from a uniform p0 orders the nodes as avg_1(T - 1).
     """
-    n = family.source.n
     if p0 is None:
-        p0 = ProbabilityVector.uniform(n)
-    results = []
-    for t, member in enumerate(family.members, start=1):
-        res = limiting_distribution(member, p0, tol=tol)
-        if res.mode == FAILED:
-            raise RankFailedError(f"member t_q={t} limit has residual {res.residual:.3e} > tol {tol:g}")
-        results.append(res)
-    stacked = np.stack([r.distribution.p for r in results])
-    running = np.cumsum(stacked, axis=0) / np.arange(1, len(results) + 1)[:, None]
+        p0 = ProbabilityVector.uniform(family.source.n)
+    x, modes, methods, residuals, _ = _limits(family.stack, p0, tol)
+    if FAILED in modes:
+        t = modes.index(FAILED)
+        raise RankFailedError(f"member t_q={t + 1} limit has residual {residuals[t]:.3e} > tol {tol:g}")
+    running = np.cumsum(x, axis=0) / np.arange(1, len(x) + 1)[:, None]
     running.setflags(write=False)
     final = ProbabilityVector(running[-1])
-    ordering = tuple(sorted(range(n), key=lambda i: (-final.p[i], i)))
+    ordering = tuple(sorted(range(len(final.p)), key=lambda i: (-final.p[i], i)))
     return RankingResult(
-        limits=tuple(r.distribution for r in results),
-        modes=tuple(r.mode for r in results),
-        methods=tuple(r.method for r in results),
-        residuals=tuple(r.residual for r in results),
+        limits=tuple(_views(ProbabilityVector, x)),
+        modes=tuple(modes),
+        methods=tuple(methods),
+        residuals=tuple(residuals),
         running_averages=running,
         final_average=final,
         ordering=ordering,

@@ -163,19 +163,25 @@ def _checked_rows(sizes: list[int], budget: int, entries, make) -> list[np.ndarr
 
 
 def _reach(edges: np.ndarray) -> np.ndarray:
-    """Reachability closure of a support digraph: r[j, i] is whether j is
-    reachable from i in zero or more steps along edges[j, i]: i -> j.
+    """Reachability closure of a support digraph, or of each digraph of a
+    (..., N, N) stack: r[j, i] is whether j is reachable from i in zero or
+    more steps along edges[j, i]: i -> j.
 
-    Squares edges | I until nothing changes, each step one float64 product:
+    Squares edges | I until nothing changes, each step one float64 product
+    for each digraph whose closure is still incomplete and still changing:
     its entries count paths, at most N, so they are exact. A complete graph
     is its own closure, with no product.
     """
-    r = edges | np.eye(len(edges), dtype=bool)
-    while not r.all():
-        nxt = r.astype(float) @ r.astype(float) > 0
-        if (nxt == r).all():
-            break
-        r = nxt
+    n = edges.shape[-1]
+    r = edges | np.eye(n, dtype=bool)
+    flat = r.reshape(-1, n, n)  # a view: r is a new array
+    todo = (~flat.all(axis=(-2, -1))).nonzero()[0]
+    while todo.size:
+        old = flat[todo]
+        f = old.astype(float)
+        nxt = f @ f > 0
+        flat[todo] = nxt
+        todo = todo[(nxt != old).any(axis=(-2, -1)) & ~nxt.all(axis=(-2, -1))]
     return r
 
 
@@ -285,7 +291,7 @@ def validate(m: TransitionMatrix | np.ndarray) -> None:
     if g.min() < 0:
         raise NegativeWeightError("probabilities must be nonnegative")
     dev = np.abs(sums - 1.0).ravel()
-    worst = int(np.argmax(dev))
+    worst = int(dev.argmax())
     if dev[worst] > STOCHASTIC_TOL:
         raise NotStochasticError(worst, float(dev[worst]))
 

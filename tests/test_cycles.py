@@ -231,6 +231,23 @@ def test_reach_matches_closure_oracles():
     assert seen == {True, False}
 
 
+@pytest.mark.parametrize("n", [1, 2, 5, 12, 40])
+def test_stacked_reach_matches_each_member(n):
+    # one stack mixes members complete from the start or after some squarings
+    # with members whose closure stays incomplete
+    rng = rng_from_seed(167 + n)
+    edges = rng.random((30, n, n)) < rng.choice([0.0, 0.02, 0.1, 0.4, 1.0], size=(30, 1, 1))
+    stack = _reach(edges)
+    assert stack.dtype == bool and stack.shape == edges.shape
+    for e, r in zip(edges, stack):
+        assert np.array_equal(r, _reach(e)) and np.array_equal(r, closure_by_squaring(e)), e
+    complete = stack.all(axis=(-2, -1))
+    assert complete.any() and (n == 1 or not complete.all())
+    # any leading shape, and a stack of none
+    assert np.array_equal(_reach(edges.reshape(5, 6, n, n)), stack.reshape(5, 6, n, n))
+    assert _reach(edges[:0]).shape == (0, n, n)
+
+
 @pytest.mark.parametrize("n", [64, 128, 200])
 def test_reach_on_large_cycle_members(n):
     for t in (1, 2, n // 4, n // 2, n):

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from collections import deque
 
 import numpy as np
@@ -303,6 +304,117 @@ def test_rank_running_average_shape(hub):
     )
 
 
+def _run_set_inputs() -> dict[str, sw.TransitionMatrix]:
+    """The weighted 6-cycle and the two closed 3-blocks of .github/run_set.sh."""
+    w = np.array([0.3, 0.6, 0.5, 0.2, 0.7, 0.4])
+    cycle_6 = sw.TransitionMatrix(np.roll(np.diag(w), 1, axis=0) + np.roll(np.diag(1 - w), -1, axis=0))
+    rng = np.random.default_rng(6)
+    a, b, z = random_stochastic(3, rng).g, random_stochastic(3, rng).g, np.zeros((3, 3))
+    return {"cycle_6": cycle_6, "blocks_6": sw.TransitionMatrix(np.block([[a, z], [z, b]]))}
+
+
+def _mixed_families():
+    """Both classes of the run set's 6-node inputs at t_q_max = 12: class 2's
+    member 1 is I, so it fixes every p0; the cycle's members alternate between
+    strongly connected and two closed classes, and the blocks' take the SVD."""
+    return [(f"{name} class {c}", sw.build_family(g, c, 12))
+            for name, g in _run_set_inputs().items() for c in (1, 2)]
+
+
+def test_mixed_families_cover_every_method_and_mode():
+    seen = set()
+    for _, fam in _mixed_families():
+        for p0 in (None, sw.ProbabilityVector.point_mass(6, 0)):
+            res = sw.rank_family(fam, p0=p0)
+            seen |= set(res.methods) | set(res.modes)
+    assert seen == {"fixed", "solve", "svd", "converged", "cesaro"}
+
+
+def test_mixed_families_compute_on_no_uninitialised_row():
+    # with warnings as errors, a step on an unset row (a divide of whatever
+    # np.empty held) fails; a fixed member's row is p0's bytes
+    rng = rng_from_seed(157)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for name, fam in _mixed_families():
+            for p0 in (sw.ProbabilityVector.uniform(6), sw.ProbabilityVector.point_mass(6, 0),
+                       sw.ProbabilityVector(rng.dirichlet(np.ones(6)))):
+                res = sw.rank_family(fam, p0=p0)
+                oracle = [sw.limiting_distribution(m, p0) for m in fam.members]
+                assert [x.p.tobytes() for x in res.limits] == [r.distribution.p.tobytes() for r in oracle], name
+                for x, method in zip(res.limits, res.methods):
+                    if method == "fixed":
+                        assert x.p.tobytes() == p0.p.tobytes(), name
+
+
+@pytest.mark.parametrize("cut", [0.5, 0.9])
+def test_rank_failure_names_the_lowest_failing_member(cut):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for name, fam in _mixed_families():
+            res = sw.rank_family(fam)
+            moving = [r for r, m in zip(res.residuals, res.methods) if m != "fixed"]
+            tol = cut * max(moving)
+            oracle = [sw.limiting_distribution(m, tol=tol).mode for m in fam.members]
+            lowest = oracle.index("failed") + 1
+            assert "failed" not in oracle[:lowest - 1]
+            with pytest.raises(RankFailedError, match=rf"member t_q={lowest} limit has residual"):
+                sw.rank_family(fam, tol=tol)
+
+
+def test_wrong_p0_size_raises_before_any_work(monkeypatch):
+    def no_work(*args):
+        raise AssertionError("a limit was computed before the p0 check")
+
+    for name in ("_reach", "_stationary", "_cesaro_limit", "_period"):
+        monkeypatch.setattr(dynamics, name, no_work)
+    p0 = sw.ProbabilityVector.uniform(5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _, fam in _mixed_families():
+            with pytest.raises(DimensionMismatchError, match="p0 has n=5, matrix has n=6"):
+                sw.rank_family(fam, p0=p0)
+            with pytest.raises(DimensionMismatchError, match="p0 has n=5, matrix has n=6"):
+                sw.limiting_distribution(fam.member(2), p0)
+
+
+def _oracle_cases():
+    rng = rng_from_seed(163)
+    hub = sw.symmetric_hub()
+    inputs = _run_set_inputs()
+    cases = [("hub class 1", sw.build_family(hub, 1, 60), None),
+             ("hub class 2", sw.build_family(hub, 2, 60), None),
+             ("two-node", sw.build_family(sw.two_node_chain(), 1, 20), None),
+             ("weighted 6-cycle", sw.build_family(inputs["cycle_6"], 2, 12), sw.ProbabilityVector.point_mass(6, 0)),
+             ("two closed 3-blocks", sw.build_family(inputs["blocks_6"], 1, 12), None),
+             ("asymmetric ring", sw.build_family(sw.asymmetric_ring(), 1, 20), None),
+             ("random 32", sw.build_family(random_stochastic(32, rng), 1, 20), None),
+             ("random 128", sw.build_family(random_stochastic(128, rng), 2, 8), None)]
+    cases += [(f"{name}, Dirichlet p0", fam, sw.ProbabilityVector(rng.dirichlet(np.ones(fam.source.n))))
+              for name, fam, _ in (cases[0], cases[4], cases[6])]
+    return [pytest.param(fam, p0, id=name) for name, fam, p0 in cases]
+
+
+@pytest.mark.parametrize("members_per_block", [None, 1, 3], ids=["LIMIT_BLOCK", "1 member", "3 members"])
+@pytest.mark.parametrize("fam, p0", _oracle_cases())
+def test_rank_family_matches_a_limit_per_member(monkeypatch, fam, p0, members_per_block):
+    # the stacked path gives each member the bits of its own call, whatever
+    # the block size; 3 members a block leave a short last block at T = 20 and 8
+    n = fam.source.n
+    if members_per_block is not None:
+        monkeypatch.setattr(dynamics, "LIMIT_BLOCK", members_per_block * n * n)
+    start = sw.ProbabilityVector.uniform(n) if p0 is None else p0
+    oracle = [sw.limiting_distribution(m, start) for m in fam.members]
+    res = sw.rank_family(fam, p0=p0)
+    assert [x.p.tobytes() for x in res.limits] == [r.distribution.p.tobytes() for r in oracle]
+    assert res.modes == tuple(r.mode for r in oracle)
+    assert res.methods == tuple(r.method for r in oracle)
+    assert res.residuals == tuple(r.residual for r in oracle)
+    x, modes, methods, residuals, iterations = dynamics._limits(fam.stack, start, dynamics.DEFAULT_TOL)
+    assert iterations == [r.iterations for r in oracle]
+    assert not x.flags.writeable and x.shape == (len(oracle), n)
+
+
 @pytest.mark.parametrize("make, t_max", [
     pytest.param(sw.symmetric_hub, 60, id="hub"),
     pytest.param(lambda: random_stochastic(32, rng_from_seed(32)), 20, id="random-32"),
@@ -478,12 +590,12 @@ def test_running_average_increments_shrink(hub):
 
 
 class _IncompleteClosure(np.ndarray):
-    """A reachability closure that reads as incomplete as a whole, and is
-    exact in every row and column."""
+    """A stack of reachability closures that each read as incomplete as a
+    whole, and are exact in every row and column."""
 
     def all(self, axis=None, **kwargs):
-        if axis is None and self.ndim == 2:
-            return np.False_
+        if axis == (-2, -1):
+            return np.zeros(self.shape[:-2], dtype=bool)
         return super().all(axis=axis, **kwargs)
 
 
