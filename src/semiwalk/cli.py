@@ -196,14 +196,13 @@ def _cmd_cycle(opts: dict) -> tuple[int, dict[str, str]]:
     if opts["tq_max"] is None:
         opts["tq_max"] = 2 * n
     report, fam = presets.cycle_report(n, opts["tq_max"], opts["tol"])
-    count = min(opts["tq_max"], n)
-    report["components"] = presets.member_components(fam, count)
+    report["components"] = presets.member_components(fam, n)
     measured, ok = report["measured"], report["match"]
     print(f"{'PASS' if ok else 'FAIL'} cycle n={n}: "
           f"distinct={measured['distinct_count']} family_period={measured['family_period']} "
           f"unitary_period={measured['unitary_period']} "
           f"closed-form dev={report['closed_form_max_deviation']:.2e}")
-    dots = presets.member_dots(fam, count, len(str(n)))
+    dots = presets.member_dots(fam, n, len(str(n)))
     return (0 if ok else 1), {"cycle.json": presets.json_text(report), **dots}
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TooLargeError, TooSmallError
-from .graphs import MAX_NODES, SUPPORT_TOL, TransitionMatrix, _check_int, _circulant, _reach
+from .graphs import MAX_NODES, SUPPORT_TOL, TransitionMatrix, _check_int, _reach
 
 
 @dataclass(frozen=True)
@@ -50,14 +50,16 @@ def cycle_semiclassical(n: int, t_q: int) -> TransitionMatrix:
     return TransitionMatrix(_cycle_member(n, t_q))
 
 
-def _cycle_member(n: int, t_q: int) -> np.ndarray:
+def _cycle_member(n: int, t_q) -> np.ndarray:
     """The array of ``cycle_semiclassical(n, t_q)``, unchecked: 1/2 at offsets
     +t_q and -t_q. Where the two coincide (2 t_q divisible by n) the halves
-    add to exactly 1."""
-    offsets = np.zeros(n)
-    offsets[t_q % n] = 0.5
-    offsets[-t_q % n] += 0.5
-    return _circulant(offsets)
+    add to exactly 1. For a 1-D array of t_q, the (k, n, n) stack of them."""
+    ts = np.reshape(t_q, (-1, 1))
+    out = np.zeros((len(ts), n, n))
+    k, i = np.arange(len(ts))[:, None], np.arange(n)
+    out[k, (i + ts) % n, i] = 0.5
+    out[k, (i - ts) % n, i] += 0.5
+    return out.reshape(np.shape(t_q) + (n, n))
 
 
 def cycle_predictions(n: int) -> CyclePrediction:
@@ -82,8 +84,22 @@ def components(m: TransitionMatrix) -> list[list[int]]:
 
     Edge i -> j exists iff g[j, i] > SUPPORT_TOL; i and j share a component when
     each reaches the other. Components are returned in order of their lowest
-    node, each sorted internally.
+    node, each sorted internally. The one-matrix case of ``_components``.
     """
-    reach = _reach(m.g > SUPPORT_TOL)
-    # row i of reach & reach.T is i's component; i is its lowest node iff i is the row's first
-    return [np.flatnonzero(row).tolist() for i, row in enumerate(reach & reach.T) if row.argmax() == i]
+    return _components(m.g[None])[0]
+
+
+def _components(g: np.ndarray) -> list[list[list[int]]]:
+    """``components`` of each matrix of a (k, N, N) stack, from one stacked
+    reachability closure and one ``argmax`` over the mutual-reach stack."""
+    n = g.shape[-1]
+    reach = _reach(g > SUPPORT_TOL)
+    mutual = reach & np.swapaxes(reach, -1, -2)
+    # row i of a matrix's mutual reach is i's component; i leads it iff i is its first node
+    ks, leads = np.nonzero(mutual.argmax(axis=-1) == np.arange(n))
+    comp, nodes = np.nonzero(mutual[ks, leads])
+    nodes = nodes.tolist()
+    ends = np.cumsum(np.bincount(comp, minlength=len(ks))).tolist()
+    comps = [nodes[a:b] for a, b in zip([0, *ends], ends)]
+    per = np.cumsum(np.bincount(ks, minlength=len(g))).tolist()
+    return [comps[a:b] for a, b in zip([0, *per], per)]

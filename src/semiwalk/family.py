@@ -38,10 +38,15 @@ one-input case. A family is one read-only ``(t_q_max, N, N)`` array,
 when it is asked for. ``semiclassical_matrix`` forms and checks one member.
 
 Two periods are computed. ``family_period`` compares the measured members,
-on their column 0 first and in full only where that matches;
-``unitary_period`` asks when the walk operator itself returns to the
-identity, read off U's eigenphases (``_spectrum``, as the members are) rather
-than dense powers of U.
+on their column 0 first and in full only where that matches, a block of
+member pairs at a time; ``distinct_matrices`` finds the earlier members it
+must compare from one sort of a weighted sum of each column 0, with a margin
+proven to miss no pair within tol; ``unitary_period`` asks when the walk
+operator itself returns to the identity, read off U's eigenphases
+(``_spectrum``, as the members are) rather than dense powers of U, a block of
+powers at a time. They take a few numpy calls per block, not one per power
+or member (``distinct_matrices`` compares only the pairs its key windows
+hold), and give the answers of comparing one at a time.
 """
 
 from __future__ import annotations
@@ -61,8 +66,15 @@ MAX_ENTRIES = 2**24
 # Entries in each (k, N, N) block of amplitude grids or member matrices formed
 # at once (8 MB of float64), e.g. 64 grids or members at N = 128.
 PHASE_BLOCK = 1 << 20
+# Entries in each block of the passes that stream a family's members: the
+# period and closed-form comparisons and the component closures (512 KiB of
+# float64). At N = 128 such blocks stay in cache, and ran up to twice as fast
+# as blocks of PHASE_BLOCK.
+STREAM_BLOCK = 1 << 16
 # theta within this of 0 or pi is an eigenvalue lam = +-1 of D
 LINE_TOL = 1e-12
+# phi = (sqrt 5 - 1) / 2, for distinct_matrices' key weights
+_GOLDEN = 0.6180339887498949
 
 
 @dataclass(frozen=True, eq=False)
@@ -267,15 +279,19 @@ def family_period(f: SemiclassicalFamily, tol: float = MATRIX_TOL) -> int | None
     matches but the range is too short to see it twice. Members are first
     compared on their column 0, never farther apart than they are: one
     reduction finds the candidates p whose member 1 + p is near member 1 by
-    it, and only those are compared, on the sketch and then in full.
+    it, and only those are compared, on the sketch and then in full, a block
+    of ``STREAM_BLOCK`` entries of member pairs at a time: a block's max is
+    at most tol exactly when every member's is.
     """
     _check_tol(tol)
     stack = f.stack
     cols, length = np.ascontiguousarray(stack[:, :, 0]), len(stack)
+    step = max(1, STREAM_BLOCK // stack[0].size)  # member pairs per block
     near_first = np.abs(cols[1:] - cols[0]).max(axis=1) <= tol  # candidate p at index p - 1
     for p in (np.flatnonzero(near_first) + 1).tolist():
-        if (np.abs(cols[p:] - cols[:-p]).max(axis=1) <= tol).all() and all(
-                np.abs(stack[t] - stack[t + p]).max() <= tol for t in range(length - p)):
+        if np.abs(cols[p:] - cols[:-p]).max() <= tol and all(
+                np.abs(stack[lo + p:lo + p + step] - stack[lo:min(lo + step, length - p)]).max() <= tol
+                for lo in range(0, length - p, step)):
             if length >= 2 * p:
                 return p
             raise InsufficientRangeError(
@@ -288,24 +304,113 @@ def distinct_matrices(f: SemiclassicalFamily, tol: float = MATRIX_TOL) -> int:
     """Number of distinct members, over one period when the family is periodic.
 
     No t_q = 0 identity member exists, so the identity only counts when it
-    genuinely occurs at some t_q >= 1 (as it does on cycles). A member is
-    compared in full only with the representatives whose column 0 lies
-    within ``tol`` of its own, as ``family_period`` compares candidates.
+    genuinely occurs at some t_q >= 1 (as it does on cycles). Members are
+    taken in order; a member is a new representative unless it lies within
+    ``tol`` of an earlier representative, compared on column 0 first and then
+    in full, as ``family_period`` compares candidates.
+
+    The earlier members to compare come from one sort of column-0 keys
+    (``_key_windows``). Member t's column c_t >= 0 has the key k_t = c_t . w,
+    with the fixed weights w_i = 1 + frac(i^2 phi) in [1, 2). Its window is
+    every member whose computed key lies within ``margin = W tol + 8 (N + 1)
+    eps (W tol + K)`` of its own, W = sum w and K the largest computed key.
+    No pair within tol on column 0 is missed. With u = eps / 2 and g = N u /
+    (1 - N u):
+
+    - exactly, |k_t - k_s| <= sum w_i |c_t,i - c_s,i| <= W tol;
+    - a dot product of N nonnegative terms, computed in floats in any order,
+      lies within g k_t of k_t; k_t <= 2 s_t for the column sum s_t, as w_i <
+      2, and s_t <= k_t <= K / (1 - g), as w_i >= 1, so K bounds every
+      column-0 sum;
+    - so the computed keys of the pair lie within W tol + 2 g K / (1 - g),
+      about W tol + N eps K, of each other;
+    - the margin's second term, 16 (N + 1) u (W tol + K), covers N eps K and
+      the rounding of W, of W tol, of the margin and of the window ends
+      k_t -+ margin, together below (N + 3) u (W tol + K).
+
+    Members are decided a block at a time, the members whose windows hold
+    ``STREAM_BLOCK // N`` entries in all, or one member. Each pair (s, t) of
+    the block with s earlier in t's window, s a representative or in the
+    block, is compared on column 0, then in full where that matches,
+    ``STREAM_BLOCK`` entries at a time; a member with no earlier member in its
+    window needs no comparison. Then "t is a representative unless a close s
+    is" is applied to the whole block until nothing changes: the pairs point
+    back, so each round settles one more link of their longest chain, and the
+    representatives are the member-by-member loop's. A margin that overflows
+    is inf, and every window is the whole pool. Beyond the stack this holds
+    O(P) entries for a pool of P members, and blocks of max(STREAM_BLOCK,
+    N^2) entries.
     """
     try:
         period = family_period(f, tol)
     except InsufficientRangeError:
         period = None
     pool = f.stack[:period] if period else f.stack
-    cols = np.ascontiguousarray(pool[:, :, 0])
-    reps: list[int] = []
-    rep_cols = np.empty_like(cols)  # column 0 of each representative, in rows 0..len(reps) - 1
-    for t, m in enumerate(pool):
-        near = np.flatnonzero(np.abs(rep_cols[:len(reps)] - cols[t]).max(axis=1) <= tol)
-        if not any(np.abs(m - pool[reps[r]]).max() <= tol for r in near):
-            rep_cols[len(reps)] = cols[t]
-            reps.append(t)
-    return len(reps)
+    count, n = pool.shape[:2]
+    order, lo, hi = _key_windows(pool, tol)
+    ends = np.cumsum(hi - lo)  # window entries of members 0..t
+    rep = np.ones(count, dtype=bool)
+    a = 0
+    while a < count:
+        # members a..b-1, whose windows hold STREAM_BLOCK // N entries, or member a alone
+        b = max(a + 1, int(np.searchsorted(ends, ends[a] - (hi[a] - lo[a]) + STREAM_BLOCK // n, "right")))
+        s, t = _close_pairs(pool, *_window_pairs(order, lo[a:b], hi[a:b], a, rep), tol)
+        while True:  # settles within one round more than the pairs' longest chain
+            new = np.ones(b - a, dtype=bool)
+            new[t[rep[s]] - a] = False
+            if (new == rep[a:b]).all():
+                break
+            rep[a:b] = new
+        a = b
+    return int(rep.sum())
+
+
+def _window_pairs(order: np.ndarray, lo: np.ndarray, hi: np.ndarray, a: int, rep: np.ndarray):
+    """The pairs (s, t) of members t = a, a + 1, ... with their windows
+    ``order[lo:hi]``, for each earlier s in t's window that ``rep`` marks: a
+    representative, or a member from a on, not yet decided."""
+    sizes = hi - lo
+    t = np.repeat(np.arange(a, a + len(lo)), sizes)
+    s = order[np.arange(len(t)) + np.repeat(lo - np.cumsum(sizes) + sizes, sizes)]
+    keep = (s < t) & rep[s]
+    return s[keep], t[keep]
+
+
+def _close_pairs(pool: np.ndarray, s: np.ndarray, t: np.ndarray, tol: float):
+    """The pairs (s, t) whose members lie within tol: compared on column 0,
+    then in full where column 0 matches."""
+    n = pool.shape[-1]
+    near = _within(pool[:, :, 0], s, t, tol, max(1, STREAM_BLOCK // n))
+    s, t = s[near], t[near]
+    close = _within(pool, s, t, tol, max(1, STREAM_BLOCK // n**2))
+    return s[close], t[close]
+
+
+def _within(a: np.ndarray, s: np.ndarray, t: np.ndarray, tol: float, step: int) -> np.ndarray:
+    """Whether max |a[s] - a[t]| <= tol, for each pair, ``step`` pairs at a time."""
+    out = np.empty(len(s), dtype=bool)
+    for i in range(0, len(s), step):
+        d = a[s[i:i + step]]
+        d -= a[t[i:i + step]]
+        out[i:i + step] = np.abs(d, out=d).reshape(len(d), -1).max(axis=1) <= tol
+    return out
+
+
+def _key_windows(pool: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The members sorted by column-0 key, ``order``, and each member t's
+    window ``order[lo[t]:hi[t]]``: every member whose key lies within the
+    margin of t's, t included (``distinct_matrices`` gives the proof)."""
+    n = pool.shape[-1]
+    # weights linear in i mod 1 would make w_i + w_{N - i} constant, and on a
+    # cycle every column 0 holds 1/2 at two such nodes: every key would collide
+    i = np.arange(n, dtype=float)
+    w = 1.0 + np.modf(i * i * _GOLDEN)[0]
+    keys = pool[:, :, 0] @ w
+    wtol = float(w.sum()) * tol  # Python floats: an overflow is inf, with no warning
+    margin = wtol + 8 * (n + 1) * np.finfo(float).eps * (wtol + float(keys.max()))
+    order = np.argsort(keys, kind="stable")
+    return (order, np.searchsorted(keys[order], keys - margin, "left"),
+            np.searchsorted(keys[order], keys + margin, "right"))
 
 
 def unitary_period(g: TransitionMatrix, t_max: int, tol: float = MATRIX_TOL) -> int | None:
@@ -314,12 +419,23 @@ def unitary_period(g: TransitionMatrix, t_max: int, tol: float = MATRIX_TOL) -> 
     Reads U's eigenphases theta off one O(N^3) eigendecomposition of D and
     returns the first p with max |e^{i p theta} - 1| <= tol: for the unitary U
     that is the spectral norm of U^p - 1, which bounds every entry of U^p - 1.
-    No dense operator is built, so there is no size cap.
+    No dense operator is built, so there is no size cap. The powers are taken
+    a block at a time, about ``PHASE_BLOCK // 16`` complex entries each: the
+    block's phases ``(1j * ps)[:, None] * theta`` are bitwise each power's
+    ``1j * p * theta``, so each deviation is the one p gets alone, and the
+    first block with a hit returns its first.
     """
     _check_int("t_max", t_max, 0)
     _check_tol(tol)
     theta = _eigenphases(g.g)
-    for p in range(1, t_max + 1):
-        if np.abs(np.exp(1j * p * theta) - 1.0).max() <= tol:
-            return p
+    step = max(1, min(PHASE_BLOCK // 16 // theta.size, t_max))  # powers per block
+    phases = np.empty((step, theta.size), dtype=complex)
+    for lo in range(1, t_max + 1, step):
+        ps = np.arange(lo, min(lo + step, t_max + 1))
+        z = np.multiply((1j * ps)[:, None], theta, out=phases[:len(ps)])
+        np.exp(z, out=z)
+        z -= 1.0
+        hits = np.flatnonzero(np.abs(z).max(axis=1) <= tol)
+        if hits.size:
+            return int(ps[hits[0]])
     return None

@@ -13,7 +13,7 @@ import json
 import numpy as np
 
 from . import circuit as circuit_mod, cycles, dynamics, family as family_mod, graphs, instances
-from .errors import DimensionMismatchError, TooLargeError
+from .errors import DimensionMismatchError, InsufficientRangeError, TooLargeError
 from .graphs import ProbabilityVector, TransitionMatrix
 
 # the start vector of the paper's two-node experiment (fig9, fig10, verify)
@@ -40,12 +40,24 @@ def member_dots(fam: family_mod.SemiclassicalFamily, count: int, width: int) -> 
 
 
 def member_components(fam: family_mod.SemiclassicalFamily, count: int) -> dict[str, list]:
-    return {str(t): cycles.components(fam.member(t)) for t in range(1, count + 1)}
+    """components.json: the components of members t_q = 1..count, from one
+    stacked closure per block of ``family.STREAM_BLOCK`` entries."""
+    step = max(1, family_mod.STREAM_BLOCK // fam.stack[0].size)
+    comps = [c for lo in range(0, count, step) for c in cycles._components(fam.stack[lo:min(lo + step, count)])]
+    return {str(t): c for t, c in enumerate(comps, start=1)}
 
 
 def cycle_report(n: int, t_q_max: int, tol: float) -> tuple[dict, family_mod.SemiclassicalFamily]:
-    """The n-cycle's measured counts and periods against the closed forms."""
+    """The n-cycle's measured counts and periods against the closed forms.
+
+    The family period n is certified only over two periods, so a t_q_max
+    below 2n is an InsufficientRangeError before anything is built. The
+    closed forms are compared a block of ``family.STREAM_BLOCK`` entries at
+    a time."""
     g = cycles.cycle_graph(n)
+    family_mod._check_family([n], 1, t_q_max)
+    if t_q_max < 2 * n:
+        raise InsufficientRangeError(f"cycle n={n} needs t_q_max >= 2n = {2 * n}, have {t_q_max}")
     fam = family_mod.build_family(g, 1, t_q_max)
     measured = {
         "distinct_count": family_mod.distinct_matrices(fam, tol),
@@ -54,8 +66,12 @@ def cycle_report(n: int, t_q_max: int, tol: float) -> tuple[dict, family_mod.Sem
     }
     pred = cycles.cycle_predictions(n)
     predicted = {key: getattr(pred, key) for key in measured}
-    deviation = max(float(np.abs(cycles._cycle_member(n, t) - fam.stack[t - 1]).max())
-                    for t in range(1, t_q_max + 1))
+    step = max(1, family_mod.STREAM_BLOCK // (n * n))
+    deviation = 0.0
+    for lo in range(0, t_q_max, step):
+        diff = cycles._cycle_member(n, np.arange(lo + 1, min(lo + step, t_q_max) + 1))
+        diff -= fam.stack[lo:lo + step]
+        deviation = max(deviation, float(np.abs(diff, out=diff).max()))
     report = {
         "n": n,
         "predicted": predicted,

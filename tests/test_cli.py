@@ -220,6 +220,24 @@ def test_cycle_check_failure_exits_1(tmp_path):
     assert json.loads((out / "cycle.json").read_text())["match"] is False
 
 
+@pytest.mark.parametrize("tq_max", [3, 6, 8, 11])
+def test_cycle_range_below_2n_exits_2(tmp_path, capsys, tq_max):
+    # 3 and 6 printed a false FAIL and exited 1; 8 and 11 exited 2 from family_period
+    out = tmp_path / "out"
+    assert main(["cycle", "--n", "6", "--tq-max", str(tq_max), "--out", str(out)]) == 2
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "InsufficientRangeError", "message": f"cycle n=6 needs t_q_max >= 2n = 12, have {tq_max}"}
+    assert not out.exists()
+
+
+def test_cycle_range_of_2n_passes(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["cycle", "--n", "6", "--tq-max", "12", "--out", str(out)]) == 0
+    assert capsys.readouterr().out.startswith("PASS cycle n=6: distinct=4 family_period=6 unitary_period=6 ")
+    assert sorted(p.name for p in out.iterdir()) == [
+        "cycle.json", "manifest.json", *(f"member_{t}.dot" for t in range(1, 7))]
+
+
 def test_module_entry_point_runs(tmp_path):
     import subprocess
     import sys

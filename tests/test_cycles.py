@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import semiwalk as sw
-from semiwalk import presets, verify
+from semiwalk import cycles, family, presets, verify
 from semiwalk.errors import TooLargeError, TooSmallError
 from semiwalk.corpus import random_circulant_symmetric, rng_from_seed
 from semiwalk.graphs import MAX_NODES, SUPPORT_TOL, _circulant, _reach
@@ -267,3 +267,39 @@ def test_component_count_follows_gcd():
 
 def test_components_on_general_matrix(hub):
     assert sw.components(hub) == [list(range(7))]
+
+
+def _components_one_matrix(g: np.ndarray) -> list[list[int]]:
+    """components as one matrix's closure and one comprehension over its rows."""
+    reach = _reach(g > SUPPORT_TOL)
+    return [np.flatnonzero(row).tolist() for i, row in enumerate(reach & reach.T) if row.argmax() == i]
+
+
+def _random_supports(rng, count, n):
+    """count random weight patterns on n nodes, with self-loops and isolated
+    nodes (no edge in or out but, sometimes, a self-loop)."""
+    g = rng.random((count, n, n)) * (rng.random((count, n, n)) < rng.uniform(0.0, 0.6, (count, 1, 1)))
+    for m in g:
+        lone = rng.random(n) < 0.2
+        m[lone, :] = m[:, lone] = 0.0
+        np.fill_diagonal(m, np.where(rng.random(n) < 0.3, 1.0, 0.0))
+    return g
+
+
+@pytest.mark.parametrize("stream_block", [None, 1, 50])
+def test_stacked_components_equal_one_matrix_at_a_time(monkeypatch, stream_block):
+    # member_components reads every member from one stacked closure per block;
+    # small blocks end inside the members
+    if stream_block is not None:
+        monkeypatch.setattr(family, "STREAM_BLOCK", stream_block)
+    for n in range(3, 49):
+        fam = sw.build_family(sw.cycle_graph(n), 1, 2 * n)
+        want = {str(t): _components_one_matrix(fam.stack[t - 1]) for t in range(1, n + 1)}
+        assert presets.member_components(fam, n) == want, n
+        closed = cycles._cycle_member(n, np.arange(1, 2 * n + 1))
+        assert cycles._components(closed) == [_components_one_matrix(m) for m in closed], n
+    rng = rng_from_seed(29)
+    for n in [1, 1, 2, 3, 5, 8, 13]:
+        g = _random_supports(rng, 40, n)
+        assert cycles._components(g) == [_components_one_matrix(m) for m in g], n
+    assert cycles._components(np.zeros((0, 4, 4))) == []
