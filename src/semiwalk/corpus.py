@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import graphs
 from .errors import DimensionMismatchError
-from .family import PHASE_BLOCK
 from .graphs import TransitionMatrix, _check_int, _checked_rows, _circulant, _views
 
 
@@ -40,7 +40,7 @@ def random_symmetric_corpus(
     padded to the largest size with identity blocks: a padded column sums to
     1, so its scale is 1 and no real entry sees it. Sizes far apart, whose
     padding would more than quadruple the entries, and stacks above
-    ``PHASE_BLOCK`` entries are split into runs of increasing size, one loop
+    ``graphs.PHASE_BLOCK`` entries are split into runs of increasing size, one loop
     each. A matrix leaves the stack at the first round whose column sums lie
     within ``tol`` of 1, the round it would leave it alone, so each matrix is
     bitwise the one that call gives. A final (A + A^T)/2 makes the symmetry
@@ -77,11 +77,11 @@ def random_symmetric_corpus(
 def _padded_runs(sizes: list[int]) -> list[list[int]]:
     """The indices of ``sizes`` in order of increasing size, cut into runs
     whose stack, padded to the run's largest size, holds at most
-    ``PHASE_BLOCK`` entries and at most four times its matrices' own."""
+    ``graphs.PHASE_BLOCK`` entries and at most four times its matrices' own."""
     runs, run, own = [], [], 0
     for k in sorted(range(len(sizes)), key=sizes.__getitem__):
         entries = sizes[k] ** 2
-        if run and (len(run) + 1) * entries > min(PHASE_BLOCK, 4 * (own + entries)):
+        if run and (len(run) + 1) * entries > min(graphs.PHASE_BLOCK, 4 * (own + entries)):
             runs.append(run)
             run, own = [], 0
         run.append(k)
@@ -130,10 +130,10 @@ def _check_sizes(sizes: list[int]) -> None:
 
 def _checked(mats: list[np.ndarray], normalise: bool = False) -> list[TransitionMatrix]:
     """The matrices as TransitionMatrix views of one read-only stack per size
-    (in chunks of ``PHASE_BLOCK`` entries), each stack checked once. With
+    (in chunks of ``graphs.PHASE_BLOCK`` entries), each stack checked once. With
     ``normalise`` each column is first divided by its sum."""
     def stack(ks):
         a = np.stack([mats[k] for k in ks])
         return a / a.sum(axis=-2, keepdims=True) if normalise else a
 
-    return _views(TransitionMatrix, _checked_rows([len(m) for m in mats], PHASE_BLOCK, lambda n: n * n, stack))
+    return _views(TransitionMatrix, _checked_rows([len(m) for m in mats], graphs.PHASE_BLOCK, lambda n: n * n, stack))

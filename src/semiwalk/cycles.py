@@ -12,8 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import graphs
 from .errors import TooLargeError, TooSmallError
-from .graphs import MAX_NODES, SUPPORT_TOL, TransitionMatrix, _check_int, _reach
+from .graphs import MAX_NODES, SUPPORT_TOL, TransitionMatrix, _blocks, _check_int, _reach
 
 
 @dataclass(frozen=True)
@@ -62,6 +63,14 @@ def _cycle_member(n: int, t_q) -> np.ndarray:
     return out.reshape(np.shape(t_q) + (n, n))
 
 
+def _closed_form_deviation(stack: np.ndarray) -> float:
+    """max |cycle_semiclassical(n, t) - stack[t - 1]| over the members t =
+    1..T of a (T, n, n) stack, ``graphs.STREAM_BLOCK`` entries at a time."""
+    n = stack.shape[-1]
+    return max((float(np.abs(_cycle_member(n, np.arange(s.start + 1, s.stop + 1)) - stack[s]).max())
+                for s in _blocks(len(stack), n * n, graphs.STREAM_BLOCK)), default=0.0)
+
+
 def cycle_predictions(n: int) -> CyclePrediction:
     """Distinct-member count and both periods for the n-cycle.
 
@@ -90,16 +99,19 @@ def components(m: TransitionMatrix) -> list[list[int]]:
 
 
 def _components(g: np.ndarray) -> list[list[list[int]]]:
-    """``components`` of each matrix of a (k, N, N) stack, from one stacked
-    reachability closure and one ``argmax`` over the mutual-reach stack."""
+    """``components`` of each matrix of a (k, N, N) stack: per block of ``graphs.STREAM_BLOCK``
+    entries, one stacked reachability closure and one ``argmax`` over the mutual reach."""
     n = g.shape[-1]
-    reach = _reach(g > SUPPORT_TOL)
-    mutual = reach & np.swapaxes(reach, -1, -2)
-    # row i of a matrix's mutual reach is i's component; i leads it iff i is its first node
-    ks, leads = np.nonzero(mutual.argmax(axis=-1) == np.arange(n))
-    comp, nodes = np.nonzero(mutual[ks, leads])
-    nodes = nodes.tolist()
-    ends = np.cumsum(np.bincount(comp, minlength=len(ks))).tolist()
-    comps = [nodes[a:b] for a, b in zip([0, *ends], ends)]
-    per = np.cumsum(np.bincount(ks, minlength=len(g))).tolist()
-    return [comps[a:b] for a, b in zip([0, *per], per)]
+    out = []
+    for s in _blocks(len(g), n * n, graphs.STREAM_BLOCK):
+        reach = _reach(g[s] > SUPPORT_TOL)
+        mutual = reach & np.swapaxes(reach, -1, -2)
+        # row i of a matrix's mutual reach is i's component; i leads it iff i is its first node
+        ks, leads = np.nonzero(mutual.argmax(axis=-1) == np.arange(n))
+        comp, nodes = np.nonzero(mutual[ks, leads])
+        nodes = nodes.tolist()
+        ends = np.cumsum(np.bincount(comp, minlength=len(ks))).tolist()
+        comps = [nodes[a:b] for a, b in zip([0, *ends], ends)]
+        per = np.cumsum(np.bincount(ks, minlength=len(reach))).tolist()
+        out += [comps[a:b] for a, b in zip([0, *per], per)]
+    return out

@@ -16,10 +16,11 @@ the class structure decides which of the two modes, "converged" or
 closure, ``graphs._reach``.
 
 Every limit comes from one stacked path, ``_limits``, which takes a
-(T, N, N) stack of members LIMIT_BLOCK entries at a time: one batched
-residual of p0 picks out the members that already fix it, one closure of the
-stack the strongly connected ones, which share one batched LU solve, and
-only the members that need them get the SVD projector or a period search.
+(T, N, N) stack of members ``graphs.STREAM_BLOCK`` entries at a time: one
+batched residual of p0 picks out the members that already fix it, one
+closure of the stack the strongly connected ones, which share one batched LU
+solve, and only the members that need them get the SVD projector or a
+period search.
 ``rank_family`` passes a family's stack and ``limiting_distribution`` a stack
 of one, so a member's limit has the same bits either way.
 
@@ -37,9 +38,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import graphs
 from .errors import DimensionMismatchError, IndexOutOfRangeError, RankFailedError, TooLargeError
-from .graphs import (SUPPORT_TOL, ProbabilityVector, TransitionMatrix, _check_int, _check_tol, _levels,
-                     _reach, _views, validate)
+from .graphs import (SUPPORT_TOL, ProbabilityVector, TransitionMatrix, _asymmetries, _blocks, _check_int,
+                     _check_tol, _levels, _reach, _views, validate)
 from .family import SemiclassicalFamily, build_family
 
 CONVERGED = "converged"
@@ -66,15 +68,6 @@ NULL_C = 8
 # with its uniform draws that is about 16 bytes a node, 16 MB at the cap
 # (and about 90 MB for the CSV that ``semiwalk sample`` formats from it).
 MAX_SAMPLES = 1_000_000
-# Entries in the (rows, N) comparison a sampler step makes at once (8 MB of
-# gathered float64 cumulative sums).
-SAMPLE_BLOCK = 1 << 20
-# Entries of the (k, N, N) member blocks _limits takes at once: each array it
-# forms from a block is at most 1 MB of float64. Measured on rank_family, 2**16
-# to 2**19 run as fast (2**16 is slower at N = 64, T = 20), and larger
-# blocks only raise the peak: at N = 128, T = 1000 it is 3.2 MB at 2**17,
-# 6.5 MB at 2**19 and 166 MB with the whole stack as one block.
-LIMIT_BLOCK = 1 << 17
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,10 +148,10 @@ def _limits(stack: np.ndarray, p0: ProbabilityVector, tol: float):
 
     Returns (x, modes, methods, residuals, iterations): x the read-only
     (T, N) array of the limits, checked once, and one list entry per member
-    for the rest. The members are taken LIMIT_BLOCK entries at a time. Per
-    block: one batched residual of p0 finds the fixed members, whose row
-    stays p0; one stacked closure ``_reach`` of the supports, a fixed
-    member's read as complete; one batched LU solve for the strongly
+    for the rest. The members are taken ``graphs.STREAM_BLOCK`` entries at a
+    time. Per block: one batched residual of p0 finds the fixed members,
+    whose row stays p0; one stacked closure ``_reach`` of the supports, a
+    fixed member's read as complete; one batched LU solve for the strongly
     connected moving members; the SVD projector for the other moving ones;
     and ``_period`` only for the members with a node that has no edge to
     itself, as every other member is aperiodic.
@@ -173,9 +166,8 @@ def _limits(stack: np.ndarray, p0: ProbabilityVector, tol: float):
     residual = np.empty(t)
     method = np.empty(t, dtype=np.intp)  # indexes _METHODS: 0 fixed, 1 solve, 2 svd
     periodic = {}  # member: (products beyond 2, whether its mode is Cesaro)
-    step = max(1, LIMIT_BLOCK // (n * n))
-    for lo in range(0, t, step):
-        g, xb = stack[lo:lo + step], x[lo:lo + step]
+    for block in _blocks(t, n * n, graphs.STREAM_BLOCK):
+        g, xb = stack[block], x[block]
         # p0 is a fixed point to rounding, so it is its own limit; a solve
         # would return it only to that rounding, and break p0's exact ties
         live = np.abs(g @ p - p).sum(axis=-1) > NULL_C * n * _EPS
@@ -186,14 +178,14 @@ def _limits(stack: np.ndarray, p0: ProbabilityVector, tol: float):
         reach = _reach(edges)
         complete = reach.all(axis=(-2, -1))
         svd = live & ~complete
-        np.add(live, svd, out=method[lo:lo + step], dtype=np.intp)
+        np.add(live, svd, out=method[block], dtype=np.intp)
         solve = live & complete
         solve = slice(None) if solve.all() else solve.nonzero()[0]  # a slice copies nothing
         xb[solve] = _clipped(_stationary(g[solve]))
         for k in svd.nonzero()[0]:
             xb[k] = _clipped(_cesaro_limit(g[k], p))
         # a fixed member's row is p0, so this is its residual above
-        residual[lo:lo + step] = np.abs((g @ xb[..., None])[..., 0] - xb).sum(axis=-1)
+        residual[block] = np.abs((g @ xb[..., None])[..., 0] - xb).sum(axis=-1)
         for k in (~edges.diagonal(0, -2, -1).all(axis=-1)).nonzero()[0]:
             d = _period(edges[k], reach[k])
             if d > 1:
@@ -202,7 +194,7 @@ def _limits(stack: np.ndarray, p0: ProbabilityVector, tol: float):
                 # on the other peripheral eigenvalues of G (G^d of a periodic
                 # chain is reducible)
                 y = _cesaro_limit(np.linalg.matrix_power(g[k], d), p)
-                periodic[lo + k] = (d.bit_length() + bin(d).count("1") - 2, np.abs(y - xb[k]).sum() > tol)
+                periodic[block.start + k] = (d.bit_length() + bin(d).count("1") - 2, np.abs(y - xb[k]).sum() > tol)
     x.setflags(write=False)
     validate(x.T)
     modes, products = [CONVERGED] * t, _PRODUCTS[method].tolist()
@@ -281,7 +273,7 @@ def asymmetry(m: TransitionMatrix | np.ndarray) -> float:
     """Largest entrywise gap between m and its transpose, over every matrix
     of a (..., N, N) array; 0 iff symmetric."""
     g = m.g if isinstance(m, TransitionMatrix) else np.asarray(m, dtype=float)
-    return float(np.abs(g - np.swapaxes(g, -1, -2)).max())
+    return float(_asymmetries(g.reshape((-1,) + g.shape[-2:])).max())
 
 
 def rank_family(
@@ -363,9 +355,7 @@ def sample_trajectories(m: TransitionMatrix, x0: int, steps: int, seed: int, cou
     cdf[:, -1] = np.inf
     nodes = np.empty((count, steps + 1), dtype=np.int64)
     nodes[:, 0] = x0
-    block = max(1, SAMPLE_BLOCK // m.n)  # rows stepped together, bounding the (rows, N) temporaries
-    for lo in range(0, count, block):
-        rows = slice(lo, lo + block)
+    for rows in _blocks(count, m.n, graphs.PHASE_BLOCK):  # rows stepped together: (rows, N) temporaries
         for t in range(steps):
             nodes[rows, t + 1] = (u[rows, t, None] >= cdf[nodes[rows, t]]).argmin(axis=1)
     nodes.setflags(write=False)

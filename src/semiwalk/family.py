@@ -55,22 +55,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import graphs
 from .errors import DimensionMismatchError, IndexOutOfRangeError, InsufficientRangeError, TooLargeError
-from .graphs import (TransitionMatrix, _check_int, _check_tol, _check_transition, _checked_rows, _csv_texts,
-                     _frozen_array, _unchecked, _views)
+from .graphs import (TransitionMatrix, _blocks, _check_int, _check_tol, _check_transition, _checked_rows,
+                     _csv_texts, _frozen_array, _unchecked, _views)
 
 MATRIX_TOL = 1e-9
 # Cap on N^2 * t_q_max, the float64 entries a family holds (2**24 is 128 MiB at
 # any N); for one member, on N^2 * t_q, which bounds the rounding of t_q theta.
 MAX_ENTRIES = 2**24
-# Entries in each (k, N, N) block of amplitude grids or member matrices formed
-# at once (8 MB of float64), e.g. 64 grids or members at N = 128.
-PHASE_BLOCK = 1 << 20
-# Entries in each block of the passes that stream a family's members: the
-# period and closed-form comparisons and the component closures (512 KiB of
-# float64). At N = 128 such blocks stay in cache, and ran up to twice as fast
-# as blocks of PHASE_BLOCK.
-STREAM_BLOCK = 1 << 16
 # theta within this of 0 or pi is an eigenvalue lam = +-1 of D
 LINE_TOL = 1e-12
 # phi = (sqrt 5 - 1) / 2, for distinct_matrices' key weights
@@ -204,9 +197,9 @@ def _member_stack(g: np.ndarray, class_tag: int, rows: range) -> np.ndarray:
     """Members t_q = r + 1 for the rows r in ``rows``, a range of step 1, of
     each matrix of a (..., N, N) stack: one read-only (..., len(rows), N, N)
     array clipped at 0 (the module docstring's formula; class 2 is I, then
-    class 1's members), formed in blocks of about ``PHASE_BLOCK`` entries with
-    a fixed number of numpy calls each. A member's bits do not depend on which
-    other rows are kept."""
+    class 1's members), formed in blocks of about ``graphs.PHASE_BLOCK``
+    entries with a fixed number of numpy calls each. A member's bits do not
+    depend on which other rows are kept."""
     n = g.shape[-1]
     theta, x = _spectrum(g)
     plus, minus = theta < LINE_TOL, theta > np.pi - LINE_TOL
@@ -217,17 +210,17 @@ def _member_stack(g: np.ndarray, class_tag: int, rows: range) -> np.ndarray:
     stack = np.empty(g.shape[:-2] + (len(rows), n, n))
     if class_tag == 2 and rows.start == 0:
         stack[..., 0, :, :] = np.eye(n)  # I, class 2's member 1
-    step = max(1, min(PHASE_BLOCK // (theta.size * n), len(rows)))  # members per block
-    mats = np.empty(g.shape[:-2] + (step + 4, n, n))  # one block's X diag(c) X^T
-    for r in range(max(rows.start, class_tag - 1), rows.stop, step):
-        t = r + 2 - class_tag  # class-1 time of row r
-        k = min(step, rows.stop - r)
+    mats = None  # one block's X diag(c) X^T, sized by the first, largest block
+    for b in _blocks(len(rows), theta.size * n, graphs.PHASE_BLOCK, max(0, class_tag - 1 - rows.start)):
+        t, k = rows.start + b.start + 2 - class_tag, b.stop - b.start  # t: class-1 time of the block's first row
+        if mats is None:
+            mats = np.empty(g.shape[:-2] + (k + 4, n, n))
         ts = np.arange(t - 1, t + k + 1)[:, None] * theta[..., None, :]  # (t - 1 .. t + k) theta
         d = np.where(line[..., None, :], 0.0, np.sin(ts) / sin[..., None, :])
         np.matmul(x[..., None, :, :] * np.concatenate([d, parity], axis=-2)[..., None, :], xt,
                   out=mats[..., :k + 4, :, :])
         beta = mats[..., :k + 2, :, :]  # beta_{t-1} .. beta_{t+k}
-        out = stack[..., r - rows.start:r - rows.start + k, :, :]
+        out = stack[..., b, :, :]
         np.matmul(g[..., None, :, :], np.square(beta[..., 1:-1, :, :]), out=out)
         for j in range(min(2, k)):  # the members of one parity of t
             p = mats[..., k + 2 + (t + j) % 2, None, :, :]
@@ -243,16 +236,15 @@ def _spectrum(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     x_k} that U rotates by theta_k = arccos(lam_k). Where |lam| > 1/2, the
     only range where arccos loses digits (half of them at lam = +-1), theta_k
     is 2 atan2(|b - b^T|, |b + b^T|) on the grid b = A x_k, in blocks of
-    ``PHASE_BLOCK`` entries."""
+    ``graphs.PHASE_BLOCK`` entries."""
     n = g.shape[-1]
     lam, x = np.linalg.eigh(np.sqrt(g * np.swapaxes(g, -1, -2)))
     theta = np.arccos(np.clip(lam, -1.0, 1.0))
     mats, ks = np.nonzero(np.abs(lam.reshape(-1, n)) > 0.5)
     sqrt_gt = np.sqrt(np.swapaxes(g, -1, -2)).reshape(-1, n, n)
     vecs = x.reshape(-1, n, n)
-    step = max(1, PHASE_BLOCK // n**2)  # eigenvectors per block of grids
-    for lo in range(0, len(ks), step):
-        m, k = mats[lo:lo + step], ks[lo:lo + step]
+    for block in _blocks(len(ks), n * n, graphs.PHASE_BLOCK):  # eigenvectors per block of grids
+        m, k = mats[block], ks[block]
         b = sqrt_gt[m]
         b *= vecs[m, :, k][:, :, None]  # b[j] = A x_k of matrix m, N x N
         bt = b.transpose(0, 2, 1)
@@ -280,18 +272,17 @@ def family_period(f: SemiclassicalFamily, tol: float = MATRIX_TOL) -> int | None
     compared on their column 0, never farther apart than they are: one
     reduction finds the candidates p whose member 1 + p is near member 1 by
     it, and only those are compared, on the sketch and then in full, a block
-    of ``STREAM_BLOCK`` entries of member pairs at a time: a block's max is
-    at most tol exactly when every member's is.
+    of ``graphs.STREAM_BLOCK`` entries of member pairs at a time: a block's
+    max is at most tol exactly when every member's is.
     """
     _check_tol(tol)
     stack = f.stack
     cols, length = np.ascontiguousarray(stack[:, :, 0]), len(stack)
-    step = max(1, STREAM_BLOCK // stack[0].size)  # member pairs per block
     near_first = np.abs(cols[1:] - cols[0]).max(axis=1) <= tol  # candidate p at index p - 1
     for p in (np.flatnonzero(near_first) + 1).tolist():
         if np.abs(cols[p:] - cols[:-p]).max() <= tol and all(
-                np.abs(stack[lo + p:lo + p + step] - stack[lo:min(lo + step, length - p)]).max() <= tol
-                for lo in range(0, length - p, step)):
+                np.abs(stack[b.start + p:b.stop + p] - stack[b]).max() <= tol
+                for b in _blocks(length - p, stack[0].size, graphs.STREAM_BLOCK)):
             if length >= 2 * p:
                 return p
             raise InsufficientRangeError(
@@ -345,7 +336,11 @@ def distinct_matrices(f: SemiclassicalFamily, tol: float = MATRIX_TOL) -> int:
         period = family_period(f, tol)
     except InsufficientRangeError:
         period = None
-    pool = f.stack[:period] if period else f.stack
+    return _distinct(f.stack[:period], tol)
+
+
+def _distinct(pool: np.ndarray, tol: float) -> int:
+    """``distinct_matrices`` of the members of a (P, N, N) pool, all of them."""
     count, n = pool.shape[:2]
     order, lo, hi = _key_windows(pool, tol)
     ends = np.cumsum(hi - lo)  # window entries of members 0..t
@@ -353,8 +348,9 @@ def distinct_matrices(f: SemiclassicalFamily, tol: float = MATRIX_TOL) -> int:
     a = 0
     while a < count:
         # members a..b-1, whose windows hold STREAM_BLOCK // N entries, or member a alone
-        b = max(a + 1, int(np.searchsorted(ends, ends[a] - (hi[a] - lo[a]) + STREAM_BLOCK // n, "right")))
-        s, t = _close_pairs(pool, *_window_pairs(order, lo[a:b], hi[a:b], a, rep), tol)
+        b = max(a + 1, int(np.searchsorted(ends, ends[a] - (hi[a] - lo[a]) + graphs.STREAM_BLOCK // n, "right")))
+        s, t = _within(pool[:, :, 0], *_window_pairs(order, lo[a:b], hi[a:b], a, rep), tol)
+        s, t = _within(pool, s, t, tol)  # in full where column 0 matches
         while True:  # settles within one round more than the pairs' longest chain
             new = np.ones(b - a, dtype=bool)
             new[t[rep[s]] - a] = False
@@ -376,24 +372,14 @@ def _window_pairs(order: np.ndarray, lo: np.ndarray, hi: np.ndarray, a: int, rep
     return s[keep], t[keep]
 
 
-def _close_pairs(pool: np.ndarray, s: np.ndarray, t: np.ndarray, tol: float):
-    """The pairs (s, t) whose members lie within tol: compared on column 0,
-    then in full where column 0 matches."""
-    n = pool.shape[-1]
-    near = _within(pool[:, :, 0], s, t, tol, max(1, STREAM_BLOCK // n))
-    s, t = s[near], t[near]
-    close = _within(pool, s, t, tol, max(1, STREAM_BLOCK // n**2))
-    return s[close], t[close]
-
-
-def _within(a: np.ndarray, s: np.ndarray, t: np.ndarray, tol: float, step: int) -> np.ndarray:
-    """Whether max |a[s] - a[t]| <= tol, for each pair, ``step`` pairs at a time."""
-    out = np.empty(len(s), dtype=bool)
-    for i in range(0, len(s), step):
-        d = a[s[i:i + step]]
-        d -= a[t[i:i + step]]
-        out[i:i + step] = np.abs(d, out=d).reshape(len(d), -1).max(axis=1) <= tol
-    return out
+def _within(a: np.ndarray, s: np.ndarray, t: np.ndarray, tol: float):
+    """The pairs (s, t) with max |a[s] - a[t]| <= tol, ``STREAM_BLOCK`` entries at a time."""
+    keep = np.empty(len(s), dtype=bool)
+    for b in _blocks(len(s), a[0].size, graphs.STREAM_BLOCK):
+        d = a[s[b]]
+        d -= a[t[b]]
+        keep[b] = np.abs(d, out=d).reshape(len(d), -1).max(axis=1) <= tol
+    return s[keep], t[keep]
 
 
 def _key_windows(pool: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -420,18 +406,19 @@ def unitary_period(g: TransitionMatrix, t_max: int, tol: float = MATRIX_TOL) -> 
     returns the first p with max |e^{i p theta} - 1| <= tol: for the unitary U
     that is the spectral norm of U^p - 1, which bounds every entry of U^p - 1.
     No dense operator is built, so there is no size cap. The powers are taken
-    a block at a time, about ``PHASE_BLOCK // 16`` complex entries each: the
-    block's phases ``(1j * ps)[:, None] * theta`` are bitwise each power's
-    ``1j * p * theta``, so each deviation is the one p gets alone, and the
-    first block with a hit returns its first.
+    a block at a time, about ``graphs.PHASE_BLOCK // 16`` complex entries
+    each: the block's phases ``(1j * ps)[:, None] * theta`` are bitwise each
+    power's ``1j * p * theta``, so each deviation is the one p gets alone, and
+    the first block with a hit returns its first.
     """
     _check_int("t_max", t_max, 0)
     _check_tol(tol)
     theta = _eigenphases(g.g)
-    step = max(1, min(PHASE_BLOCK // 16 // theta.size, t_max))  # powers per block
-    phases = np.empty((step, theta.size), dtype=complex)
-    for lo in range(1, t_max + 1, step):
-        ps = np.arange(lo, min(lo + step, t_max + 1))
+    phases = None  # sized by the first, largest block
+    for block in _blocks(t_max + 1, 16 * theta.size, graphs.PHASE_BLOCK, start=1):
+        ps = np.arange(block.start, block.stop)
+        if phases is None:
+            phases = np.empty((len(ps), theta.size), dtype=complex)
         z = np.multiply((1j * ps)[:, None], theta, out=phases[:len(ps)])
         np.exp(z, out=z)
         z -= 1.0

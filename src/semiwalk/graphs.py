@@ -51,6 +51,15 @@ STOCHASTIC_TOL = 1e-9
 MAX_NODES = 1024
 # an entry at or below this is no edge: rounding noise, not a transition
 SUPPORT_TOL = 1e-9
+# The entry budgets of every pass over a stack, read here at call time (each
+# block holds at least one item). PHASE_BLOCK, 8 MB of float64, is for arrays a
+# pass forms: member and grid blocks, sampler rows, corpus runs, check chunks,
+# unitary phases (// 16 complex) and verify's dense operators (// 64).
+# STREAM_BLOCK, 512 KiB, is for the passes that stream a stack (periods,
+# distinct counts, closed forms, components, asymmetries, limits): at N = 128
+# its blocks stay in cache, and ran up to twice as fast as PHASE_BLOCK's.
+PHASE_BLOCK = 1 << 20
+STREAM_BLOCK = 1 << 16
 
 _CSV_HEADER = re.compile(r"^n=(\d+);orientation=([a-z-]+)$")
 
@@ -110,18 +119,29 @@ def _views(cls, rows) -> list:
     return [_unchecked(cls, {name: row}) for row in rows]
 
 
+def _blocks(stop: int, entries: int, budget: int, start: int = 0):
+    """The slices cutting start..stop into runs of ``budget // entries`` items,
+    at least one, the last maybe shorter: blocks of items that fit a budget."""
+    step = max(1, budget // entries)
+    return (slice(lo, min(lo + step, stop)) for lo in range(start, stop, step))
+
+
 def _chunks(sizes: list[int], budget: int, entries) -> list[list[int]]:
     """The indices of ``sizes`` grouped by size, in order of first appearance,
-    each group split into runs of at most ``max(1, budget // entries(n))``
-    indices: the (B, ...) stacks of one size N that fit an entry budget."""
+    each group cut into ``_blocks`` of ``entries(n)`` entries each: the
+    (B, ...) stacks of one size N that fit an entry budget."""
     groups: dict[int, list[int]] = {}
     for k, n in enumerate(sizes):
         groups.setdefault(n, []).append(k)
-    runs = []
-    for n, ks in groups.items():
-        step = max(1, budget // entries(n))
-        runs += [ks[lo:lo + step] for lo in range(0, len(ks), step)]
-    return runs
+    return [ks[s] for n, ks in groups.items() for s in _blocks(len(ks), entries(n), budget)]
+
+
+def _asymmetries(stack: np.ndarray) -> np.ndarray:
+    """max |A - A^T| for each matrix A of a (T, N, N) stack, ``STREAM_BLOCK`` entries at a time."""
+    out = np.empty(len(stack))
+    for s in _blocks(len(stack), stack.shape[-1] ** 2, STREAM_BLOCK):
+        out[s] = np.abs(stack[s] - np.swapaxes(stack[s], -1, -2)).max(axis=(-2, -1))
+    return out
 
 
 def _check_transition(g: np.ndarray) -> None:
@@ -303,7 +323,7 @@ def classify(m: TransitionMatrix) -> Classification:
     given node labeling: every entry depends only on (j - i) mod N.
     """
     g = m.g
-    symmetric = bool(np.abs(g - g.T).max() <= STOCHASTIC_TOL)
+    symmetric = bool(_asymmetries(g[None])[0] <= STOCHASTIC_TOL)
     homogeneous = bool(np.abs(g - _circulant(g[:, 0])).max() <= STOCHASTIC_TOL)
     return Classification(symmetric=symmetric, homogeneous=homogeneous)
 
@@ -377,9 +397,8 @@ def _csv_blocks(rows: np.ndarray, end: bytes):
         lines = [",".join(map(repr, row)).encode() + end for row in rows.tolist()]
         yield b"".join(lines), np.cumsum([len(line) for line in lines], dtype=np.int64)
         return
-    step = max(1, _CSV_BLOCK // rows.shape[1])
-    for lo in range(0, len(rows), step):
-        yield _csv_kernel(np.ascontiguousarray(rows[lo:lo + step]), end)
+    for s in _blocks(len(rows), rows.shape[1], _CSV_BLOCK):
+        yield _csv_kernel(np.ascontiguousarray(rows[s]), end)
 
 
 # --- float CSV rows ------------------------------------------------------------

@@ -40,11 +40,8 @@ def member_dots(fam: family_mod.SemiclassicalFamily, count: int, width: int) -> 
 
 
 def member_components(fam: family_mod.SemiclassicalFamily, count: int) -> dict[str, list]:
-    """components.json: the components of members t_q = 1..count, from one
-    stacked closure per block of ``family.STREAM_BLOCK`` entries."""
-    step = max(1, family_mod.STREAM_BLOCK // fam.stack[0].size)
-    comps = [c for lo in range(0, count, step) for c in cycles._components(fam.stack[lo:min(lo + step, count)])]
-    return {str(t): c for t, c in enumerate(comps, start=1)}
+    """components.json: the components of members t_q = 1..count."""
+    return {str(t): c for t, c in enumerate(cycles._components(fam.stack[:count]), start=1)}
 
 
 def cycle_report(n: int, t_q_max: int, tol: float) -> tuple[dict, family_mod.SemiclassicalFamily]:
@@ -52,26 +49,22 @@ def cycle_report(n: int, t_q_max: int, tol: float) -> tuple[dict, family_mod.Sem
 
     The family period n is certified only over two periods, so a t_q_max
     below 2n is an InsufficientRangeError before anything is built. The
-    closed forms are compared a block of ``family.STREAM_BLOCK`` entries at
-    a time."""
+    family period is found once, and the distinct members are counted over
+    that one period."""
     g = cycles.cycle_graph(n)
     family_mod._check_family([n], 1, t_q_max)
     if t_q_max < 2 * n:
         raise InsufficientRangeError(f"cycle n={n} needs t_q_max >= 2n = {2 * n}, have {t_q_max}")
     fam = family_mod.build_family(g, 1, t_q_max)
+    period = family_mod.family_period(fam, tol)
     measured = {
-        "distinct_count": family_mod.distinct_matrices(fam, tol),
-        "family_period": family_mod.family_period(fam, tol),
+        "distinct_count": family_mod._distinct(fam.stack[:period], tol),
+        "family_period": period,
         "unitary_period": family_mod.unitary_period(g, 2 * n, tol),
     }
     pred = cycles.cycle_predictions(n)
     predicted = {key: getattr(pred, key) for key in measured}
-    step = max(1, family_mod.STREAM_BLOCK // (n * n))
-    deviation = 0.0
-    for lo in range(0, t_q_max, step):
-        diff = cycles._cycle_member(n, np.arange(lo + 1, min(lo + step, t_q_max) + 1))
-        diff -= fam.stack[lo:lo + step]
-        deviation = max(deviation, float(np.abs(diff, out=diff).max()))
+    deviation = cycles._closed_form_deviation(fam.stack)
     report = {
         "n": n,
         "predicted": predicted,
@@ -107,7 +100,7 @@ def rank_report(g: TransitionMatrix, class_tag: int, t_q_max: int, tol: float) -
         "class": class_tag,
         "tq_max": t_q_max,
         **{f.name: getattr(result, f.name) for f in dataclasses.fields(result)},
-        "asymmetries": np.abs(fam.stack - np.swapaxes(fam.stack, 1, 2)).max(axis=(1, 2)).tolist(),
+        "asymmetries": graphs._asymmetries(fam.stack).tolist(),
     }
 
 

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import circuit as circuit_mod, corpus, cycles, dynamics, family as family_mod, instances, presets, szegedy
+from . import (circuit as circuit_mod, corpus, cycles, dynamics, family as family_mod, graphs, instances, presets,
+               szegedy)
 from .errors import TooLargeError
 from .graphs import TransitionMatrix, _check_int, _chunks
 from .szegedy import EdgeState, SzegedyOperator
@@ -20,10 +21,6 @@ from .szegedy import EdgeState, SzegedyOperator
 # 59 MB peak RSS on a 2-core host, and the cost grows linearly, so an
 # uncapped count could exhaust memory.
 MAX_COUNT = 10_000
-# Entries of each (B, N^2, N^2) chunk of dense complex operators, 256 KiB: four
-# operators at N = 8, and at least one at any N. Whole stacks per size peaked
-# 14 times higher on a count of 1000, and larger chunks were no faster.
-DENSE_BLOCK = family_mod.PHASE_BLOCK // 64
 
 # exact node-1 limits of the two-node chain's members t_q = 1, 2, 3
 TWO_NODE_LIMITS = {1: 9 / 11, 2: 153 / 299, 3: 8 / 9}
@@ -77,15 +74,16 @@ def unitarity_checks(mats: list[TransitionMatrix], rng: np.random.Generator) -> 
     register 1 of phi (class 2 is class 1 one step later); U is unitary; and
     apply matches U. The states phi are drawn in input order; the operators
     are built and checked as one stack per size, in chunks of
-    ``DENSE_BLOCK`` entries, each product one stacked matmul; ``apply``, the
-    code under test, runs once per matrix."""
+    ``graphs.PHASE_BLOCK // 64`` entries (whole stacks peaked 14 times
+    higher), each product one stacked matmul; ``apply``, the code under test,
+    runs once per matrix."""
     amps = []
     for g in mats:
         amp = rng.normal(size=g.n * g.n) + 1j * rng.normal(size=g.n * g.n)
         amp /= np.linalg.norm(amp)
         amps.append(amp)
     dev_limit = dev_shift = dev_u = dev_mf = 0.0
-    for ks in _chunks([g.n for g in mats], DENSE_BLOCK, lambda n: n**4):
+    for ks in _chunks([g.n for g in mats], graphs.PHASE_BLOCK // 64, lambda n: n**4):
         n = mats[ks[0]].n
         g = np.stack([mats[k].g for k in ks])
         sqrt_g = np.sqrt(g)

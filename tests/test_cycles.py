@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import semiwalk as sw
-from semiwalk import cycles, family, presets, verify
+from semiwalk import cycles, family, graphs, presets, verify
 from semiwalk.errors import TooLargeError, TooSmallError
 from semiwalk.corpus import random_circulant_symmetric, rng_from_seed
 from semiwalk.graphs import MAX_NODES, SUPPORT_TOL, _circulant, _reach
@@ -175,7 +175,22 @@ def test_cycle_report_peak_memory_is_one_stack():
     finally:
         tracemalloc.stop()
     # slack: the input and one member's temporaries, measured 0.43 MiB
-    assert peak <= fam.stack.nbytes + 3 * sw.family.PHASE_BLOCK * 8 + 8 * n * n * 8
+    assert peak <= fam.stack.nbytes + 3 * graphs.PHASE_BLOCK * 8 + 8 * n * n * 8
+
+
+def test_cycle_report_finds_the_family_period_once(monkeypatch):
+    # the distinct members are counted over the one period the report finds;
+    # through distinct_matrices it was found twice per report
+    calls = []
+    find = family.family_period
+    monkeypatch.setattr(family, "family_period", lambda *args: calls.append(args) or find(*args))
+    for n in (3, 6, 7, 16):
+        calls.clear()
+        report, _ = presets.cycle_report(n, 2 * n, family.MATRIX_TOL)
+        assert len(calls) == 1 and report["match"], n
+    calls.clear()
+    assert all(r["passed"] for r in verify.cycle_checks(range(3, 11)))
+    assert len(calls) == 8
 
 
 def test_predictions_values():
@@ -291,7 +306,7 @@ def test_stacked_components_equal_one_matrix_at_a_time(monkeypatch, stream_block
     # member_components reads every member from one stacked closure per block;
     # small blocks end inside the members
     if stream_block is not None:
-        monkeypatch.setattr(family, "STREAM_BLOCK", stream_block)
+        monkeypatch.setattr(graphs, "STREAM_BLOCK", stream_block)
     for n in range(3, 49):
         fam = sw.build_family(sw.cycle_graph(n), 1, 2 * n)
         want = {str(t): _components_one_matrix(fam.stack[t - 1]) for t in range(1, n + 1)}

@@ -14,7 +14,7 @@ from semiwalk.corpus import (
     random_symmetric_stochastic,
     rng_from_seed,
 )
-from semiwalk import dynamics
+from semiwalk import dynamics, graphs
 from semiwalk.cli import main
 from semiwalk.dynamics import MAX_SAMPLES
 from semiwalk.errors import (
@@ -395,6 +395,7 @@ def _oracle_cases():
     return [pytest.param(fam, p0, id=name) for name, fam, p0 in cases]
 
 
+# the default-budget case, graphs.STREAM_BLOCK, keeps its earlier id
 @pytest.mark.parametrize("members_per_block", [None, 1, 3], ids=["LIMIT_BLOCK", "1 member", "3 members"])
 @pytest.mark.parametrize("fam, p0", _oracle_cases())
 def test_rank_family_matches_a_limit_per_member(monkeypatch, fam, p0, members_per_block):
@@ -402,7 +403,7 @@ def test_rank_family_matches_a_limit_per_member(monkeypatch, fam, p0, members_pe
     # the block size; 3 members a block leave a short last block at T = 20 and 8
     n = fam.source.n
     if members_per_block is not None:
-        monkeypatch.setattr(dynamics, "LIMIT_BLOCK", members_per_block * n * n)
+        monkeypatch.setattr(graphs, "STREAM_BLOCK", members_per_block * n * n)
     start = sw.ProbabilityVector.uniform(n) if p0 is None else p0
     oracle = [sw.limiting_distribution(m, start) for m in fam.members]
     res = sw.rank_family(fam, p0=p0)
@@ -464,7 +465,7 @@ def test_sample_row_blocks_do_not_change_batch(monkeypatch, hub):
     whole = sw.sample_trajectories(hub, 1, 12, seed=8, count=30)
     # blocks of 2, 1 and 4 rows: 15 full blocks, 30 blocks, and a short last one
     for entries in (2 * hub.n, 1, 4 * hub.n):
-        monkeypatch.setattr(dynamics, "SAMPLE_BLOCK", entries)
+        monkeypatch.setattr(graphs, "PHASE_BLOCK", entries)
         assert np.array_equal(sw.sample_trajectories(hub, 1, 12, seed=8, count=30), whole)
 
 

@@ -170,7 +170,7 @@ def test_blocked_eigenphases_equal_unblocked_formula(theorem_corpus, monkeypatch
         op = SzegedyOperator(g)
         reference = _unblocked_eigenphases(op)
         for step in range(1, g.n + 1):
-            monkeypatch.setattr(family, "PHASE_BLOCK", step * g.n * g.n)
+            monkeypatch.setattr(graphs, "PHASE_BLOCK", step * g.n * g.n)
             assert np.abs(family._eigenphases(g.g) - reference).max() <= 1e-14
 
 
@@ -398,8 +398,9 @@ def test_unitarity_checks_equal_the_per_matrix_loop(seed, monkeypatch):
     # records string for string, from the same random states
     mats = random_stochastic_corpus(60, seed)
     expected = _unitarity_loop(mats, rng_from_seed(seed + 100))
-    for block in (verify.DENSE_BLOCK, 3 * 8**4):
-        monkeypatch.setattr(verify, "DENSE_BLOCK", block)
+    # (the dense chunks hold graphs.PHASE_BLOCK // 64 entries)
+    for block in (graphs.PHASE_BLOCK, 64 * 3 * 8**4):
+        monkeypatch.setattr(graphs, "PHASE_BLOCK", block)
         assert verify.unitarity_checks(mats, rng_from_seed(seed + 100)) == expected
 
 

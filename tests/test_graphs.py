@@ -188,7 +188,7 @@ def test_symmetric_corpus_pads_only_sizes_close_together(monkeypatch):
     runs = corpus._padded_runs(sizes)
     assert [sorted({sizes[k] for k in run}) for run in runs] == [list(range(1, 11)), [128]]
     assert sorted(k for run in runs for k in run) == list(range(len(sizes)))
-    monkeypatch.setattr(corpus, "PHASE_BLOCK", 20 * 100)  # 20 matrices padded to 10 x 10
+    monkeypatch.setattr(graphs, "PHASE_BLOCK", 20 * 100)  # 20 matrices padded to 10 x 10
     assert max(len(run) * max(sizes[k] for k in run) ** 2 for run in corpus._padded_runs(sizes[:50])) <= 2000
 
 
@@ -223,9 +223,9 @@ def test_generators_reject_bool_and_float_sizes(generate, n):
 def test_stochastic_corpus_equals_one_call_per_matrix_bitwise(monkeypatch):
     # drawn in input order, then normalised and checked one stack per size; a
     # small entry budget splits each size's stack into chunks
-    for block in (corpus.PHASE_BLOCK, 3 * 64):
+    for block in (graphs.PHASE_BLOCK, 3 * 64):
         streams = []
-        monkeypatch.setattr(corpus, "PHASE_BLOCK", block)
+        monkeypatch.setattr(graphs, "PHASE_BLOCK", block)
         monkeypatch.setattr(corpus, "rng_from_seed", lambda seed: streams.append(rng_from_seed(seed)) or streams[-1])
         got = random_stochastic_corpus(40, 7)
         one_by_one = rng_from_seed(7)

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import semiwalk as sw
-from semiwalk import family
+from semiwalk import family, graphs
 from semiwalk.corpus import random_stochastic, rng_from_seed
 from semiwalk.errors import InsufficientRangeError
 from semiwalk.graphs import _unchecked
@@ -104,8 +104,8 @@ BLOCKS = [None, (64, 1), (1024, 200)]
 
 def _set_blocks(monkeypatch, blocks):
     if blocks is not None:
-        monkeypatch.setattr(family, "PHASE_BLOCK", blocks[0])
-        monkeypatch.setattr(family, "STREAM_BLOCK", blocks[1])
+        monkeypatch.setattr(graphs, "PHASE_BLOCK", blocks[0])
+        monkeypatch.setattr(graphs, "STREAM_BLOCK", blocks[1])
 
 
 @pytest.mark.parametrize("blocks", BLOCKS)
@@ -201,7 +201,7 @@ def test_unitary_period_holds_a_few_blocks_of_powers(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2 * (family.PHASE_BLOCK // 16) * 16
+    assert peak <= 2 * (graphs.PHASE_BLOCK // 16) * 16
 
 
 def test_distinct_matrices_holds_o_p_plus_n2_beyond_its_stack(monkeypatch):
@@ -225,4 +225,4 @@ def test_distinct_matrices_holds_o_p_plus_n2_beyond_its_stack(monkeypatch):
     # measured 0.79 MiB: the keys and windows, and the earlier representatives
     # gathered with t's member in full, a STREAM_BLOCK at most, twice; a
     # count that keeps two (P, N) column copies peaks at 2.3 MiB here
-    assert peak <= 64 * count + 2 * max(family.STREAM_BLOCK, n * n) * 8
+    assert peak <= 64 * count + 2 * max(graphs.STREAM_BLOCK, n * n) * 8
