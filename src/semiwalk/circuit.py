@@ -186,8 +186,8 @@ def prep_angles(g: TransitionMatrix, p0: ProbabilityVector) -> tuple[float, floa
     """(alpha, theta_0, theta_1): the initial-sampling and proxy rotations.
 
     theta_i = 2 arccos(sqrt(g[0, i])) and alpha = 2 arccos(sqrt(p0[0]));
-    each argument is clamped at 1, since validation lets an entry exceed 1
-    by rounding, so the angles are always real.
+    each argument is clamped at 1, since ``validate`` accepts an entry up to
+    1 + ``STOCHASTIC_TOL``, so the angles are always real.
     """
     if g.n != 2:
         raise UnsupportedSizeError(f"circuit construction needs n=2, got n={g.n}")
@@ -197,7 +197,7 @@ def prep_angles(g: TransitionMatrix, p0: ProbabilityVector) -> tuple[float, floa
 
 
 def _angle(p: float) -> float:
-    # 2 arccos(sqrt(p)); p may exceed 1 by rounding that validation allows
+    # 2 arccos(sqrt(p)); validate accepts p up to 1 + STOCHASTIC_TOL
     return 2.0 * math.acos(math.sqrt(min(float(p), 1.0)))
 
 

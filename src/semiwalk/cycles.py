@@ -35,6 +35,12 @@ def cycle_graph(n: int) -> TransitionMatrix:
     return cycle_semiclassical(n, 1)
 
 
+def _check_n(n) -> None:
+    _check_int("n", n)
+    if n < 3:
+        raise TooSmallError(f"cycle formulas need n >= 3, got {n}")
+
+
 def cycle_semiclassical(n: int, t_q: int) -> TransitionMatrix:
     """Closed-form family member: node i links to i +/- t_q (mod n).
 
@@ -42,9 +48,7 @@ def cycle_semiclassical(n: int, t_q: int) -> TransitionMatrix:
     formulas do not model. n above ``graphs.MAX_NODES`` is rejected before
     the n x n matrix is allocated.
     """
-    _check_int("n", n)
-    if n < 3:
-        raise TooSmallError(f"cycle formulas need n >= 3, got {n}")
+    _check_n(n)
     if n > MAX_NODES:
         raise TooLargeError(f"n = {n} exceeds MAX_NODES = {MAX_NODES}")
     _check_int("t_q", t_q, 1)
@@ -77,9 +81,7 @@ def cycle_predictions(n: int) -> CyclePrediction:
     floor(n/2) + 1 distinct members, family period n, and the walk operator
     itself repeats after n steps for even n but only after 2n for odd n.
     """
-    _check_int("n", n)
-    if n < 3:
-        raise TooSmallError(f"cycle formulas need n >= 3, got {n}")
+    _check_n(n)
     return CyclePrediction(
         n=n,
         distinct_count=n // 2 + 1,

@@ -56,9 +56,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import graphs
-from .errors import DimensionMismatchError, IndexOutOfRangeError, InsufficientRangeError, TooLargeError
-from .graphs import (TransitionMatrix, _blocks, _check_int, _check_tol, _check_transition, _checked_rows,
-                     _csv_texts, _frozen_array, _unchecked, _views)
+from .errors import DimensionMismatchError, IndexOutOfRangeError, InsufficientRangeError, SemiwalkError, TooLargeError
+from .graphs import (TransitionMatrix, _blocks, _check_int, _check_tol, _checked_rows, _csv_texts, _frozen_array,
+                     _unchecked, _views, validate)
 
 MATRIX_TOL = 1e-9
 # Cap on N^2 * t_q_max, the float64 entries a family holds (2**24 is 128 MiB at
@@ -75,8 +75,9 @@ class SemiclassicalFamily:
     """Members indexed by quantum time, member(t_q) for t_q = 1..t_q_max.
 
     The family is its ``stack``: one read-only (t_q_max, N, N) float64 array,
-    member t_q in row t_q - 1, copied and checked once as a TransitionMatrix
-    copies and checks itself; the first bad member raises its own error.
+    member t_q in row t_q - 1, copied and checked once by ``validate`` as a
+    TransitionMatrix is; the first bad member raises its own error. An entry
+    may exceed 1 by rounding, up to 1 + ``graphs.STOCHASTIC_TOL``.
     ``member(t_q)`` and ``members`` wrap rows as unchecked views.
     """
 
@@ -90,7 +91,12 @@ class SemiclassicalFamily:
         n = self.source.n
         if stack.ndim != 3 or stack.shape[0] < 1 or stack.shape[1:] != (n, n):
             raise DimensionMismatchError(f"family stack must be (t_q_max >= 1, {n}, {n}), got {stack.shape}")
-        _check_transition(stack)
+        try:
+            validate(stack)
+        except SemiwalkError:
+            for m in stack:  # the first bad member raises its own error
+                validate(m)
+            raise
         object.__setattr__(self, "stack", stack)
 
     @property

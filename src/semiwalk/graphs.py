@@ -95,7 +95,7 @@ class TransitionMatrix:
         g = _frozen_array(self.g, float)
         if g.ndim != 2 or g.shape[0] != g.shape[1] or g.shape[0] < 1:
             raise DimensionMismatchError(f"transition matrix must be square, got {g.shape}")
-        _check_transition(g)
+        validate(g)
         object.__setattr__(self, "g", g)
 
     @property
@@ -144,41 +144,26 @@ def _asymmetries(stack: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_transition(g: np.ndarray) -> None:
-    """The entry checks of a transition matrix, or of a (..., N, N) stack of
-    them, checked as one array. If a stack fails, its matrices are checked one
-    by one in C order, so the first bad one raises the error it raises on its
-    own."""
-    try:
-        if np.fmax.reduce(g, axis=None) > 1 + 1e-12:  # fmax skips NaN, as a comparison does
-            raise NegativeWeightError("transition probabilities must lie in [0, 1]")
-        validate(g)
-    except (NegativeWeightError, NotStochasticError):
-        if g.ndim > 2:
-            for m in g.reshape(-1, *g.shape[-2:]):
-                _check_transition(m)
-        raise
-
-
 def _checked_rows(sizes: list[int], budget: int, entries, make) -> list[np.ndarray]:
     """The read-only rows, in input order, of the arrays ``make(ks)`` for the
     chunks ks of ``_chunks(sizes, budget, entries)``, each array checked once
-    by ``_check_transition``. If one fails, the rows are checked one by one
-    in input order, so the first bad input raises the error it raises alone."""
+    by ``validate``. If one fails, the matrices of the rows are checked one by
+    one in input order, so the first bad one raises the error it raises alone."""
     rows: list[np.ndarray] = [None] * len(sizes)
     failed = False
     for ks in _chunks(sizes, budget, entries):
         a = make(ks)
         a.setflags(write=False)
         try:
-            _check_transition(a)
+            validate(a)
         except (NegativeWeightError, NotStochasticError):
             failed = True
         for k, row in zip(ks, a):
             rows[k] = row
     if failed:
         for row in rows:
-            _check_transition(row)
+            for m in row.reshape(-1, *row.shape[-2:]):
+                validate(m)
     return rows
 
 
@@ -725,12 +710,7 @@ def _from_json(text: str) -> TransitionMatrix:
 
 
 def _to_dot(m: TransitionMatrix) -> str:
-    lines = ["digraph {"]
-    for i in range(m.n):
-        lines.append(f"  {i};")
     fr, to = np.nonzero(m.g.T > SUPPORT_TOL)
-    for i, j, w in zip(fr.tolist(), to.tolist(), m.g[to, fr].tolist()):
-        s = f"{w:.6f}"
-        lines.append(f'  {i} -> {j} [label="{s}", weight={s}];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    labels = [f"{w:.6f}" for w in m.g[to, fr].tolist()]
+    edges = [f'  {i} -> {j} [label="{s}", weight={s}];' for i, j, s in zip(fr.tolist(), to.tolist(), labels)]
+    return "\n".join(["digraph {", *(f"  {i};" for i in range(m.n)), *edges, "}"]) + "\n"

@@ -33,6 +33,14 @@ def json_text(obj) -> str:
                       default=lambda v: (v.p if isinstance(v, ProbabilityVector) else v).tolist()) + "\n"
 
 
+def closed_form_bound(t_q_max: int) -> str:
+    """The cycle verdict's bound for a family of t_q_max members, spelled as verify prints it:
+    ``CLOSED_FORM_BOUND`` to t_q_max = 1000, then in proportion, about 4.5 t_q_max eps. On
+    cycles 3..16, 32, 64 and 128, to their ``MAX_ENTRIES`` caps, the deviation stayed at
+    most 2.9e-13 to t_q_max = 1000 and 2.1 t_q_max eps beyond: it grows like t_q eps."""
+    return CLOSED_FORM_BOUND if t_q_max <= 1000 else repr(float(CLOSED_FORM_BOUND) * t_q_max / 1000)
+
+
 def member_dots(fam: family_mod.SemiclassicalFamily, count: int, width: int) -> dict[str, str]:
     """``member_<t>.dot`` for t_q = 1..count, t zero-padded to ``width`` digits."""
     return {f"member_{t:0{width}d}.dot": graphs.serialize(fam.member(t), "dot")
@@ -70,7 +78,7 @@ def cycle_report(n: int, t_q_max: int, tol: float) -> tuple[dict, family_mod.Sem
         "predicted": predicted,
         "measured": measured,
         "closed_form_max_deviation": deviation,
-        "match": measured == predicted and deviation < float(CLOSED_FORM_BOUND),
+        "match": measured == predicted and deviation < float(closed_form_bound(t_q_max)),
     }
     return report, fam
 

@@ -103,11 +103,11 @@ def unitarity_checks(mats: list[TransitionMatrix], rng: np.random.Generator) -> 
 
 
 def cycle_checks(ns: range) -> list[dict]:
-    """Each n-cycle family (t_q <= 2n) against its closed form, counts and periods."""
+    """Each n-cycle family (t_q <= 2n) against its closed form, within the longest's bound, counts and periods."""
     reports = [presets.cycle_report(n, 2 * n, family_mod.MATRIX_TOL)[0] for n in ns]
     worst = max(r["closed_form_max_deviation"] for r in reports)
     predictions_ok = all(r["measured"] == r["predicted"] for r in reports)
-    return [_below("cycle-closed-form", worst, presets.CLOSED_FORM_BOUND),
+    return [_below("cycle-closed-form", worst, presets.closed_form_bound(2 * max(ns))),
             _record("cycle-predictions", predictions_ok, f"counts and periods match for n={ns[0]}..{ns[-1]}")]
 
 

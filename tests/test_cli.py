@@ -238,6 +238,15 @@ def test_cycle_range_of_2n_passes(tmp_path, capsys):
         "cycle.json", "manifest.json", *(f"member_{t}.dot" for t in range(1, 7))]
 
 
+@pytest.mark.parametrize("n, tq_max", [(6, 16000), (5, 20000), (15, 3300), (7, 100000)])
+def test_long_cycle_families_pass(tmp_path, capsys, n, tq_max):
+    # their members hold entries more than 1e-12 above 1, once refused as negative
+    # weights, and closed-form deviations above 1e-12, once a false FAIL
+    out = tmp_path / "out"
+    assert main(["cycle", "--n", str(n), "--tq-max", str(tq_max), "--out", str(out)]) == 0
+    assert capsys.readouterr().out.startswith(f"PASS cycle n={n}: ")
+
+
 def test_module_entry_point_runs(tmp_path):
     import subprocess
     import sys

@@ -67,6 +67,17 @@ def test_cycle_graph_too_small():
         sw.cycle_predictions(2)
 
 
+@pytest.mark.parametrize("n, error", [(2, TooSmallError), (-1, TooSmallError), (3.0, ValueError),
+                                      (True, ValueError)])
+def test_cycle_formulas_check_n_alike(n, error):
+    raised = []
+    for call in (lambda: sw.cycle_semiclassical(n, 1), lambda: sw.cycle_predictions(n)):
+        with pytest.raises(error) as err:
+            call()
+        raised.append(str(err.value))
+    assert raised[0] == raised[1]
+
+
 def test_cycle_graph_is_the_first_closed_form_member():
     for n in range(3, 12):
         assert np.array_equal(sw.cycle_graph(n).g, sw.cycle_semiclassical(n, 1).g)
@@ -161,6 +172,36 @@ def test_a_deviation_at_the_bound_fails_cycle_and_verify_alike(monkeypatch):
     assert presets.cycle_report(6, 12, sw.family.MATRIX_TOL)[0]["match"] is False
     record = verify.cycle_checks(range(6, 7))[0]
     assert record["name"] == "cycle-closed-form" and record["passed"] is False
+
+
+def test_closed_form_bound_is_fixed_to_1000_then_grows_in_proportion(monkeypatch):
+    for t in (1, 12, 999, 1000):
+        assert presets.closed_form_bound(t) == presets.CLOSED_FORM_BOUND
+    assert float(presets.closed_form_bound(16000)) == 16 * float(presets.CLOSED_FORM_BOUND)
+    assert float(presets.closed_form_bound(1001)) > float(presets.CLOSED_FORM_BOUND)
+    assert verify.cycle_checks(range(3, 5))[0]["detail"].endswith("(tol 1e-12)")
+    monkeypatch.setattr(presets, "CLOSED_FORM_BOUND", "2e-12")  # read at call time
+    assert presets.closed_form_bound(1000) == "2e-12"
+    assert float(presets.closed_form_bound(3000)) == 6e-12
+
+
+# n: (the first member with an entry more than 1e-12 above 1, one later such
+# member drawn by default_rng(21) from those within MAX_ENTRIES); cycle 4's
+# members never hold one
+PAST_ONE = {3: (15645, 610614), 5: (13040, 576860), 6: (15705, 204072), 7: (6097, 245875),
+            8: (27832, 139104), 9: (15651, 154530), 10: (17435, 78340), 11: (5775, 30701),
+            12: (12516, 37926), 13: (8567, 76609), 14: (9191, 66374), 15: (3225, 72975),
+            16: (10544, 35616)}
+
+
+@pytest.mark.parametrize("n", sorted(PAST_ONE))
+def test_long_members_past_one_are_accepted_within_the_bound(n):
+    # such members were refused as negative weights; each is within the cycle
+    # bound for its t_q of the closed form
+    for t in PAST_ONE[n]:
+        g = sw.semiclassical_matrix(sw.cycle_graph(n), t, 1).g
+        assert g.max() - 1 > 1e-12, (n, t)
+        assert np.abs(g - cycles._cycle_member(n, t)).max() < float(presets.closed_form_bound(t)), (n, t)
 
 
 def test_cycle_report_peak_memory_is_one_stack():

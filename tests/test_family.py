@@ -329,9 +329,9 @@ def test_semiclassical_matrix_forms_and_checks_one_member(monkeypatch):
     # and checked the member twice: in the family's stack and on its own
     g = random_stochastic(128, rng_from_seed(3))
     checked = []
-    check = graphs._check_transition
+    check = graphs.validate
     for module in (graphs, family):
-        monkeypatch.setattr(module, "_check_transition", lambda a: checked.append(a.shape) or check(a))
+        monkeypatch.setattr(module, "validate", lambda a: checked.append(a.shape) or check(a))
     tracemalloc.start()
     try:
         sw.semiclassical_matrix(g, 1000, 1)
@@ -408,8 +408,8 @@ def test_build_families_check_each_chunk_once(monkeypatch):
     # one check per (B, t_q_max, N, N) chunk, not one per family
     monkeypatch.setattr(family, "MAX_ENTRIES", 8 * 8 * 16)
     checked = []
-    check = graphs._check_transition
-    monkeypatch.setattr(graphs, "_check_transition", lambda a: checked.append(a.shape) or check(a))
+    check = graphs.validate
+    monkeypatch.setattr(graphs, "validate", lambda a: checked.append(a.shape) or check(a))
     rng = rng_from_seed(131)
     gs = [random_stochastic(8 if k % 3 == 0 else 4, rng) for k in range(9)]  # 3 of N = 8, 6 of N = 4
     checked.clear()  # the inputs' own checks

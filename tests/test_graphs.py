@@ -126,6 +126,26 @@ def test_transition_matrix_constructor_validates():
         sw.TransitionMatrix(np.array([[-1e-13, 0.5], [1 + 1e-13, 0.5]]))
 
 
+def test_an_entry_above_one_within_the_sum_tolerance_is_accepted():
+    # validate is the only entry check: a nonnegative column within
+    # STOCHASTIC_TOL of unit sum may hold an entry up to 1 + STOCHASTIC_TOL
+    # (a separate cap, 1e-12 above 1, refused long cycle families' members)
+    g = sw.TransitionMatrix([[1 + 5e-10, 0], [0, 1]])
+    assert g.g[0, 0] == 1 + 5e-10
+    fam = sw.SemiclassicalFamily(sw.two_node_chain(), 1, g.g[None])
+    assert fam.member(1).g[0, 0] == 1 + 5e-10
+
+
+def test_an_entry_above_one_past_the_sum_tolerance_is_not_stochastic():
+    # the error names the entry's column, and is no NegativeWeightError
+    g = np.array([[0.5, 0.0, 0.0], [0.5, 1 + 2e-9, 0.0], [0.0, 0.0, 1.0]])
+    for make in (sw.TransitionMatrix, lambda a: sw.SemiclassicalFamily(sw.cycle_graph(3), 1, a[None])):
+        with pytest.raises(NotStochasticError) as err:
+            make(g)
+        assert err.value.column == 1 and not isinstance(err.value, NegativeWeightError)
+        assert str(err.value).startswith("column 1 ")
+
+
 def test_validate_rejects_non_finite_entries():
     with pytest.raises(NotStochasticError) as err:
         sw.TransitionMatrix(np.array([[np.nan, 0.5], [0.5, 0.5]]))
