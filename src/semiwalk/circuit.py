@@ -37,9 +37,7 @@ t_c products with K.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
-import json
 import math
 import re
 import string
@@ -49,7 +47,7 @@ import numpy as np
 
 from .errors import ParseError, TooLargeError, UnsupportedSizeError
 from .dynamics import _series
-from .graphs import ProbabilityVector, TransitionMatrix, _check_int, _views, serialize
+from .graphs import ProbabilityVector, TransitionMatrix, _check_int, _views
 from .szegedy import SzegedyOperator
 
 # cap on the walk blocks t_q * t_c of one circuit. The OpenQASM lists every
@@ -127,14 +125,8 @@ class GateOp:
             raise ValueError("register must be 1 or 2")
 
 
-_GATE_FIELDS = tuple(f.name for f in dataclasses.fields(GateOp))
-
 # the measurement of register 1 that closes the head and every round
 _MEASURE = GateOp("measure", register=1)
-
-
-def _gate_dicts(gates) -> list[dict]:
-    return [{k: v for k in _GATE_FIELDS if (v := getattr(gate, k)) is not None} for gate in gates]
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,18 +160,6 @@ class CircuitDescription:
         """The flat gate sequence: the head, then the round t_c times."""
         one_round = tuple(gate for gates, repeat in self.round for gate in gates * repeat)
         return self.head + one_round * self.t_c
-
-    def to_json(self) -> str:
-        """JSON object: sizes, angles, the source matrix as CSV, p0, the
-        ``head`` gates and the ``round`` as segments ``{"gates", "repeat"}``.
-        The circuit is the head followed by t_c rounds, and a round is each
-        segment's gates ``repeat`` times; each gate lists only its set fields."""
-        doc = {name: getattr(self, name) for name in ("t_q", "t_c", "alpha", "theta0", "theta1")}
-        doc["source_csv"] = serialize(self.source, "csv")
-        doc["p0"] = list(map(float, self.p0.p))
-        doc["head"] = _gate_dicts(self.head)
-        doc["round"] = [{"gates": _gate_dicts(gates), "repeat": repeat} for gates, repeat in self.round]
-        return json.dumps(doc, indent=2, sort_keys=True)
 
 
 def prep_angles(g: TransitionMatrix, p0: ProbabilityVector) -> tuple[float, float, float]:

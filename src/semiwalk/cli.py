@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
-import itertools
 import json
 import os
 import sys
@@ -23,8 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, circuit as circuit_mod, dynamics, family as family_mod, graphs
-from . import instances, presets, verify
+from . import dynamics, family as family_mod, graphs, instances, presets, verify
 from .errors import ParseError, SemiwalkError
 from .graphs import ProbabilityVector, TransitionMatrix
 
@@ -142,27 +140,9 @@ def _load_matrix(opts: dict) -> TransitionMatrix:
 
 def _start(opts: dict, n: int) -> ProbabilityVector:
     """The start distribution ``p0`` (uniform if unset), recorded back as a list."""
-    if opts["p0"] is None:
-        p0 = ProbabilityVector.uniform(n)
-    else:
-        p0 = ProbabilityVector(np.array(opts["p0"]))
+    p0 = ProbabilityVector.uniform(n) if opts["p0"] is None else ProbabilityVector(np.array(opts["p0"]))
     opts["p0"] = list(map(float, p0.p))
     return p0
-
-
-class _Chunks:
-    """Artifact bytes made chunk by chunk each time they are read: ``_emit``
-    writes each chunk as it comes, so the whole text is never held;
-    ``encode()`` gives it whole, as a str artifact's does."""
-
-    def __init__(self, chunks):  # a callable returning an iterable of bytes
-        self._chunks = chunks
-
-    def __iter__(self):
-        return iter(self._chunks())
-
-    def encode(self) -> bytes:
-        return b"".join(self)
 
 
 def _emit(outdir: Path, subcommand: str, config: dict, artifacts: dict) -> None:
@@ -176,9 +156,7 @@ def _emit(outdir: Path, subcommand: str, config: dict, artifacts: dict) -> None:
                 fh.write(chunk)
                 digest.update(chunk)
         checksums[name] = digest.hexdigest()
-    manifest = {"subcommand": subcommand, "config": config, "artifacts": checksums,
-                "versions": {"semiwalk": __version__, "numpy": np.__version__}}
-    (outdir / "manifest.json").write_bytes(presets.json_text(manifest).encode())
+    (outdir / "manifest.json").write_bytes(presets.manifest_json(subcommand, config, checksums).encode())
 
 
 # --- subcommand handlers ------------------------------------------------------
@@ -186,65 +164,50 @@ def _emit(outdir: Path, subcommand: str, config: dict, artifacts: dict) -> None:
 # returns (exit code, artifacts); ``main`` records the options in the manifest.
 
 def _cmd_family(opts: dict) -> tuple[int, dict]:
-    g = _load_matrix(opts)
-    fam = family_mod.build_family(g, opts["class"], opts["tq_max"])
-    return 0, {"family.json": _Chunks(lambda: itertools.chain(fam.json_chunks(), [b"\n"]))}
+    return 0, presets.family_artifacts(_load_matrix(opts), opts["class"], opts["tq_max"])
 
 
 def _cmd_cycle(opts: dict) -> tuple[int, dict[str, str]]:
     n = opts["n"]
     if opts["tq_max"] is None:
         opts["tq_max"] = 2 * n
-    report, fam = presets.cycle_report(n, opts["tq_max"], opts["tol"])
-    report["components"] = presets.member_components(fam, n)
-    measured, ok = report["measured"], report["match"]
-    print(f"{'PASS' if ok else 'FAIL'} cycle n={n}: "
+    report, artifacts = presets.cycle_artifacts(n, opts["tq_max"], opts["tol"])
+    measured = report["measured"]
+    print(f"{'PASS' if report['match'] else 'FAIL'} cycle n={n}: "
           f"distinct={measured['distinct_count']} family_period={measured['family_period']} "
           f"unitary_period={measured['unitary_period']} "
           f"closed-form dev={report['closed_form_max_deviation']:.2e}")
-    dots = presets.member_dots(fam, n, len(str(n)))
-    return (0 if ok else 1), {"cycle.json": presets.json_text(report), **dots}
+    return (0 if report["match"] else 1), artifacts
 
 
 def _cmd_evolve(opts: dict) -> tuple[int, dict[str, str]]:
     g = _load_matrix(opts)
-    p0 = _start(opts, g.n)
-    member = family_mod.semiclassical_matrix(g, opts["tq"], opts["class"])
-    return 0, {"evolve.csv": presets.evolve_csv(member, p0, opts["steps"])}
+    return 0, presets.evolve_artifacts(g, opts["class"], opts["tq"], _start(opts, g.n), opts["steps"])
 
 
 def _cmd_rank(opts: dict) -> tuple[int, dict[str, str]]:
-    report = presets.rank_report(_load_matrix(opts), opts["class"], opts["tq_max"], opts["tol"])
-    return 0, {"rank.json": presets.json_text(report)}
+    return 0, presets.rank_artifacts(_load_matrix(opts), opts["class"], opts["tq_max"], opts["tol"])
 
 
 def _cmd_sample(opts: dict) -> tuple[int, dict[str, str]]:
-    g = _load_matrix(opts)
-    steps = opts["steps"]
-    member = family_mod.semiclassical_matrix(g, opts["tq"], opts["class"])
-    nodes = dynamics.sample_trajectories(member, opts["x0"], steps, opts["seed"], opts["count"])
-    rows = ["trajectory," + ",".join(f"x{t}" for t in range(steps + 1))]
-    rows += [f"{k}," + ",".join(map(str, row)) for k, row in enumerate(nodes.tolist())]
-    return 0, {"trajectories.csv": "\n".join(rows) + "\n"}
+    return 0, presets.sample_artifacts(_load_matrix(opts), opts["class"], opts["tq"], opts["x0"], opts["steps"],
+                                       opts["seed"], opts["count"])
 
 
 def _cmd_circuit(opts: dict) -> tuple[int, dict[str, str]]:
     g = instances.two_node_chain() if opts["input"] is None else _load_matrix(opts)
-    c = circuit_mod.build_circuit(g, _start(opts, 2), opts["tq"], opts["tc"])
-    report = presets.circuit_report(c)
-    print(f"{'PASS' if report['ok'] else 'FAIL'} circuit t_q={c.t_q}: "
+    report, artifacts = presets.circuit_artifacts(g, _start(opts, 2), opts["tq"], opts["tc"],
+                                                  opts["classical_control"])
+    print(f"{'PASS' if report['ok'] else 'FAIL'} circuit t_q={report['t_q']}: "
           f"block dev={report['block_deviation']:.2e} channel dev={report['channel_deviation']:.2e}")
-    return (0 if report["ok"] else 1), presets.circuit_artifacts(c, opts["classical_control"], **report)
+    return (0 if report["ok"] else 1), artifacts
 
 
 def _cmd_verify(opts: dict) -> tuple[int, dict[str, str]]:
-    count, seed = opts["count"], opts["seed"]
-    checks = verify.run_verification(count=count, seed=seed)
-    ok = all(c["passed"] for c in checks)
-    for c in checks:
+    report, artifacts = verify.verify_artifacts(opts["count"], opts["seed"])
+    for c in report["checks"]:
         print(f"{'PASS' if c['passed'] else 'FAIL'} {c['name']}: {c['detail']}")
-    report = {"count": count, "seed": seed, "checks": checks, "ok": ok}
-    return (0 if ok else 1), {"verify_report.json": presets.json_text(report)}
+    return (0 if report["ok"] else 1), artifacts
 
 
 def _cmd_preset(opts: dict) -> tuple[int, dict[str, str]]:

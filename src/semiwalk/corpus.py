@@ -20,17 +20,19 @@ def random_stochastic(n: int, rng: np.random.Generator) -> TransitionMatrix:
     return _checked([rng.random((n, n))], normalise=True)[0]
 
 
-def random_symmetric_stochastic(
-    n: int, rng: np.random.Generator, tol: float = 1e-14, max_rounds: int = 1000
-) -> TransitionMatrix:
+# Sinkhorn scaling stops at the first round whose column sums lie within
+# SINKHORN_TOL of 1, or after SINKHORN_ROUNDS rounds
+SINKHORN_TOL = 1e-14
+SINKHORN_ROUNDS = 1000
+
+
+def random_symmetric_stochastic(n: int, rng: np.random.Generator) -> TransitionMatrix:
     """Exactly symmetric doubly stochastic matrix via symmetric scaling; one
     matrix of :func:`random_symmetric_corpus`."""
-    return random_symmetric_corpus([n], rng, tol, max_rounds)[0]
+    return random_symmetric_corpus([n], rng)[0]
 
 
-def random_symmetric_corpus(
-    sizes: list[int], rng: np.random.Generator, tol: float = 1e-14, max_rounds: int = 1000
-) -> list[TransitionMatrix]:
+def random_symmetric_corpus(sizes: list[int], rng: np.random.Generator) -> list[TransitionMatrix]:
     """Exactly symmetric doubly stochastic matrices of the given sizes.
 
     Each matrix's uniform entries are drawn in input order, so the corpus
@@ -41,9 +43,9 @@ def random_symmetric_corpus(
     1, so its scale is 1 and no real entry sees it. Sizes far apart, whose
     padding would more than quadruple the entries, and stacks above
     ``graphs.PHASE_BLOCK`` entries are split into runs of increasing size, one loop
-    each. A matrix leaves the stack at the first round whose column sums lie
-    within ``tol`` of 1, the round it would leave it alone, so each matrix is
-    bitwise the one that call gives. A final (A + A^T)/2 makes the symmetry
+    each. A matrix leaves the stack at the round it would leave it alone, the
+    first whose column sums lie within ``SINKHORN_TOL`` of 1, so each matrix
+    is bitwise the one that call gives. A final (A + A^T)/2 makes the symmetry
     exact in floating point. The matrices are checked once per size, as
     ``random_stochastic_corpus``'s are.
     """
@@ -56,9 +58,9 @@ def random_symmetric_corpus(
             row[:sizes[k], :sizes[k]] = drawn[k]
         a = 0.5 * (a + np.swapaxes(a, -1, -2))
         live, work = np.arange(len(ks)), a  # the matrices still being scaled
-        for _ in range(max_rounds):
+        for _ in range(SINKHORN_ROUNDS):
             sums = work.sum(axis=-2)
-            done = np.abs(sums - 1.0).max(axis=-1) < tol
+            done = np.abs(sums - 1.0).max(axis=-1) < SINKHORN_TOL
             if done.any():
                 a[live[done]] = work[done]
                 live, work, sums = live[~done], work[~done], sums[~done]

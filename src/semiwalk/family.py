@@ -57,8 +57,8 @@ import numpy as np
 
 from . import graphs
 from .errors import DimensionMismatchError, IndexOutOfRangeError, InsufficientRangeError, SemiwalkError, TooLargeError
-from .graphs import (TransitionMatrix, _blocks, _check_int, _check_tol, _checked_rows, _csv_texts, _frozen_array,
-                     _unchecked, _views, validate)
+from .graphs import (TransitionMatrix, _blocks, _check_int, _check_tol, _checked_rows, _frozen_array, _unchecked,
+                     _views, validate)
 
 MATRIX_TOL = 1e-9
 # Cap on N^2 * t_q_max, the float64 entries a family holds (2**24 is 128 MiB at
@@ -114,23 +114,6 @@ class SemiclassicalFamily:
         if not (1 <= t_q <= len(self.stack)):
             raise IndexOutOfRangeError(f"t_q={t_q} outside 1..{len(self.stack)}")
         return _unchecked(TransitionMatrix, {"g": self.stack[t_q - 1]})
-
-    def to_json(self) -> str:
-        """JSON array of {"t_q", "matrix_csv"} entries: the chunks of
-        :meth:`json_chunks` joined and decoded."""
-        return b"".join(self.json_chunks()).decode("ascii")
-
-    def json_chunks(self):
-        """The ASCII bytes of :meth:`to_json`, one member per chunk, then the
-        closing bracket, so the whole text need never be held at once.
-        Member t_q's chunk is ``json.dumps({"t_q": t_q, "matrix_csv": csv})``
-        with csv the member's ``serialize(..., "csv")``: a CSV needs no JSON
-        escape but its newlines, so its lines end with an escaped one.
-        The rows are formatted a block at a time."""
-        for t, pieces in enumerate(_csv_texts(self.stack, b"\\n"), start=1):
-            head = b'%s{"t_q": %d, "matrix_csv": "' % (b"[" if t == 1 else b", ", t)
-            yield b"".join([head, *pieces, b'"}'])
-        yield b"]"
 
 
 def semiclassical_matrix(g: TransitionMatrix, t_q: int, class_tag: int) -> TransitionMatrix:
@@ -216,21 +199,18 @@ def _member_stack(g: np.ndarray, class_tag: int, rows: range) -> np.ndarray:
     stack = np.empty(g.shape[:-2] + (len(rows), n, n))
     if class_tag == 2 and rows.start == 0:
         stack[..., 0, :, :] = np.eye(n)  # I, class 2's member 1
-    mats = None  # one block's X diag(c) X^T, sized by the first, largest block
     for b in _blocks(len(rows), theta.size * n, graphs.PHASE_BLOCK, max(0, class_tag - 1 - rows.start)):
         t, k = rows.start + b.start + 2 - class_tag, b.stop - b.start  # t: class-1 time of the block's first row
-        if mats is None:
-            mats = np.empty(g.shape[:-2] + (k + 4, n, n))
         ts = np.arange(t - 1, t + k + 1)[:, None] * theta[..., None, :]  # (t - 1 .. t + k) theta
         d = np.where(line[..., None, :], 0.0, np.sin(ts) / sin[..., None, :])
-        np.matmul(x[..., None, :, :] * np.concatenate([d, parity], axis=-2)[..., None, :], xt,
-                  out=mats[..., :k + 4, :, :])
+        mats = np.matmul(x[..., None, :, :] * np.concatenate([d, parity], axis=-2)[..., None, :], xt)
         beta = mats[..., :k + 2, :, :]  # beta_{t-1} .. beta_{t+k}
         out = stack[..., b, :, :]
         np.matmul(g[..., None, :, :], np.square(beta[..., 1:-1, :, :]), out=out)
         for j in range(min(2, k)):  # the members of one parity of t
             p = mats[..., k + 2 + (t + j) % 2, None, :, :]
             out[..., j::2, :, :] += (p - beta[..., j:k:2, :, :]) * (p + beta[..., j + 2::2, :, :])
+        del mats, beta, p  # so the next block's matrices replace this block's rather than join them
     np.maximum(stack, 0.0, out=stack)
     stack.setflags(write=False)
     return stack
@@ -420,15 +400,13 @@ def unitary_period(g: TransitionMatrix, t_max: int, tol: float = MATRIX_TOL) -> 
     _check_int("t_max", t_max, 0)
     _check_tol(tol)
     theta = _eigenphases(g.g)
-    phases = None  # sized by the first, largest block
     for block in _blocks(t_max + 1, 16 * theta.size, graphs.PHASE_BLOCK, start=1):
         ps = np.arange(block.start, block.stop)
-        if phases is None:
-            phases = np.empty((len(ps), theta.size), dtype=complex)
-        z = np.multiply((1j * ps)[:, None], theta, out=phases[:len(ps)])
+        z = (1j * ps)[:, None] * theta
         np.exp(z, out=z)
         z -= 1.0
         hits = np.flatnonzero(np.abs(z).max(axis=1) <= tol)
         if hits.size:
             return int(ps[hits[0]])
+        del z  # so the next block's phases replace this block's rather than join them
     return None

@@ -1,8 +1,11 @@
-"""Named reproductions of the paper's figures, and the report builders that
+"""Named reproductions of the paper's figures, and the artifact builders that
 the CLI's subcommands share with them.
 
-``PRESETS`` maps each name to a builder that returns the preset's artifacts,
-``{file name: text}``; ``semiwalk preset NAME`` writes them with a manifest.
+Every artifact's name, content and spelling is decided here. A builder
+returns ``{file name: text}``, each text a str or, for ``family.json``, a
+re-iterable of bytes chunks (``family_json``); a subcommand with a verdict
+gets ``(report, artifacts)``. ``PRESETS`` maps each name to the builder of
+its artifacts; ``semiwalk preset NAME`` writes them with a manifest.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ import json
 
 import numpy as np
 
-from . import circuit as circuit_mod, cycles, dynamics, family as family_mod, graphs, instances
+from . import __version__, circuit as circuit_mod, cycles, dynamics, family as family_mod, graphs, instances
 from .errors import DimensionMismatchError, InsufficientRangeError, TooLargeError
 from .graphs import ProbabilityVector, TransitionMatrix
 
@@ -31,6 +34,43 @@ def json_text(obj) -> str:
     numpy array is written as its (nested) lists."""
     return json.dumps(obj, indent=2, sort_keys=True,
                       default=lambda v: (v.p if isinstance(v, ProbabilityVector) else v).tolist()) + "\n"
+
+
+def manifest_json(subcommand: str, config: dict, checksums: dict[str, str]) -> str:
+    """manifest.json: the subcommand, its options, each artifact's sha256 and the versions."""
+    return json_text({"subcommand": subcommand, "config": config, "artifacts": checksums,
+                      "versions": {"semiwalk": __version__, "numpy": np.__version__}})
+
+
+@dataclasses.dataclass(frozen=True)
+class _FamilyJSON:
+    """Made chunk by chunk each time it is read, so a writer never holds the
+    whole text; ``encode()`` gives it whole, as a str artifact's does."""
+
+    fam: family_mod.SemiclassicalFamily
+
+    def __iter__(self):
+        # a CSV needs no JSON escape but its newlines, so its lines end with an escaped one
+        for t, pieces in enumerate(graphs._csv_texts(self.fam.stack, b"\\n"), start=1):
+            yield b"".join([b'%s{"t_q": %d, "matrix_csv": "' % (b"[" if t == 1 else b", ", t), *pieces, b'"}'])
+        yield b"]\n"
+
+    def encode(self) -> bytes:
+        return b"".join(self)
+
+
+def family_json(fam: family_mod.SemiclassicalFamily) -> _FamilyJSON:
+    """family.json: a JSON array of ``{"t_q", "matrix_csv"}`` entries and a
+    newline, in ASCII bytes, one member per chunk. Member t_q's entry is
+    ``{"t_q": t_q, "matrix_csv": csv}`` with the json module's default
+    separators, csv the member's ``serialize(..., "csv")``; the rows are
+    formatted a block at a time."""
+    return _FamilyJSON(fam)
+
+
+def family_artifacts(g: TransitionMatrix, class_tag: int, t_q_max: int) -> dict:
+    """family.json of the family of g."""
+    return {"family.json": family_json(family_mod.build_family(g, class_tag, t_q_max))}
 
 
 def closed_form_bound(t_q_max: int) -> str:
@@ -83,6 +123,14 @@ def cycle_report(n: int, t_q_max: int, tol: float) -> tuple[dict, family_mod.Sem
     return report, fam
 
 
+def cycle_artifacts(n: int, t_q_max: int, tol: float) -> tuple[dict, dict[str, str]]:
+    """The cycle report with each member's components, as cycle.json, and the
+    members t_q = 1..n as DOT files."""
+    report, fam = cycle_report(n, t_q_max, tol)
+    report["components"] = member_components(fam, n)
+    return report, {"cycle.json": json_text(report), **member_dots(fam, n, len(str(n)))}
+
+
 def evolve_csv(member: TransitionMatrix, p0: ProbabilityVector, steps: int) -> str:
     """evolve.csv: the rows p(t) = G^t p0 for t = 0..steps, checked once as a table.
 
@@ -100,6 +148,20 @@ def evolve_csv(member: TransitionMatrix, p0: ProbabilityVector, steps: int) -> s
     return "\n".join([header, *rows]) + "\n"
 
 
+def evolve_artifacts(g: TransitionMatrix, class_tag: int, t_q: int, p0: ProbabilityVector, steps: int) -> dict:
+    """evolve.csv under family member t_q."""
+    return {"evolve.csv": evolve_csv(family_mod.semiclassical_matrix(g, t_q, class_tag), p0, steps)}
+
+
+def sample_artifacts(g: TransitionMatrix, class_tag: int, t_q: int, x0: int, steps: int, seed: int,
+                     count: int) -> dict[str, str]:
+    """trajectories.csv: ``count`` seeded trajectories of family member t_q from x0, one row each."""
+    nodes = dynamics.sample_trajectories(family_mod.semiclassical_matrix(g, t_q, class_tag), x0, steps, seed, count)
+    rows = ["trajectory," + ",".join(f"x{t}" for t in range(steps + 1))]
+    rows += [f"{k}," + ",".join(map(str, row)) for k, row in enumerate(nodes.tolist())]
+    return {"trajectories.csv": "\n".join(rows) + "\n"}
+
+
 def rank_report(g: TransitionMatrix, class_tag: int, t_q_max: int, tol: float) -> dict:
     """rank.json: the class, t_q_max, every RankingResult field and each member's asymmetry."""
     fam = family_mod.build_family(g, class_tag, t_q_max)
@@ -112,12 +174,32 @@ def rank_report(g: TransitionMatrix, class_tag: int, t_q_max: int, tol: float) -
     }
 
 
-def circuit_artifacts(c: circuit_mod.CircuitDescription, classical_control: bool,
-                      **checks) -> dict[str, str]:
-    """circuit.qasm, gates.json, and verify.json: the angles of c plus ``checks``."""
-    report = {"alpha": c.alpha, "theta0": c.theta0, "theta1": c.theta1, **checks}
-    return {"circuit.qasm": circuit_mod.export_openqasm(c, classical_control=classical_control),
-            "gates.json": c.to_json() + "\n", "verify.json": json_text(report)}
+def rank_artifacts(g: TransitionMatrix, class_tag: int, t_q_max: int, tol: float) -> dict[str, str]:
+    """rank.json: ``rank_report``."""
+    return {"rank.json": json_text(rank_report(g, class_tag, t_q_max, tol))}
+
+
+def gates_json(c: circuit_mod.CircuitDescription) -> str:
+    """gates.json: sizes, angles, the source matrix as CSV, p0, the ``head``
+    gates and the ``round`` as segments ``{"gates", "repeat"}``. The circuit
+    is the head followed by t_c rounds, and a round is each segment's gates
+    ``repeat`` times; each gate lists only its set fields."""
+    def entries(gates):
+        return [{k: v for k, v in dataclasses.asdict(gate).items() if v is not None} for gate in gates]
+
+    doc = {name: getattr(c, name) for name in ("t_q", "t_c", "alpha", "theta0", "theta1")}
+    return json_text({**doc, "source_csv": graphs.serialize(c.source, "csv"), "p0": c.p0, "head": entries(c.head),
+                      "round": [{"gates": entries(gates), "repeat": repeat} for gates, repeat in c.round]})
+
+
+def circuit_artifacts(g: TransitionMatrix, p0: ProbabilityVector, t_q: int, t_c: int,
+                      classical_control: bool) -> tuple[dict, dict[str, str]]:
+    """The circuit of g from p0, checked by ``circuit_report``: circuit.qasm,
+    gates.json, and verify.json, the angles and the checks."""
+    c = circuit_mod.build_circuit(g, p0, t_q, t_c)
+    report = {"alpha": c.alpha, "theta0": c.theta0, "theta1": c.theta1, **circuit_report(c)}
+    return report, {"circuit.qasm": circuit_mod.export_openqasm(c, classical_control=classical_control),
+                    "gates.json": gates_json(c), "verify.json": json_text(report)}
 
 
 def circuit_report(c: circuit_mod.CircuitDescription) -> dict:
@@ -151,38 +233,24 @@ def periodicity(n: int, t_q_max: int) -> dict[str, str]:
 
 def _cycle_graphs(n: int) -> dict[str, str]:
     fam = family_mod.build_family(cycles.cycle_graph(n), 1, n)
-    return {**member_dots(fam, n, 1), "family.json": fam.to_json() + "\n",
+    return {**member_dots(fam, n, 1), "family.json": family_json(fam),
             "components.json": json_text(member_components(fam, n))}
 
 
 def _fig5() -> dict[str, str]:
-    ring = instances.asymmetric_ring()
-    hub = instances.symmetric_hub()
-    doc = {}
-    for name, g in (("asymmetric_homogeneous_ring", ring), ("symmetric_inhomogeneous_hub", hub)):
+    artifacts, doc = {}, {}
+    for short, name, g in (("ring", "asymmetric_homogeneous_ring", instances.asymmetric_ring()),
+                           ("hub", "symmetric_inhomogeneous_hub", instances.symmetric_hub())):
         c = graphs.classify(g)
         doc[name] = {"symmetric": c.symmetric, "homogeneous": c.homogeneous}
-    return {
-        "ring.dot": graphs.serialize(ring, "dot"),
-        "hub.dot": graphs.serialize(hub, "dot"),
-        "ring.csv": graphs.serialize(ring, "csv"),
-        "hub.csv": graphs.serialize(hub, "csv"),
-        "classification.json": json_text(doc),
-    }
-
-
-def _fig9() -> dict[str, str]:
-    # what `semiwalk circuit --tq 1 --tc 2 --p0 0.8,0.2` writes
-    c = circuit_mod.build_circuit(instances.two_node_chain(), EXPERIMENT_P0, 1, 2)
-    return circuit_artifacts(c, False, **circuit_report(c))
+        artifacts |= {f"{short}.{fmt}": graphs.serialize(g, fmt) for fmt in ("dot", "csv")}
+    return {**artifacts, "classification.json": json_text(doc)}
 
 
 def _fig10() -> dict[str, str]:
     fam = family_mod.build_family(instances.two_node_chain(), 1, 3)
-    artifacts = {"family.json": fam.to_json() + "\n", **member_dots(fam, 3, 1)}
-    for t in range(1, 4):
-        artifacts[f"evolve_tq{t}.csv"] = evolve_csv(fam.member(t), EXPERIMENT_P0, 30)
-    return artifacts
+    return {"family.json": family_json(fam), **member_dots(fam, 3, 1),
+            **{f"evolve_tq{t}.csv": evolve_csv(fam.member(t), EXPERIMENT_P0, 30) for t in range(1, 4)}}
 
 
 PRESETS = {
@@ -190,8 +258,8 @@ PRESETS = {
     "fig4": lambda: periodicity(6, 12),
     "fig5": _fig5,
     "fig6": lambda: {**_cycle_graphs(7), **periodicity(7, 14)},
-    "fig7": lambda: {"rank.json": json_text(
-        rank_report(instances.symmetric_hub(), 1, 60, dynamics.DEFAULT_TOL))},
-    "fig9": _fig9,
+    "fig7": lambda: rank_artifacts(instances.symmetric_hub(), 1, 60, dynamics.DEFAULT_TOL),
+    # what `semiwalk circuit --tq 1 --tc 2 --p0 0.8,0.2` writes
+    "fig9": lambda: circuit_artifacts(instances.two_node_chain(), EXPERIMENT_P0, 1, 2, False)[1],
     "fig10": _fig10,
 }

@@ -3,7 +3,7 @@
 Each check group is a function of its inputs (a corpus, a random generator,
 or nothing for the paper's fixed instances) that returns its checks as
 records ``{"name", "passed", "detail"}``. ``run_verification`` feeds all of
-them from one seed.
+them from one seed; ``verify_artifacts`` makes its ``verify_report.json``.
 """
 
 from __future__ import annotations
@@ -59,6 +59,13 @@ def run_verification(count: int = 100, seed: int = 0) -> list[dict]:
         *circuit_checks(),
         *sampler_checks(seed),
     ]
+
+
+def verify_artifacts(count: int, seed: int) -> tuple[dict, dict[str, str]]:
+    """verify_report.json: the count, the seed, the suite's checks and ``ok``, every check passed."""
+    checks = run_verification(count, seed)
+    report = {"count": count, "seed": seed, "checks": checks, "ok": all(c["passed"] for c in checks)}
+    return report, {"verify_report.json": presets.json_text(report)}
 
 
 def classical_limit_checks(mats: list[TransitionMatrix]) -> list[dict]:

@@ -283,7 +283,7 @@ def _expand(doc):
 
 def test_to_json_lists_set_fields_of_each_gate(two_node, p0_experiment):
     c = sw.build_circuit(two_node, p0_experiment, 2, 2)
-    doc = json.loads(c.to_json())
+    doc = json.loads(presets.gates_json(c))
     assert _expand(doc) == c.gates
     entries = doc["head"] + [entry for segment in doc["round"] for entry in segment["gates"]]
     assert all(None not in entry.values() for entry in entries)
@@ -300,7 +300,7 @@ def test_to_json_round_expands_to_gates(two_node, p0_experiment):
     for t_q in (1, 2, 3):
         for t_c in (1, 2, 20):
             c = sw.build_circuit(two_node, p0_experiment, t_q, t_c)
-            doc = json.loads(c.to_json())
+            doc = json.loads(presets.gates_json(c))
             assert [segment["repeat"] for segment in doc["round"]] == [1, t_q, 1]
             assert _expand(doc) == c.gates
     # g[0, 0] = 1 gives theta0 = 0 and ry(-0.0) gates, equal to ry(0.0) but
@@ -308,7 +308,7 @@ def test_to_json_round_expands_to_gates(two_node, p0_experiment):
     corner = sw.TransitionMatrix(np.array([[1.0, 0.3], [0.0, 0.7]]))
     c = sw.build_circuit(corner, p0_experiment, 2, 3)
     assert any(g.angle == 0.0 and math.copysign(1.0, g.angle) < 0 for g in c.gates)
-    text = c.to_json()
+    text = presets.gates_json(c)
     assert '"angle": -0.0' in text
     expanded = _expand(json.loads(text))
     assert expanded == c.gates
@@ -387,17 +387,17 @@ def test_export_bytes_match_flat_reference(two_node, p0_experiment, classical_co
 def test_circuit_at_walk_block_cap_stays_small():
     # t_q * t_c = MAX_WALK_BLOCKS: no step may hold the flat gate list; the
     # OpenQASM (about 11 MB) and the simulated series are the only outputs
-    # that grow with t_c. Peaks measured: build 3 kB, to_json 25 kB, export
+    # that grow with t_c. Peaks measured: build 3 kB, gates_json 25 kB, export
     # 14 and 21 MB, simulate 12 MB
     g = sw.two_node_chain()
     p0 = sw.ProbabilityVector([0.8, 0.2])
-    bounds = {"build": 64 << 10, "to_json": 256 << 10, "export": 32 << 20,
+    bounds = {"build": 64 << 10, "gates_json": 256 << 10, "export": 32 << 20,
               "export-classical": 32 << 20, "simulate": 24 << 20}
     out, peaks = {}, {}
     tracemalloc.start()
     try:
         for name, step in (("build", lambda: sw.build_circuit(g, p0, 1, MAX_WALK_BLOCKS)),
-                           ("to_json", lambda: out["build"].to_json()),
+                           ("gates_json", lambda: presets.gates_json(out["build"])),
                            ("export", lambda: sw.export_openqasm(out["build"])),
                            ("export-classical",
                             lambda: sw.export_openqasm(out["build"], classical_control=True)),

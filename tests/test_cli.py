@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import semiwalk as sw
+from semiwalk import presets
 from semiwalk.circuit import MAX_WALK_BLOCKS
 from semiwalk.cli import main
 from semiwalk.corpus import random_stochastic
@@ -15,6 +16,7 @@ from semiwalk.dynamics import MAX_SAMPLES
 from semiwalk.family import MAX_ENTRIES
 from semiwalk.graphs import MAX_NODES
 from semiwalk.verify import MAX_COUNT, run_verification
+from test_graphs import _reference_family_json
 
 
 def _write_two_node(tmp_path: Path) -> Path:
@@ -199,7 +201,7 @@ def test_family_manifest_checksum_is_the_written_bytes(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["artifacts"]["family.json"] == hashlib.sha256(data).hexdigest()
     fam = sw.build_family(sw.deserialize(graph.read_text(), "csv"), 1, 5)
-    assert data == (fam.to_json() + "\n").encode()
+    assert data == (_reference_family_json(fam) + "\n").encode()
 
 
 def test_rank_runs_are_byte_identical(tmp_path):
@@ -534,8 +536,33 @@ def test_family_json_is_streamed(tmp_path):
         tracemalloc.stop()
     data = (out / "family.json").read_bytes()
     fam = sw.build_family(sw.deserialize(path.read_text(), "csv"), 1, 12)
-    assert data == (fam.to_json() + "\n").encode()
+    assert data == (_reference_family_json(fam) + "\n").encode()
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["artifacts"]["family.json"] == hashlib.sha256(data).hexdigest()
     assert peak < 8 * 2**20
+
+
+def test_json_artifacts_are_spelled_by_json_text(tmp_path):
+    # every JSON artifact but family.json, and every manifest, is json_text of its document
+    runs = [["preset", name] for name in sorted(presets.PRESETS)]
+    runs += [["cycle", "--n", "5"], ["rank", "--input", str(_write_hub(tmp_path)), "--tq-max", "5"],
+             ["circuit", "--tq", "2", "--tc", "3"], ["verify", "--count", "10"]]
+    for k, argv in enumerate(runs):
+        out = tmp_path / f"run_{k}"
+        assert main([*argv, "--out", str(out)]) == 0
+        names = sorted(p.name for p in out.glob("*.json") if p.name != "family.json")
+        assert "manifest.json" in names, argv
+        for name in names:
+            text = (out / name).read_text()
+            assert text == presets.json_text(json.loads(text)), (argv, name)
+
+
+def test_family_json_reads_the_same_bytes_each_time(tmp_path):
+    graph = _write_random_32(tmp_path)
+    out = tmp_path / "out"
+    assert main(["family", "--input", str(graph), "--tq-max", "6", "--out", str(out)]) == 0
+    text = presets.family_json(sw.build_family(sw.deserialize(graph.read_text(), "csv"), 1, 6))
+    first, second = list(text), list(text)
+    assert len(first) == 7 and first == second  # one chunk per member, then the bracket
+    assert text.encode() == b"".join(first) == (out / "family.json").read_bytes()
 

@@ -16,7 +16,7 @@ from semiwalk.corpus import (
 from semiwalk.errors import DimensionMismatchError, InsufficientRangeError, NotStochasticError, TooLargeError
 from semiwalk.family import MAX_ENTRIES
 from semiwalk.graphs import MAX_NODES
-from semiwalk import family, graphs, szegedy, verify
+from semiwalk import family, graphs, presets, szegedy, verify
 from semiwalk.szegedy import SzegedyOperator
 
 # two-node family members frozen from an independent dense-operator computation
@@ -430,9 +430,9 @@ def test_period_searches_compare_members_past_their_column_zero():
 
 def test_family_json_export_round_trips(two_node):
     fam = sw.build_family(two_node, 1, 3)
-    chunks = list(fam.json_chunks())  # one member per chunk, then the bracket
-    assert len(chunks) == 4 and chunks[-1] == b"]" and b"".join(chunks).decode() == fam.to_json()
-    doc = json.loads(fam.to_json())
+    chunks = list(presets.family_json(fam))  # one member per chunk, then the bracket and newline
+    assert len(chunks) == 4 and chunks[-1] == b"]\n" and b"".join(chunks) == presets.family_json(fam).encode()
+    doc = json.loads(b"".join(chunks))
     assert [entry["t_q"] for entry in doc] == [1, 2, 3]
     for entry in doc:
         back = sw.deserialize(entry["matrix_csv"], "csv")

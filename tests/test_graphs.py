@@ -182,7 +182,7 @@ def test_symmetric_matrices_fix_uniform():
 
 
 
-def test_symmetric_corpus_equals_one_call_per_size_bitwise():
+def test_symmetric_corpus_equals_one_call_per_size_bitwise(monkeypatch):
     sizes = [3 + k % 8 for k in range(50)] + [1, 2, 128, 5]
     one_by_one, stacked = rng_from_seed(149), rng_from_seed(149)
     expected = [random_symmetric_stochastic(n, one_by_one) for n in sizes]
@@ -193,11 +193,13 @@ def test_symmetric_corpus_equals_one_call_per_size_bitwise():
     assert np.array_equal(stacked.random(4), one_by_one.random(4))  # the same stream consumed
     # the matrices of a stack take 42 to 63 rounds; a round limit or a looser
     # tol stops each one where it stops alone
-    for kwargs in ({"max_rounds": 45}, {"tol": 1e-11}):
-        one_by_one, stacked = rng_from_seed(151), rng_from_seed(151)
-        expected = [random_symmetric_stochastic(n, one_by_one, **kwargs) for n in sizes[:12]]
-        got = random_symmetric_corpus(sizes[:12], stacked, **kwargs)
-        assert all(np.array_equal(a.g, b.g) for a, b in zip(got, expected, strict=True))
+    for name, value in (("SINKHORN_ROUNDS", 45), ("SINKHORN_TOL", 1e-11)):
+        with monkeypatch.context() as m:
+            m.setattr(corpus, name, value)
+            one_by_one, stacked = rng_from_seed(151), rng_from_seed(151)
+            expected = [random_symmetric_stochastic(n, one_by_one) for n in sizes[:12]]
+            got = random_symmetric_corpus(sizes[:12], stacked)
+            assert all(np.array_equal(a.g, b.g) for a, b in zip(got, expected, strict=True))
     assert random_symmetric_corpus([], rng_from_seed(1)) == []
 
 
@@ -334,7 +336,7 @@ def test_csv_and_dot_bytes_match_elementwise_reference(hub):
     # one kernel call of 540 entries
     assert uniform.stack.size >= graphs._CSV_MIN
     for fam in (uniform, *fams):
-        assert fam.to_json() == _reference_family_json(fam)
+        assert presets.family_json(fam).encode() == (_reference_family_json(fam) + "\n").encode()
 
 
 @pytest.mark.parametrize("n", [2, 3, 33, 90, 91, 100, 128])
@@ -347,7 +349,7 @@ def test_float_csv_blocks_are_cut_at_member_ends(n):
     p0 = sw.ProbabilityVector.uniform(n)
     for class_tag in (1, 2):
         fam = sw.build_family(g, class_tag, 8)
-        assert fam.to_json() == _reference_family_json(fam)
+        assert presets.family_json(fam).encode() == (_reference_family_json(fam) + "\n").encode()
         for m in (fam.member(1), fam.member(8)):
             assert sw.serialize(m, "csv") == _reference_csv(m)
         steps = max(30, 1000 // n)  # past the kernel's crossover at every n
@@ -361,7 +363,7 @@ def test_float_csv_block_of_two_thousand_members():
     # the two-node chain's 3000 members: a kernel call of graphs._CSV_BLOCK
     # entries holds 2048 of them
     fam = sw.build_family(sw.two_node_chain(), 1, 3000)
-    assert fam.to_json() == _reference_family_json(fam)
+    assert presets.family_json(fam).encode() == (_reference_family_json(fam) + "\n").encode()
 
 
 def _reference_rows(a):
