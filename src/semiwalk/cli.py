@@ -146,17 +146,34 @@ def _start(opts: dict, n: int) -> ProbabilityVector:
 
 
 def _emit(outdir: Path, subcommand: str, config: dict, artifacts: dict) -> None:
-    """Write each artifact, a str or an iterable of bytes chunks, and the
-    manifest of their sha256 checksums, each taken as its chunks are written."""
-    checksums = {}
-    for name, text in artifacts.items():
-        digest = hashlib.sha256()
-        with open(outdir / name, "wb") as fh:
-            for chunk in [text.encode()] if isinstance(text, str) else text:
-                fh.write(chunk)
-                digest.update(chunk)
-        checksums[name] = digest.hexdigest()
-    (outdir / "manifest.json").write_bytes(presets.manifest_json(subcommand, config, checksums).encode())
+    """Write each artifact, a str or an iterable of bytes chunks, then the
+    manifest of their sha256 checksums, each taken as its chunks are written.
+
+    A file that already exists is overwritten in place and trimmed to the new
+    length, so it ends with exactly the bytes a fresh directory gets; a re-run
+    whose artifact keeps its length frees and allocates no disk blocks. The
+    manifest is written last. A write cut short can leave a file that mixes
+    new bytes with old ones, which the checksum in the old manifest rejects.
+    Files the manifest does not list are left as they are: ``cycle --n 16``
+    then ``cycle --n 6`` into one directory leaves ``member_01.dot`` ...
+    ``member_16.dot`` beside the new ``member_1.dot`` ... ``member_6.dot``.
+    """
+    checksums = {name: _write(outdir / name, text) for name, text in artifacts.items()}
+    _write(outdir / "manifest.json", presets.manifest_json(subcommand, config, checksums))
+
+
+def _write(path: Path, text) -> str:
+    """Write ``text``, a str or an iterable of bytes chunks, over ``path``
+    from its start, cut the file at its end, and return its sha256 hex digest."""
+    digest = hashlib.sha256()
+    # no O_TRUNC: truncating frees the old blocks only for the write to allocate new ones
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+    with open(fd, "wb") as fh:
+        for chunk in [text.encode()] if isinstance(text, str) else text:
+            fh.write(chunk)
+            digest.update(chunk)
+        fh.truncate()
+    return digest.hexdigest()
 
 
 # --- subcommand handlers ------------------------------------------------------

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import re
 import tracemalloc
 from pathlib import Path
@@ -34,6 +35,12 @@ def _write_hub(tmp_path: Path) -> Path:
 def _write_random_32(tmp_path: Path) -> Path:
     path = tmp_path / "random_32.csv"
     path.write_text(sw.serialize(random_stochastic(32, np.random.default_rng(32)), "csv"))
+    return path
+
+
+def _write_random_100(tmp_path: Path) -> Path:
+    path = tmp_path / "random_100.csv"
+    path.write_text(sw.serialize(random_stochastic(100, np.random.default_rng(100)), "csv"))
     return path
 
 
@@ -193,8 +200,7 @@ def test_manifest_checksums_match(tmp_path):
 def test_family_manifest_checksum_is_the_written_bytes(tmp_path):
     # family.json is written and hashed chunk by chunk, in bytes; at N = 100 a
     # kernel call ends inside a member
-    graph = tmp_path / "random_100.csv"
-    graph.write_text(sw.serialize(random_stochastic(100, np.random.default_rng(100)), "csv"))
+    graph = _write_random_100(tmp_path)
     out = tmp_path / "out"
     assert main(["family", "--input", str(graph), "--tq-max", "5", "--out", str(out)]) == 0
     data = (out / "family.json").read_bytes()
@@ -211,6 +217,57 @@ def test_rank_runs_are_byte_identical(tmp_path):
     assert main(args + ["--out", str(out_a)]) == 0
     assert main(args + ["--out", str(out_b)]) == 0
     assert _dir_bytes(out_a) == _dir_bytes(out_b)
+
+
+def test_rerun_over_stale_artifacts_writes_fresh_bytes(tmp_path):
+    # artifacts are overwritten in place and cut at their new end: where a
+    # re-run finds each file lengthened or shortened, in turn, it must leave
+    # the bytes of a fresh directory; family.json at N = 100 is written in
+    # chunks, and cycle --n 6 writes DOT files
+    graph = _write_random_100(tmp_path)
+    runs = [["family", "--input", str(graph), "--tq-max", "5"], ["cycle", "--n", "6"], ["preset", "fig9"]]
+    for k, argv in enumerate(runs):
+        fresh = tmp_path / f"fresh_{k}"
+        assert main([*argv, "--out", str(fresh)]) == 0
+        want = _dir_bytes(fresh)
+        for flip in (0, 1):
+            out = tmp_path / f"stale_{k}_{flip}"
+            assert main([*argv, "--out", str(out)]) == 0
+            for j, path in enumerate(sorted(out.iterdir())):
+                data = path.read_bytes()
+                path.write_bytes(data + b"stale bytes\n" * 40 if (j + flip) % 2 else data[:3])
+            assert _dir_bytes(out) != want
+            assert main([*argv, "--out", str(out)]) == 0
+            assert _dir_bytes(out) == want, (argv, flip)
+
+
+@pytest.mark.parametrize("name", ["cycle.json", "manifest.json"])
+def test_artifact_name_taken_by_a_directory_exits_2(tmp_path, capsys, name):
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)
+    assert main(["cycle", "--n", "3", "--out", str(out)]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "IsADirectoryError"  # no traceback
+    assert (out / name).is_dir()
+
+
+def test_out_taken_by_a_regular_file_exits_2(tmp_path, capsys):
+    out = tmp_path / "out"
+    out.write_text("not a directory\n")
+    assert main(["cycle", "--n", "3", "--out", str(out)]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "FileExistsError"
+    assert out.read_text() == "not a directory\n"
+
+
+@pytest.mark.skipif(not hasattr(os, "geteuid") or os.geteuid() == 0,
+                    reason="root writes files whatever their mode")
+def test_read_only_artifact_exits_2(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["cycle", "--n", "3", "--out", str(out)]) == 0
+    before = (out / "cycle.json").read_bytes()
+    (out / "cycle.json").chmod(0o444)
+    assert main(["cycle", "--n", "3", "--out", str(out)]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "PermissionError"
+    assert (out / "cycle.json").read_bytes() == before
 
 
 def test_cycle_check_failure_exits_1(tmp_path):
