@@ -105,7 +105,10 @@ def evolve(m: TransitionMatrix, p0: ProbabilityVector, t: int) -> ProbabilityVec
 
 def _series(k: np.ndarray, p: np.ndarray, steps: int) -> np.ndarray:
     """The rows p, K p, ..., K^steps p as one read-only (steps + 1, N) array,
-    checked once: each row, a column of its transpose, is a distribution."""
+    checked once: each row, a column of its transpose, is a distribution; a
+    table above ``MAX_SAMPLES`` entries is a TooLargeError before it is made."""
+    if (steps + 1) * len(p) > MAX_SAMPLES:
+        raise TooLargeError(f"(steps + 1) * N = {(steps + 1) * len(p)} entries exceeds MAX_SAMPLES = {MAX_SAMPLES}")
     series = np.empty((steps + 1, len(p)))
     series[0] = p
     for t in range(steps):

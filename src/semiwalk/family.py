@@ -137,7 +137,7 @@ def build_family(g: TransitionMatrix, class_tag: int, t_q_max: int) -> Semiclass
     at 0. A family of more than ``MAX_ENTRIES`` entries, N^2 * t_q_max, is a
     TooLargeError before anything is allocated. The one-input case of
     :func:`build_families`."""
-    return _families([g], class_tag, t_q_max)[0]
+    return build_families([g], class_tag, t_q_max)[0]
 
 
 def build_families(gs: list[TransitionMatrix], class_tag: int, t_q_max: int) -> list[SemiclassicalFamily]:
@@ -151,11 +151,7 @@ def build_families(gs: list[TransitionMatrix], class_tag: int, t_q_max: int) -> 
     entries is split into chunks that fit; one input above it is a
     TooLargeError.
     """
-    return _families(list(gs), class_tag, t_q_max)
-
-
-def _families(gs: list[TransitionMatrix], class_tag: int, t_q_max: int) -> list[SemiclassicalFamily]:
-    """The body of both builders: each chunk's member stack is checked once; its rows' families are not."""
+    gs = list(gs)
     sizes = [g.n for g in gs]
     _check_family(sizes, class_tag, t_q_max)
     stacks = _checked_rows(sizes, MAX_ENTRIES, lambda n: n * n * t_q_max, lambda ks: _member_stack(
@@ -186,16 +182,19 @@ def _member_stack(g: np.ndarray, class_tag: int, rows: range) -> np.ndarray:
     """Members t_q = r + 1 for the rows r in ``rows``, a range of step 1, of
     each matrix of a (..., N, N) stack: one read-only (..., len(rows), N, N)
     array clipped at 0 (the module docstring's formula; class 2 is I, then
-    class 1's members), formed in blocks of about ``graphs.PHASE_BLOCK``
-    entries with a fixed number of numpy calls each. A member's bits do not
+    class 1's members). The line projectors P_t for even and odd t depend on
+    the input alone and are formed once; the rows are formed in blocks of
+    about ``graphs.PHASE_BLOCK`` entries, each from its beta_{t-1} ..
+    beta_{t+k}, with a fixed number of numpy calls. A member's bits do not
     depend on which other rows are kept."""
     n = g.shape[-1]
     theta, x = _spectrum(g)
     plus, minus = theta < LINE_TOL, theta > np.pi - LINE_TOL
     line = plus | minus
     sin = np.where(line, 1.0, np.sin(theta))
-    parity = np.stack([line, 1.0 * plus - minus], axis=-2)  # P_t = X diag(parity[t % 2]) X^T
     xt = np.swapaxes(x, -1, -2)[..., None, :, :]
+    parity = np.stack([line, 1.0 * plus - minus], axis=-2)
+    proj = np.matmul(x[..., None, :, :] * parity[..., None, :], xt)  # P_t = proj[t % 2]
     stack = np.empty(g.shape[:-2] + (len(rows), n, n))
     if class_tag == 2 and rows.start == 0:
         stack[..., 0, :, :] = np.eye(n)  # I, class 2's member 1
@@ -203,14 +202,13 @@ def _member_stack(g: np.ndarray, class_tag: int, rows: range) -> np.ndarray:
         t, k = rows.start + b.start + 2 - class_tag, b.stop - b.start  # t: class-1 time of the block's first row
         ts = np.arange(t - 1, t + k + 1)[:, None] * theta[..., None, :]  # (t - 1 .. t + k) theta
         d = np.where(line[..., None, :], 0.0, np.sin(ts) / sin[..., None, :])
-        mats = np.matmul(x[..., None, :, :] * np.concatenate([d, parity], axis=-2)[..., None, :], xt)
-        beta = mats[..., :k + 2, :, :]  # beta_{t-1} .. beta_{t+k}
+        beta = np.matmul(x[..., None, :, :] * d[..., None, :], xt)  # beta_{t-1} .. beta_{t+k}
         out = stack[..., b, :, :]
         np.matmul(g[..., None, :, :], np.square(beta[..., 1:-1, :, :]), out=out)
         for j in range(min(2, k)):  # the members of one parity of t
-            p = mats[..., k + 2 + (t + j) % 2, None, :, :]
+            p = proj[..., (t + j) % 2, None, :, :]
             out[..., j::2, :, :] += (p - beta[..., j:k:2, :, :]) * (p + beta[..., j + 2::2, :, :])
-        del mats, beta, p  # so the next block's matrices replace this block's rather than join them
+        del beta  # so the next block's matrices replace this block's rather than join them
     np.maximum(stack, 0.0, out=stack)
     stack.setflags(write=False)
     return stack

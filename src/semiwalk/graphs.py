@@ -58,6 +58,7 @@ SUPPORT_TOL = 1e-9
 # STREAM_BLOCK, 512 KiB, is for the passes that stream a stack (periods,
 # distinct counts, closed forms, components, asymmetries, limits): at N = 128
 # its blocks stay in cache, and ran up to twice as fast as PHASE_BLOCK's.
+# A float-CSV kernel call takes STREAM_BLOCK // 8 entries: a few MiB of temporaries.
 PHASE_BLOCK = 1 << 20
 STREAM_BLOCK = 1 << 16
 
@@ -375,14 +376,14 @@ def _csv_blocks(rows: np.ndarray, end: bytes):
     """The CSV rows ``",".join(map(repr, row))`` of an (R, C) float64 array,
     each ended by ``end``, bitwise, in blocks: (ASCII bytes, the offset in
     them where each of their rows ends). An array of ``_CSV_MIN`` entries or
-    more goes through ``_csv_kernel``, ``_CSV_BLOCK // C`` rows per call; a
-    smaller one is one block of the repr join."""
+    more goes through ``_csv_kernel``, ``STREAM_BLOCK // 8 // C`` rows per
+    call; a smaller one is one block of the repr join."""
     rows = np.asarray(rows, dtype=float)
     if rows.size < _CSV_MIN:
         lines = [",".join(map(repr, row)).encode() + end for row in rows.tolist()]
         yield b"".join(lines), np.cumsum([len(line) for line in lines], dtype=np.int64)
         return
-    for s in _blocks(len(rows), rows.shape[1], _CSV_BLOCK):
+    for s in _blocks(len(rows), rows.shape[1], STREAM_BLOCK // 8):
         yield _csv_kernel(np.ascontiguousarray(rows[s]), end)
 
 
@@ -391,8 +392,6 @@ def _csv_blocks(rows: np.ndarray, end: bytes):
 # Arrays with fewer entries take the repr join whole: below about 400 entries
 # the kernel's numpy calls cost more than the join.
 _CSV_MIN = 512
-# Entries per kernel call; its temporaries stay within a few MiB.
-_CSV_BLOCK = 1 << 13
 # The binary exponent fields of the x in [2**-900, 2**900), whose decades
 # e10 the powers-of-ten table covers.
 _CSV_EXPO = (1023 - 900, 1023 + 899)

@@ -16,7 +16,7 @@ import json
 import numpy as np
 
 from . import __version__, circuit as circuit_mod, cycles, dynamics, family as family_mod, graphs, instances
-from .errors import DimensionMismatchError, InsufficientRangeError, TooLargeError
+from .errors import DimensionMismatchError, InsufficientRangeError
 from .graphs import ProbabilityVector, TransitionMatrix
 
 # the start vector of the paper's two-node experiment (fig9, fig10, verify)
@@ -81,8 +81,9 @@ def closed_form_bound(t_q_max: int) -> str:
     return CLOSED_FORM_BOUND if t_q_max <= 1000 else repr(float(CLOSED_FORM_BOUND) * t_q_max / 1000)
 
 
-def member_dots(fam: family_mod.SemiclassicalFamily, count: int, width: int) -> dict[str, str]:
-    """``member_<t>.dot`` for t_q = 1..count, t zero-padded to ``width`` digits."""
+def member_dots(fam: family_mod.SemiclassicalFamily, count: int) -> dict[str, str]:
+    """``member_<t>.dot`` for t_q = 1..count, t zero-padded to count's digits."""
+    width = len(str(count))
     return {f"member_{t:0{width}d}.dot": graphs.serialize(fam.member(t), "dot")
             for t in range(1, count + 1)}
 
@@ -128,7 +129,7 @@ def cycle_artifacts(n: int, t_q_max: int, tol: float) -> tuple[dict, dict[str, s
     members t_q = 1..n as DOT files."""
     report, fam = cycle_report(n, t_q_max, tol)
     report["components"] = member_components(fam, n)
-    return report, {"cycle.json": json_text(report), **member_dots(fam, n, len(str(n)))}
+    return report, {"cycle.json": json_text(report), **member_dots(fam, n)}
 
 
 def evolve_csv(member: TransitionMatrix, p0: ProbabilityVector, steps: int) -> str:
@@ -139,9 +140,6 @@ def evolve_csv(member: TransitionMatrix, p0: ProbabilityVector, steps: int) -> s
     graphs._check_int("steps", steps, 0)
     if p0.n != member.n:
         raise DimensionMismatchError(f"p0 has n={p0.n}, matrix has n={member.n}")
-    if (steps + 1) * member.n > dynamics.MAX_SAMPLES:
-        raise TooLargeError(f"(steps + 1) * N = {(steps + 1) * member.n} entries "
-                            f"exceeds MAX_SAMPLES = {dynamics.MAX_SAMPLES}")
     table = dynamics._series(member.g, p0.p, steps)
     header = "t," + ",".join(f"node{i}" for i in range(member.n))
     rows = [f"{t},{row}" for t, row in enumerate(graphs._csv_rows(table))]
@@ -213,10 +211,10 @@ def circuit_report(c: circuit_mod.CircuitDescription) -> dict:
             "ok": block < float(BLOCK_BOUND) and channel < float(CHANNEL_BOUND)}
 
 
-def periodicity(n: int, t_q_max: int) -> dict[str, str]:
-    """periodicity.csv and .json: per t_q, the first earlier t_q with the same
-    member matrix and with the same unitary power."""
-    g = cycles.cycle_graph(n)
+def periodicity(n: int) -> dict[str, str]:
+    """periodicity.csv and .json of the n-cycle: per t_q = 0..2n, the first
+    earlier t_q with the same member matrix and with the same unitary power."""
+    g, t_q_max = cycles.cycle_graph(n), 2 * n
     fam = family_mod.build_family(g, 1, t_q_max)
     mats = np.concatenate([np.eye(n)[None], fam.stack])  # index = t_q; 0 is the identity convention
     # U^j = U^t for j < t exactly when U^(t-j) = 1, so the first equal power is t mod the period
@@ -233,7 +231,7 @@ def periodicity(n: int, t_q_max: int) -> dict[str, str]:
 
 def _cycle_graphs(n: int) -> dict[str, str]:
     fam = family_mod.build_family(cycles.cycle_graph(n), 1, n)
-    return {**member_dots(fam, n, 1), "family.json": family_json(fam),
+    return {**member_dots(fam, n), "family.json": family_json(fam),
             "components.json": json_text(member_components(fam, n))}
 
 
@@ -249,15 +247,15 @@ def _fig5() -> dict[str, str]:
 
 def _fig10() -> dict[str, str]:
     fam = family_mod.build_family(instances.two_node_chain(), 1, 3)
-    return {"family.json": family_json(fam), **member_dots(fam, 3, 1),
+    return {"family.json": family_json(fam), **member_dots(fam, 3),
             **{f"evolve_tq{t}.csv": evolve_csv(fam.member(t), EXPERIMENT_P0, 30) for t in range(1, 4)}}
 
 
 PRESETS = {
     "fig3": lambda: _cycle_graphs(6),
-    "fig4": lambda: periodicity(6, 12),
+    "fig4": lambda: periodicity(6),
     "fig5": _fig5,
-    "fig6": lambda: {**_cycle_graphs(7), **periodicity(7, 14)},
+    "fig6": lambda: {**_cycle_graphs(7), **periodicity(7)},
     "fig7": lambda: rank_artifacts(instances.symmetric_hub(), 1, 60, dynamics.DEFAULT_TOL),
     # what `semiwalk circuit --tq 1 --tc 2 --p0 0.8,0.2` writes
     "fig9": lambda: circuit_artifacts(instances.two_node_chain(), EXPERIMENT_P0, 1, 2, False)[1],

@@ -24,7 +24,8 @@ def _period(fam):
 def _passes() -> dict:
     """The result of every pass over a stack on a few small inputs, as bytes
     or plain values: members, periods and distinct counts; limits and rank;
-    components, closed-form deviation and asymmetries; sampler and corpus."""
+    components, closed-form deviation and asymmetries; float CSV texts;
+    sampler and corpus."""
     rng = rng_from_seed(30)
     w = np.array([0.3, 0.6, 0.5, 0.2, 0.7, 0.4])  # a weighted 6-cycle: its odd members are periodic
     weighted = np.roll(np.diag(w), 1, axis=0) + np.roll(np.diag(1 - w), -1, axis=0)
@@ -48,6 +49,14 @@ def _passes() -> dict:
             out[name, c, "components"] = presets.member_components(fam, 20)
             out[name, c, "asymmetries"] = (graphs._asymmetries(fam.stack).tobytes(), sw.asymmetry(fam.stack))
         out[name, "sampler"] = sw.sample_trajectories(g, 1, 12, seed=8, count=30).tobytes()
+    # the float-CSV kernel: 20 members and 41 time steps of 13 nodes are past
+    # graphs._CSV_MIN entries; one member alone is the repr join
+    g = inputs["random 13"]
+    for c in (1, 2):
+        out["family.json", c] = presets.family_json(sw.build_family(g, c, 20)).encode()
+    member = sw.semiclassical_matrix(g, 3, 1)
+    out["member csv"] = sw.serialize(member, "csv").encode()
+    out["evolve csv"] = presets.evolve_csv(member, sw.ProbabilityVector.uniform(g.n), 40).encode()
     closed = cycles._cycle_member(9, np.arange(1, 19))
     out["closed-form deviation"] = cycles._closed_form_deviation(sw.build_family(inputs["cycle 9"], 1, 18).stack)
     out["closed-form components"] = cycles._components(closed)

@@ -159,6 +159,18 @@ def test_presets_emit_artifacts(tmp_path):
     assert json.loads((out7 / "rank.json").read_text())["ordering"][0] == 3
 
 
+def test_member_dots_and_periodicity_take_their_sizes_from_their_inputs():
+    # DOT names are zero-padded to the digits of the member count, and the
+    # n-cycle's periodicity rows run over t_q = 0..2n
+    fam = sw.build_family(sw.cycle_graph(5), 1, 10)
+    assert list(presets.member_dots(fam, 9)) == [f"member_{t}.dot" for t in range(1, 10)]
+    assert list(presets.member_dots(fam, 10)) == [f"member_{t:02d}.dot" for t in range(1, 11)]
+    for n in (6, 7):
+        artifacts = presets.periodicity(n)
+        assert len(artifacts["periodicity.csv"].splitlines()) == 1 + 2 * n + 1
+        assert [r["t_q"] for r in json.loads(artifacts["periodicity.json"])] == list(range(2 * n + 1))
+
+
 @pytest.mark.parametrize("make_input, class_tag", [
     (_write_random_32, "1"),
     (_write_hub, "2"),

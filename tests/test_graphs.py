@@ -341,10 +341,10 @@ def test_csv_and_dot_bytes_match_elementwise_reference(hub):
 
 @pytest.mark.parametrize("n", [2, 3, 33, 90, 91, 100, 128])
 def test_float_csv_blocks_are_cut_at_member_ends(n):
-    # the kernel formats the stack's rows about graphs._CSV_BLOCK entries per
-    # call, and the row ends cut the calls into members: at N = 33 a call
-    # holds 7 members, at N = 90, 91 and 100 calls end inside one; the repr
-    # join is the oracle, for family.json, serialize and evolve_csv
+    # the kernel formats the stack's rows about graphs.STREAM_BLOCK // 8
+    # entries per call, and the row ends cut the calls into members: at
+    # N = 33 a call holds 7 members, at N = 90, 91 and 100 calls end inside
+    # one; the repr join is the oracle, for family.json, serialize and evolve_csv
     g = random_stochastic(n, rng_from_seed(300 + n))
     p0 = sw.ProbabilityVector.uniform(n)
     for class_tag in (1, 2):
@@ -360,8 +360,8 @@ def test_float_csv_blocks_are_cut_at_member_ends(n):
 
 
 def test_float_csv_block_of_two_thousand_members():
-    # the two-node chain's 3000 members: a kernel call of graphs._CSV_BLOCK
-    # entries holds 2048 of them
+    # the two-node chain's 3000 members: a kernel call of
+    # graphs.STREAM_BLOCK // 8 entries holds 2048 of them
     fam = sw.build_family(sw.two_node_chain(), 1, 3000)
     assert presets.family_json(fam).encode() == (_reference_family_json(fam) + "\n").encode()
 
